@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_c:
             sp.add_argument("--c", required=True, help="comma-separated coefficients c1..c_{n+1}")
         sp.add_argument("--prime", type=int, default=None, help="work over GF(p)")
-        sp.add_argument("--rational", action="store_true", help="work over the rationals (default)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("verify", help="evaluate all singularity tests on one instance")
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hunt", help="scan for conjecture counterexamples")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--prime", type=int, default=None)
-    sp.add_argument("--rational", action="store_true")
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--random", action="store_true")
     sp.add_argument("--trials", type=int, default=100)

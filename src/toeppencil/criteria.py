@@ -98,7 +98,8 @@ def evaluate_instance(p: PencilInstance) -> CriterionReport:
     singular = is_singular(p)
     s_holds, s_witness = check_S(p)
     sm_holds, sm_witness, mv = check_SM(p)
-    star, _ = s_condition_values(p, kmax=0)
+    # check_S stops at the first violation, and k = 0 is the star condition
+    star = s_witness[1] if s_witness is not None and s_witness[0] == 0 else p.field.zero
     y_is_zero = all(mv.m[r] == p.field.zero for r in range(2, mv.n))
     report = CriterionReport(
         n=p.n,

@@ -189,10 +189,6 @@ class PrimeField:
     def inv(self, a: GFElement) -> GFElement:
         return a.inverse()
 
-    def elements(self):
-        for v in range(self.p):
-            yield GFElement(v, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 

@@ -132,7 +132,7 @@ def exhaustive_scan(cfg: HuntConfig) -> HuntReport:
         raise HuntConfigError("config is not in exhaustive mode")
     p = cfg.field.p
     coords = list(range(p))
-    if cfg.workers == 1 or p == 1:
+    if cfg.workers == 1:
         shards = [_scan_shard(cfg.n, p, tuple(coords))]
     else:
         w = min(cfg.workers, p)

@@ -12,8 +12,9 @@ nonzero-coefficient hypothesis of the Toeplitz construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from .criteria import ConsistencyAlarm
 from .linalg import Mat, Poly, PolyMat, ShapeError, poly_vec_apply
 from .pencil import PencilInstance, build_M0, build_M1
 
@@ -38,14 +39,7 @@ class BlockPencil:
         return cls(build_M0(p), build_M1(p))
 
     def as_polymat(self) -> PolyMat:
-        f = self.M0.field
-        return PolyMat(
-            f,
-            [
-                [Poly(f, [self.M0[i, j], self.M1[i, j]]) for j in range(self.n)]
-                for i in range(self.n)
-            ],
-        )
+        return PolyMat.pencil(self.M0, self.M1)
 
 
 @dataclass(frozen=True)
@@ -77,31 +71,40 @@ def build_C(bp: BlockPencil, d: int) -> Mat:
     return Mat(field, rows)
 
 
-def minimal_index(bp: BlockPencil) -> Optional[int]:
-    """Smallest d with rank-deficient stacked matrix; None for a regular
-    pencil. Independence of the first n*d columns is automatic: they form
-    the full-column-rank stacked matrix of depth d-1 padded with zero rows."""
-    n = bp.n
-    for d in range(n):
-        if build_C(bp, d).rank() < n * (d + 1):
-            return d
+def _first_kernel(bp: BlockPencil) -> Optional[Tuple[int, Tuple]]:
+    """Smallest d with rank-deficient stacked matrix and the first vector of
+    its kernel basis; None for a regular pencil. Independence of the first
+    n*d columns is automatic: they form the full-column-rank stacked matrix
+    of depth d-1 padded with zero rows."""
+    for d in range(bp.n):
+        basis = build_C(bp, d).kernel_basis()
+        if basis:
+            return d, basis[0]
     return None
+
+
+def minimal_index(bp: BlockPencil) -> Optional[int]:
+    """Smallest d with rank-deficient stacked matrix; None for a regular pencil."""
+    found = _first_kernel(bp)
+    return None if found is None else found[0]
 
 
 def kernel_poly(bp: BlockPencil) -> Optional[List[Poly]]:
     """A minimal-degree nonzero f(x) with (M0 + x*M1) f(x) = 0, or None for a
     regular pencil. The identity is re-verified exactly before returning."""
-    d = minimal_index(bp)
-    if d is None:
+    found = _first_kernel(bp)
+    if found is None:
         return None
+    d, vec = found
     n = bp.n
     field = bp.M0.field
-    vec = build_C(bp, d).kernel_basis()[0]
     f = [Poly(field, [vec[k * n + i] for k in range(d + 1)]) for i in range(n)]
     residual = poly_vec_apply(bp.as_polymat(), f)
-    assert all(r.is_zero for r in residual), "kernel vector fails the pencil identity"
+    if not all(r.is_zero for r in residual):
+        raise ConsistencyAlarm("kernel vector fails the pencil identity")
     degrees = [fi.degree for fi in f if not fi.is_zero]
-    assert degrees and max(degrees) == d, "kernel vector degree disagrees with minimal index"
+    if not degrees or max(degrees) != d:
+        raise ConsistencyAlarm("kernel vector degree disagrees with minimal index")
     return f
 
 

@@ -97,18 +97,11 @@ class Mat:
             out.append(row)
         return Mat(self.field, out)
 
-    def scale(self, c) -> "Mat":
-        return Mat(self.field, [[c * e for e in row] for row in self.data])
-
     def transpose(self) -> "Mat":
         return Mat(
             self.field,
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
-
-    def leading(self, k: int) -> "Mat":
-        """Leading principal k x k submatrix."""
-        return Mat(self.field, [row[:k] for row in self.data[:k]])
 
     def drop_row_col(self, row: Optional[int], col: Optional[int]) -> "Mat":
         rows = [
@@ -233,19 +226,6 @@ def mat_vec(M: Mat, v: Sequence) -> Tuple:
     return tuple(out)
 
 
-def vec_mat(w: Sequence, M: Mat) -> Tuple:
-    if len(w) != M.rows:
-        raise ShapeError("vector-matrix shape mismatch")
-    z = M.field.zero
-    out = []
-    for j in range(M.cols):
-        s = z
-        for i in range(M.rows):
-            s = s + w[i] * M.data[i][j]
-        out.append(s)
-    return tuple(out)
-
-
 def dot(u: Sequence, v: Sequence, field) -> object:
     if len(u) != len(v):
         raise ShapeError("dot-product length mismatch")
@@ -325,9 +305,6 @@ class Poly:
                 out[i + j] = out[i + j] + a * b
         return Poly(self.field, out)
 
-    def scale(self, c) -> "Poly":
-        return Poly(self.field, [c * a for a in self.coeffs])
-
     def exact_div(self, other: "Poly") -> "Poly":
         """Quotient self / other, required to be exact (zero remainder)."""
         if other.is_zero:
@@ -380,6 +357,20 @@ class PolyMat:
         for r in self.data:
             if len(r) != self.cols:
                 raise ShapeError("ragged rows")
+
+    @classmethod
+    def pencil(cls, M0: Mat, M1: Mat) -> "PolyMat":
+        """The matrix pencil M0 + x*M1 with entries of degree <= 1."""
+        if (M0.rows, M0.cols) != (M1.rows, M1.cols):
+            raise ShapeError("pencil shape mismatch")
+        f = M0.field
+        return cls(
+            f,
+            [
+                [Poly(f, [a, b]) for a, b in zip(row0, row1)]
+                for row0, row1 in zip(M0.data, M1.data)
+            ],
+        )
 
     def __getitem__(self, ij):
         i, j = ij

@@ -7,6 +7,10 @@ The closed forms: the inverse of Q is again lower-triangular Toeplitz with
 entries (-1)^(i+j) m_{i-j}; Q^{-1} v is the alternating minor vector; X is
 Q^{-1} with its first row and last column deleted; y is the alternating
 minor vector shifted by one; det X = (-1)^n c_{n-1}.
+
+M0 is lower Hessenberg with unit superdiagonal, so expanding the r-th leading
+block along its last row gives m_r = sum_{k=1..r} (-1)^(k-1) c_{k+1} m_{r-k}.
+Both directions of the minors <-> coefficients map run this recurrence.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .linalg import Mat
-from .pencil import PencilInstance, build_M0, normalize_c1
+from .pencil import PencilInstance, normalize_c1
 
 
 class DimensionError(ValueError):
@@ -40,12 +44,22 @@ class SMObjects:
     P: Mat  # anti-diagonal exchange matrix, same size as X
 
 
+def _recurrence_head(c: Sequence, m: Sequence, r: int, zero):
+    """m_r minus its c_{r+1} term, sum_{k=1..r-1} (-1)^(k-1) c_{k+1} m_{r-k},
+    from c = [c1 = 1, c2, ..., c_r] and m = [m_0, ..., m_{r-1}]."""
+    s = zero
+    for k in range(1, r):
+        t = c[k] * m[r - k]
+        s = s + t if k % 2 == 1 else s - t
+    return s
+
+
 def principal_minors(p: PencilInstance) -> MinorVector:
-    pn = normalize_c1(p)
-    M0 = build_M0(pn)
+    c = normalize_c1(p).c
     ms = [p.field.one]
     for r in range(1, p.n + 1):
-        ms.append(M0.leading(r).det())
+        t = c[r]  # c_{r+1}, with coefficient (-1)^(r-1) m_0
+        ms.append(_recurrence_head(c, ms, r, p.field.zero) + (t if r % 2 == 1 else -t))
     return MinorVector(field=p.field, n=p.n, m=tuple(ms))
 
 
@@ -101,27 +115,16 @@ def det_X(mv: MinorVector):
     return build_sm_objects(mv).X.det()
 
 
-def _leading_minor_of(field, c: List, r: int):
-    """det of the leading r x r block of M0 built from c = [c1..c_{r+1}]."""
-    z = field.zero
-    rows = [
-        [c[i - j + 1] if j <= i + 1 else z for j in range(1, r + 1)]
-        for i in range(1, r + 1)
-    ]
-    return Mat(field, rows).det()
-
-
 def recover_c_from_minors(ms: Sequence, field) -> List:
-    """Invert the triangular relation m_r = (-1)^(r+1) c_{r+1} + p_r(c2..cr).
+    """Solve the minor recurrence for c_{r+1}, whose coefficient is
+    (-1)^(r-1) m_0 = (-1)^(r-1).
 
     Input is (m_1, ..., m_n) with the c1 = 1 convention; output is
-    (c_2, ..., c_{n+1}), zeros permitted. p_r is obtained by evaluating the
-    r-th leading minor with c_{r+1} set to zero, exploiting that the minor is
-    linear in its bottom-left entry.
+    (c_2, ..., c_{n+1}), zeros permitted.
     """
     c = [field.one]
-    for r, mr in enumerate(ms, start=1):
-        pr = _leading_minor_of(field, c + [field.zero], r)
-        diff = mr - pr
+    m = [field.one, *ms]
+    for r in range(1, len(m)):
+        diff = m[r] - _recurrence_head(c, m, r, field.zero)
         c.append(diff if r % 2 == 1 else -diff)
     return c[1:]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .field import QQ
-from .linalg import Mat, Poly, PolyMat
+from .linalg import Mat, PolyMat
 
 
 class PencilError(ValueError):
@@ -83,15 +83,7 @@ def build_M1(p: PencilInstance) -> Mat:
 
 
 def build_T(p: PencilInstance) -> PolyMat:
-    M0 = build_M0(p)
-    M1 = build_M1(p)
-    return PolyMat(
-        p.field,
-        [
-            [Poly(p.field, [M0[i, j], M1[i, j]]) for j in range(p.n)]
-            for i in range(p.n)
-        ],
-    )
+    return PolyMat.pencil(build_M0(p), build_M1(p))
 
 
 def partition(p: PencilInstance) -> PencilPartition:

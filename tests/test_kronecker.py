@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import GF, QQ
 from toeppencil.kronecker import BlockPencil, analyze, build_C, kernel_poly, minimal_index
 from toeppencil.linalg import Mat, poly_vec_apply
@@ -132,3 +133,10 @@ def test_toeplitz_singular_small_n_means_d0():
             assert minimal_index(bp) == 0
             checked += 1
     assert checked == 15
+
+
+@pytest.mark.parametrize("entry", [1, 0], ids=["fails-identity", "zero-vector"])
+def test_kernel_poly_rejects_wrong_kernel_vector(monkeypatch, entry):
+    monkeypatch.setattr(Mat, "kernel_basis", lambda self: [(QQ.of(entry),) * self.cols])
+    with pytest.raises(ConsistencyAlarm):
+        kernel_poly(BlockPencil.from_pencil(qp(1, 2, 4, 8)))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,14 +16,42 @@ from toeppencil.minors import (
     q_inverse_closed_form,
     recover_c_from_minors,
 )
-from toeppencil.pencil import build_pencil, normalize_c1, partition
-from oracles import solve_cramer
+from toeppencil.pencil import PencilInstance, build_M0, build_pencil, normalize_c1, partition
+from oracles import det_cofactor, solve_cramer
 
 from conftest import geometric_pencil, random_rational, random_rational_pencil
 
 
 def qp(*cs):
     return build_pencil([Fraction(c) for c in cs])
+
+
+def cofactor_minors(p):
+    """m_0..m_n of the normalized instance by cofactor expansion of the
+    leading blocks of M0; zeros in c2..c_{n+1} are allowed."""
+    M0 = build_M0(normalize_c1(p))
+    return tuple(
+        det_cofactor(Mat(p.field, [row[:r] for row in M0.data[:r]])) for r in range(p.n + 1)
+    )
+
+
+def test_principal_minors_match_cofactor_oracle():
+    rng = random.Random(41)
+    pencils = [random_rational_pencil(rng, n) for n in range(2, 9) for _ in range(3)]
+    pencils += [
+        geometric_pencil(lam, n, c1=Fraction(-3, 2))
+        for lam in (Fraction(2), Fraction(-1, 3))
+        for n in (2, 5, 8)
+    ]
+    for p in pencils:
+        assert principal_minors(p).m == cofactor_minors(p)
+    # every GF(7) coefficient tail at n = 4, zeros included, with c1 = 3
+    gf = GF(7)
+    for tail in product(range(7), repeat=4):
+        p = PencilInstance(gf, tuple(gf.of(v) for v in (3, *tail)))
+        mv = principal_minors(p)
+        assert mv.m == cofactor_minors(p)
+        assert recover_c_from_minors(mv.m[1:], gf) == list(normalize_c1(p).c[1:])
 
 
 def test_minor_examples():
@@ -181,11 +210,8 @@ def test_recover_roundtrip_both_directions():
             ms = [random_rational(rng) for _ in range(n)]
             cs = recover_c_from_minors(ms, QQ)
             # forward check against the minor definition, zeros permitted in c
-            from toeppencil.minors import _leading_minor_of
-
             full = [QQ.one] + cs
-            for r in range(1, n + 1):
-                assert _leading_minor_of(QQ, full[: r + 1], r) == ms[r - 1]
+            assert cofactor_minors(PencilInstance(QQ, tuple(full))) == (QQ.one, *ms)
             # and when all c are nonzero, through the public pencil path
             if all(ci != 0 for ci in cs):
                 p = build_pencil(full)
