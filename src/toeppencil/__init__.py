@@ -8,7 +8,7 @@ over small prime fields.
 """
 
 from .field import QQ, PrimeField, FieldMismatchError, GF
-from .linalg import Mat, Poly, PolyMat, ShapeError, SingularMatrixError
+from .linalg import Mat, Poly, PolyRing, ShapeError, SingularMatrixError
 from .pencil import (
     PencilInstance,
     PencilError,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .criteria import ConsistencyAlarm
-from .linalg import Mat, Poly, PolyMat, ShapeError, poly_vec_apply
+from .linalg import Mat, Poly, ShapeError, mat_vec, pencil_matrix
 from .pencil import PencilInstance, build_M0, build_M1
 
 
@@ -38,8 +38,8 @@ class BlockPencil:
     def from_pencil(cls, p: PencilInstance) -> "BlockPencil":
         return cls(build_M0(p), build_M1(p))
 
-    def as_polymat(self) -> PolyMat:
-        return PolyMat.pencil(self.M0, self.M1)
+    def as_polymat(self) -> Mat:
+        return pencil_matrix(self.M0, self.M1)
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def kernel_poly(bp: BlockPencil) -> Optional[List[Poly]]:
     n = bp.n
     field = bp.M0.field
     f = [Poly(field, [vec[k * n + i] for k in range(d + 1)]) for i in range(n)]
-    residual = poly_vec_apply(bp.as_polymat(), f)
+    residual = mat_vec(bp.as_polymat(), f)
     if not all(r.is_zero for r in residual):
         raise ConsistencyAlarm("kernel vector fails the pencil identity")
     degrees = [fi.degree for fi in f if not fi.is_zero]

@@ -1,9 +1,9 @@
 """Dense exact matrices and univariate polynomials over an exact field.
 
-Determinants use fraction-free (Bareiss) elimination, which is exact over any
-integral domain; this is what lets the same code compute determinants of
-matrices whose entries are themselves polynomials, without interpolation.
-Rank, kernel and inverse use Gauss-Jordan with exact field division.
+A ``Mat`` holds entries of an exact field or of F[x] (``PolyRing``). Its one
+fraction-free (Bareiss) determinant divides exactly over either, so it also
+gives the determinant polynomial of a pencil without interpolation. Rank,
+kernel and inverse share one Gauss-Jordan elimination with exact division.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -187,30 +187,16 @@ class Mat:
         return basis
 
     def inv(self) -> "Mat":
+        """Inverse by Gauss-Jordan on [A | I]: A is invertible exactly when the
+        pivots of the reduced form are the first n columns."""
         if self.rows != self.cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        z = self.field.zero
-        aug = [
-            list(self.data[i]) + list(Mat.identity(self.field, n).data[i])
-            for i in range(n)
-        ]
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if aug[i][c] != z:
-                    pr = i
-                    break
-            if pr is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[c], aug[pr] = aug[pr], aug[c]
-            invp = self.field.inv(aug[c][c])
-            aug[c] = [e * invp for e in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c] != z:
-                    f = aug[i][c]
-                    aug[i] = [ei - f * er for ei, er in zip(aug[i], aug[c])]
-        return Mat(self.field, [row[n:] for row in aug])
+        eye = Mat.identity(self.field, n).data
+        a, pivots = Mat(self.field, [r + e for r, e in zip(self.data, eye)])._row_echelon()
+        if pivots != list(range(n)):
+            raise SingularMatrixError("matrix is singular")
+        return Mat(self.field, [row[n:] for row in a])
 
 
 def mat_vec(M: Mat, v: Sequence) -> Tuple:
@@ -305,7 +291,7 @@ class Poly:
                 out[i + j] = out[i + j] + a * b
         return Poly(self.field, out)
 
-    def exact_div(self, other: "Poly") -> "Poly":
+    def __truediv__(self, other: "Poly") -> "Poly":
         """Quotient self / other, required to be exact (zero remainder)."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -344,78 +330,39 @@ class Poly:
         return repr(self)
 
 
-class PolyMat:
-    """Dense matrix of polynomials over one field."""
+class PolyRing:
+    """F[x] as the entry ring of a ``Mat``: enough for products and the Bareiss
+    determinant (``Poly.__truediv__`` is exact), not for rank, kernel or inverse."""
 
-    __slots__ = ("field", "data", "rows", "cols")
+    __slots__ = ("field",)
 
-    def __init__(self, field, rows: Sequence[Sequence[Poly]]):
+    def __init__(self, field):
         self.field = field
-        self.data = tuple(tuple(r) for r in rows)
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.rows else 0
-        for r in self.data:
-            if len(r) != self.cols:
-                raise ShapeError("ragged rows")
 
-    @classmethod
-    def pencil(cls, M0: Mat, M1: Mat) -> "PolyMat":
-        """The matrix pencil M0 + x*M1 with entries of degree <= 1."""
-        if (M0.rows, M0.cols) != (M1.rows, M1.cols):
-            raise ShapeError("pencil shape mismatch")
-        f = M0.field
-        return cls(
-            f,
-            [
-                [Poly(f, [a, b]) for a, b in zip(row0, row1)]
-                for row0, row1 in zip(M0.data, M1.data)
-            ],
-        )
+    @property
+    def zero(self) -> Poly:
+        return Poly.zero(self.field)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
+    @property
+    def one(self) -> Poly:
+        return Poly.const(self.field, self.field.one)
 
-    def eval_at(self, x0) -> Mat:
-        return Mat(self.field, [[e(x0) for e in row] for row in self.data])
+    def __eq__(self, other):
+        return isinstance(other, PolyRing) and other.field == self.field
 
-    def det(self) -> Poly:
-        """Determinant polynomial by fraction-free elimination over the
-        polynomial ring; every interior division is exact (Bareiss identity)."""
-        if self.rows != self.cols:
-            raise ShapeError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Poly.const(self.field, self.field.one)
-        a = [list(row) for row in self.data]
-        prev = Poly.const(self.field, self.field.one)
-        sign = 1
-        for k in range(n - 1):
-            if a[k][k].is_zero:
-                for i in range(k + 1, n):
-                    if not a[i][k].is_zero:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Poly.zero(self.field)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]).exact_div(prev)
-                a[i][k] = Poly.zero(self.field)
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return d if sign == 1 else -d
+    def __hash__(self):
+        return hash(("poly-ring", self.field))
+
+    def __repr__(self):
+        return f"{self.field!r}[x]"
 
 
-def poly_vec_apply(T: PolyMat, f: Sequence[Poly]) -> List[Poly]:
-    """T(x) * f(x) as a vector of polynomials."""
-    if T.cols != len(f):
-        raise ShapeError("polynomial matrix-vector shape mismatch")
-    out = []
-    for i in range(T.rows):
-        s = Poly.zero(T.field)
-        for j in range(T.cols):
-            s = s + T.data[i][j] * f[j]
-        out.append(s)
-    return out
+def pencil_matrix(M0: Mat, M1: Mat) -> Mat:
+    """The pencil M0 + x*M1 as a matrix over F[x], entries of degree <= 1."""
+    if (M0.rows, M0.cols) != (M1.rows, M1.cols):
+        raise ShapeError("pencil shape mismatch")
+    f = M0.field
+    return Mat(
+        PolyRing(f),
+        [[Poly(f, [a, b]) for a, b in zip(r0, r1)] for r0, r1 in zip(M0.data, M1.data)],
+    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .field import QQ
-from .linalg import Mat, PolyMat
+from .linalg import Mat, pencil_matrix
 
 
 class PencilError(ValueError):
@@ -48,11 +48,11 @@ class PencilPartition:
 
 
 def build_pencil(c: Sequence, field=None) -> PencilInstance:
-    c = tuple(c)
-    if len(c) < 3:
-        raise PencilError(f"need at least 3 coefficients, got {len(c)}")
     if field is None:
         field = QQ
+    c = tuple(field.of(ci) if isinstance(ci, int) else ci for ci in c)
+    if len(c) < 3:
+        raise PencilError(f"need at least 3 coefficients, got {len(c)}")
     zero = field.zero
     for i, ci in enumerate(c):
         if ci == zero:
@@ -82,27 +82,21 @@ def build_M1(p: PencilInstance) -> Mat:
     )
 
 
-def build_T(p: PencilInstance) -> PolyMat:
-    return PolyMat.pencil(build_M0(p), build_M1(p))
+def build_T(p: PencilInstance) -> Mat:
+    """T(x) = M0 + x*M1 as a matrix over F[x]."""
+    return pencil_matrix(build_M0(p), build_M1(p))
 
 
 def partition(p: PencilInstance) -> PencilPartition:
+    """The blocks read off M0 = [[v, Q], [c_{n+1}, w]] and M1 = [[0, B], [0, 0]]."""
     n = p.n
-    z, o = p.field.zero, p.field.one
-    Q = Mat(
-        p.field,
-        [
-            [p.coeff(i - j + 1) if i >= j else z for j in range(1, n)]
-            for i in range(1, n)
-        ],
+    M0 = build_M0(p)
+    return PencilPartition(
+        Q=M0.drop_row_col(n - 1, 0),
+        v=tuple(row[0] for row in M0.data[: n - 1]),
+        w=M0.data[n - 1][1:],
+        B=build_M1(p).drop_row_col(n - 1, 0),
     )
-    v = tuple(p.coeff(k) for k in range(2, n + 1))
-    w = tuple(reversed(v))
-    B = Mat(
-        p.field,
-        [[o if j == i + 1 else z for j in range(1, n)] for i in range(1, n)],
-    )
-    return PencilPartition(Q=Q, v=v, w=w, B=B)
 
 
 def is_singular(p: PencilInstance) -> bool:

@@ -14,7 +14,8 @@ from toeppencil.linalg import Mat, Poly
 
 
 def det_cofactor(M: Mat):
-    """Determinant by first-row cofactor expansion (exponential, small only)."""
+    """Determinant by first-row cofactor expansion (exponential, small only);
+    zero entries of the row contribute nothing and are skipped."""
     n = M.rows
     if n == 0:
         return M.field.one
@@ -22,6 +23,8 @@ def det_cofactor(M: Mat):
         return M[0, 0]
     total = M.field.zero
     for j in range(n):
+        if M[0, j] == M.field.zero:
+            continue
         sub = M.drop_row_col(0, j)
         term = M[0, j] * det_cofactor(sub)
         total = total + term if j % 2 == 0 else total - term
@@ -29,7 +32,7 @@ def det_cofactor(M: Mat):
 
 
 def det_cofactor_poly(field, grid):
-    """Cofactor determinant of a grid of Poly entries."""
+    """Cofactor determinant of a grid of Poly entries, zero entries skipped."""
     n = len(grid)
     if n == 0:
         return Poly.const(field, field.one)
@@ -37,6 +40,8 @@ def det_cofactor_poly(field, grid):
         return grid[0][0]
     total = Poly.zero(field)
     for j in range(n):
+        if grid[0][j].is_zero:
+            continue
         sub = [[row[k] for k in range(n) if k != j] for row in grid[1:]]
         term = grid[0][j] * det_cofactor_poly(field, sub)
         total = total + term if j % 2 == 0 else total - term

@@ -26,7 +26,7 @@ from toeppencil.criteria import (
 from toeppencil.field import GF, QQ
 from toeppencil.hunt import HuntConfig, exhaustive_scan, random_scan
 from toeppencil.kronecker import BlockPencil, build_C, kernel_poly, minimal_index
-from toeppencil.linalg import Mat, mat_vec, poly_vec_apply
+from toeppencil.linalg import Mat, mat_vec
 from toeppencil.minors import (
     MinorVector,
     build_sm_objects,
@@ -267,7 +267,7 @@ def test_criterion_08_observation_machinery():
             assert minimal_index(bp) == 0
             f = kernel_poly(bp)
             assert all(fi.is_zero or fi.degree == 0 for fi in f)
-            assert all(r.is_zero for r in poly_vec_apply(bp.as_polymat(), f))
+            assert all(r.is_zero for r in mat_vec(bp.as_polymat(), f))
     # (b) the synthetic shift pencil: d = 2, f = (x^2, -x, 1) up to scalar
     M0 = Mat(QQ, [[Fraction(e) for e in r] for r in [[1, 0, 0], [0, 1, 0], [0, 0, 0]]])
     M1 = Mat(QQ, [[Fraction(e) for e in r] for r in [[0, 1, 0], [0, 0, 1], [0, 0, 0]]])
@@ -291,7 +291,7 @@ def test_criterion_08_observation_machinery():
         B = Mat(gf, [[gf.of(rng.choice([0, 0, 0, 1, 4])) for _ in range(n)] for _ in range(n)])
         g = kernel_poly(BlockPencil(A, B))
         if g is not None:
-            assert all(r.is_zero for r in poly_vec_apply(BlockPencil(A, B).as_polymat(), g))
+            assert all(r.is_zero for r in mat_vec(BlockPencil(A, B).as_polymat(), g))
             verified += 1
     assert verified > 10
     _report(8, True, f"d=0 geometric, d=2 shift example, identity on {verified} pencils")

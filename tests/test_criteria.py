@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -159,3 +160,23 @@ def test_smallest_violated_k_reported():
         if found >= 3:
             break
     assert found >= 1
+
+
+def _leaves(x):
+    if isinstance(x, (tuple, list)):
+        for e in x:
+            yield from _leaves(e)
+    else:
+        yield x
+
+
+def test_int_coefficients_stay_exact():
+    for field in (None, GF(7)):
+        p = build_pencil([3, 1, 1, 2], field)
+        exact = build_pencil([p.field.of(c) for c in (3, 1, 1, 2)], p.field)
+        minors = principal_minors(p).m
+        rep = evaluate_instance(p)
+        values = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
+        assert not any(isinstance(e, float) for e in _leaves([p.c, minors, values]))
+        assert minors == principal_minors(exact).m
+        assert rep == evaluate_instance(exact)

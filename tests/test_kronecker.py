@@ -6,7 +6,7 @@ import pytest
 from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import GF, QQ
 from toeppencil.kronecker import BlockPencil, analyze, build_C, kernel_poly, minimal_index
-from toeppencil.linalg import Mat, poly_vec_apply
+from toeppencil.linalg import Mat, mat_vec
 from toeppencil.pencil import build_M0, build_M1, build_pencil, build_T, is_singular
 
 from conftest import geometric_pencil, random_rational_pencil
@@ -63,7 +63,7 @@ def test_geometric_gives_d0_constant_kernel():
     assert minimal_index(bp) == 0
     f = kernel_poly(bp)
     assert all(fi.is_zero or fi.degree == 0 for fi in f)
-    residual = poly_vec_apply(bp.as_polymat(), f)
+    residual = mat_vec(bp.as_polymat(), f)
     assert all(r.is_zero for r in residual)
 
 
@@ -115,7 +115,7 @@ def test_kernel_identity_on_synthetic_pencils():
             continue
         found += 1
         assert any(not fi.is_zero for fi in f)
-        residual = poly_vec_apply(bp.as_polymat(), f)
+        residual = mat_vec(bp.as_polymat(), f)
         assert all(r.is_zero for r in residual)
         d = max(fi.degree for fi in f if not fi.is_zero)
         if d > 0:
