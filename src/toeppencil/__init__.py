@@ -32,5 +32,5 @@ from .minors import (
     recover_c_from_minors,
 )
 from .criteria import CriterionReport, ConsistencyAlarm, check_S, check_SM, evaluate_instance
-from .kronecker import BlockPencil, KroneckerResult, build_C, minimal_index, kernel_poly
+from .kronecker import BlockPencil, KroneckerResult, analyze, build_C
 from .hunt import HuntConfig, HuntReport, exhaustive_scan, random_scan, verify_conjecture_smalln

@@ -19,7 +19,7 @@ from typing import List, Optional
 
 from .criteria import ConsistencyAlarm, evaluate_instance
 from .field import NotPrimeError, PrimeField, QQ, format_scalar
-from .hunt import HuntConfig, HuntConfigError, HuntReport, exhaustive_scan, random_scan
+from .hunt import HuntConfig, HuntConfigError, exhaustive_scan, random_scan
 from .kronecker import BlockPencil, analyze
 from .minors import build_sm_objects, det_X, principal_minors
 from .pencil import PencilError, build_pencil
@@ -30,7 +30,7 @@ class InputError(ValueError):
 
 
 def _field_from_args(args):
-    if getattr(args, "prime", None) is not None:
+    if args.prime is not None:
         try:
             return PrimeField(args.prime)
         except NotPrimeError as e:
@@ -120,10 +120,6 @@ def cmd_kernel(args) -> int:
     return 0
 
 
-def _hunt_doc(report: HuntReport) -> dict:
-    return {"hunt": report.to_dict()}
-
-
 def cmd_hunt(args) -> int:
     if args.exhaustive == args.random:
         raise InputError("choose exactly one of --exhaustive / --random")
@@ -141,7 +137,7 @@ def cmd_hunt(args) -> int:
         report = exhaustive_scan(cfg) if args.exhaustive else random_scan(cfg)
     except HuntConfigError as e:
         raise InputError(str(e)) from e
-    doc = {"n": args.n, **_hunt_doc(report)}
+    doc = {"n": args.n, "hunt": report.to_dict()}
     _emit(doc, args.json)
     return 3 if report.counterexamples else 0
 
@@ -158,7 +154,7 @@ def cmd_demo(args) -> int:
     print(f"singular={rep.singular_det} s_holds={rep.s_holds} sm_holds={rep.sm_holds}")
     print("# exhaustive n=4 scan over GF(5): solutions are the geometric family")
     report = exhaustive_scan(HuntConfig(n=4, field=PrimeField(5), mode="exhaustive"))
-    print(json.dumps(_hunt_doc(report), sort_keys=True))
+    print(json.dumps({"hunt": report.to_dict()}, sort_keys=True))
     return 3 if report.counterexamples else 0
 
 
@@ -189,13 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hunt", help="scan for conjecture counterexamples")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--prime", type=int, default=None)
+    add_common(sp, needs_c=False)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--random", action="store_true")
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_hunt)
 
     sp = sub.add_parser("demo", help="run the worked examples")

@@ -110,14 +110,14 @@ class GFElement:
         return GFElement(pow(self.val, k, self.p), self.p)
 
     def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.val == o.val
 
     def __hash__(self):
-        return hash((self.val, self.p))
+        # agrees with hash(k) for the canonical residue k, which == treats as equal
+        return hash(self.val)
 
     def __bool__(self):
         return self.val != 0
@@ -131,8 +131,6 @@ class GFElement:
 
 class RationalField:
     """The field of rationals; elements are ``Fraction`` values."""
-
-    kind = "rational"
 
     @property
     def zero(self):
@@ -164,8 +162,6 @@ class RationalField:
 
 class PrimeField:
     """GF(p) for a prime modulus p; elements are ``GFElement`` values."""
-
-    kind = "prime-field"
 
     def __init__(self, p: int):
         if not is_prime(p):

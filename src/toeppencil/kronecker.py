@@ -12,7 +12,7 @@ nonzero-coefficient hypothesis of the Toeplitz construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .criteria import ConsistencyAlarm
 from .linalg import Mat, Poly, ShapeError, mat_vec, pencil_matrix
@@ -37,9 +37,6 @@ class BlockPencil:
     @classmethod
     def from_pencil(cls, p: PencilInstance) -> "BlockPencil":
         return cls(build_M0(p), build_M1(p))
-
-    def as_polymat(self) -> Mat:
-        return pencil_matrix(self.M0, self.M1)
 
 
 @dataclass(frozen=True)
@@ -71,46 +68,26 @@ def build_C(bp: BlockPencil, d: int) -> Mat:
     return Mat(field, rows)
 
 
-def _first_kernel(bp: BlockPencil) -> Optional[Tuple[int, Tuple]]:
-    """Smallest d with rank-deficient stacked matrix and the first vector of
-    its kernel basis; None for a regular pencil. Independence of the first
-    n*d columns is automatic: they form the full-column-rank stacked matrix
-    of depth d-1 padded with zero rows."""
-    for d in range(bp.n):
-        basis = build_C(bp, d).kernel_basis()
-        if basis:
-            return d, basis[0]
-    return None
-
-
-def minimal_index(bp: BlockPencil) -> Optional[int]:
-    """Smallest d with rank-deficient stacked matrix; None for a regular pencil."""
-    found = _first_kernel(bp)
-    return None if found is None else found[0]
-
-
-def kernel_poly(bp: BlockPencil) -> Optional[List[Poly]]:
-    """A minimal-degree nonzero f(x) with (M0 + x*M1) f(x) = 0, or None for a
-    regular pencil. The identity is re-verified exactly before returning."""
-    found = _first_kernel(bp)
-    if found is None:
-        return None
-    d, vec = found
+def analyze(bp: BlockPencil) -> KroneckerResult:
+    """The minimal index d and a degree-d nonzero f(x) with
+    (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil. The first d
+    with a rank-deficient stacked matrix is minimal: the first n*d columns of
+    C(d) are those of C(d-1) padded with zero rows, so they stay independent.
+    Both the identity and the degree are re-verified exactly before returning."""
     n = bp.n
     field = bp.M0.field
+    for d in range(n):
+        basis = build_C(bp, d).kernel_basis()
+        if basis:
+            break
+    else:
+        return KroneckerResult(minimal_index_d=None, kernel_poly=None)
+    vec = basis[0]
     f = [Poly(field, [vec[k * n + i] for k in range(d + 1)]) for i in range(n)]
-    residual = mat_vec(bp.as_polymat(), f)
+    residual = mat_vec(pencil_matrix(bp.M0, bp.M1), f)
     if not all(r.is_zero for r in residual):
         raise ConsistencyAlarm("kernel vector fails the pencil identity")
     degrees = [fi.degree for fi in f if not fi.is_zero]
     if not degrees or max(degrees) != d:
         raise ConsistencyAlarm("kernel vector degree disagrees with minimal index")
-    return f
-
-
-def analyze(bp: BlockPencil) -> KroneckerResult:
-    f = kernel_poly(bp)
-    if f is None:
-        return KroneckerResult(minimal_index_d=None, kernel_poly=None)
-    degrees = [fi.degree for fi in f if not fi.is_zero]
-    return KroneckerResult(minimal_index_d=max(degrees), kernel_poly=f)
+    return KroneckerResult(minimal_index_d=d, kernel_poly=f)

@@ -25,8 +25,8 @@ from toeppencil.criteria import (
 )
 from toeppencil.field import GF, QQ
 from toeppencil.hunt import HuntConfig, exhaustive_scan, random_scan
-from toeppencil.kronecker import BlockPencil, build_C, kernel_poly, minimal_index
-from toeppencil.linalg import Mat, mat_vec
+from toeppencil.kronecker import BlockPencil, analyze, build_C
+from toeppencil.linalg import Mat, mat_vec, pencil_matrix
 from toeppencil.minors import (
     MinorVector,
     build_sm_objects,
@@ -264,18 +264,20 @@ def test_criterion_08_observation_machinery():
     for lam in GEOMETRIC_RATIOS:
         for n in range(2, 7):
             bp = BlockPencil.from_pencil(geometric_pencil(lam, n))
-            assert minimal_index(bp) == 0
-            f = kernel_poly(bp)
+            res = analyze(bp)
+            assert res.minimal_index_d == 0
+            f = res.kernel_poly
             assert all(fi.is_zero or fi.degree == 0 for fi in f)
-            assert all(r.is_zero for r in mat_vec(bp.as_polymat(), f))
+            assert all(r.is_zero for r in mat_vec(pencil_matrix(bp.M0, bp.M1), f))
     # (b) the synthetic shift pencil: d = 2, f = (x^2, -x, 1) up to scalar
     M0 = Mat(QQ, [[Fraction(e) for e in r] for r in [[1, 0, 0], [0, 1, 0], [0, 0, 0]]])
     M1 = Mat(QQ, [[Fraction(e) for e in r] for r in [[0, 1, 0], [0, 0, 1], [0, 0, 0]]])
     bp = BlockPencil(M0, M1)
     assert build_C(bp, 0).rank() == 3
     assert build_C(bp, 1).rank() == 6
-    assert minimal_index(bp) == 2
-    f = kernel_poly(bp)
+    res = analyze(bp)
+    assert res.minimal_index_d == 2
+    f = res.kernel_poly
     scale = f[2].coeff(0)
     assert scale != 0
     assert f[0].coeffs == (Fraction(0), Fraction(0), scale)
@@ -289,9 +291,9 @@ def test_criterion_08_observation_machinery():
         n = rng.randint(2, 4)
         A = Mat(gf, [[gf.of(rng.choice([0, 0, 1, 2, 3])) for _ in range(n)] for _ in range(n)])
         B = Mat(gf, [[gf.of(rng.choice([0, 0, 0, 1, 4])) for _ in range(n)] for _ in range(n)])
-        g = kernel_poly(BlockPencil(A, B))
+        g = analyze(BlockPencil(A, B)).kernel_poly
         if g is not None:
-            assert all(r.is_zero for r in mat_vec(BlockPencil(A, B).as_polymat(), g))
+            assert all(r.is_zero for r in mat_vec(pencil_matrix(A, B), g))
             verified += 1
     assert verified > 10
     _report(8, True, f"d=0 geometric, d=2 shift example, identity on {verified} pencils")

@@ -58,6 +58,23 @@ def test_field_mixing_is_an_error():
         Fraction(1, 2) * a
 
 
+def test_gf_equality_keeps_the_field_contract():
+    a = GFElement(3, 7)
+    with pytest.raises(FieldMismatchError):
+        a == Fraction(3)
+    with pytest.raises(FieldMismatchError):
+        a == GFElement(3, 5)
+    with pytest.raises(FieldMismatchError):
+        Fraction(1, 2) != a
+    assert a == 3 and a == 10 and a == -4 and a != 4
+    assert a == GFElement(10, 7) and a != GFElement(4, 7)
+    assert a != "3" and a != None  # noqa: E711
+    for k in range(7):
+        assert hash(GF(7).of(k)) == hash(k)
+    # an int key finds the equal residue
+    assert {GF(7).of(k): k for k in range(7)}[5] == 5
+
+
 def test_parsing():
     assert QQ.parse("-3/4") == Fraction(-3, 4)
     assert QQ.parse("5") == Fraction(5)

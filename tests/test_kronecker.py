@@ -5,8 +5,8 @@ import pytest
 
 from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import GF, QQ
-from toeppencil.kronecker import BlockPencil, analyze, build_C, kernel_poly, minimal_index
-from toeppencil.linalg import Mat, mat_vec
+from toeppencil.kronecker import BlockPencil, analyze, build_C
+from toeppencil.linalg import Mat, mat_vec, pencil_matrix
 from toeppencil.pencil import build_M0, build_M1, build_pencil, build_T, is_singular
 
 from conftest import geometric_pencil, random_rational_pencil
@@ -60,23 +60,25 @@ def test_build_c_negative_depth():
 
 def test_geometric_gives_d0_constant_kernel():
     bp = BlockPencil.from_pencil(qp(1, 2, 4, 8))
-    assert minimal_index(bp) == 0
-    f = kernel_poly(bp)
+    res = analyze(bp)
+    assert res.minimal_index_d == 0
+    f = res.kernel_poly
     assert all(fi.is_zero or fi.degree == 0 for fi in f)
-    residual = mat_vec(bp.as_polymat(), f)
+    residual = mat_vec(pencil_matrix(bp.M0, bp.M1), f)
     assert all(r.is_zero for r in residual)
 
 
 def test_regular_pencil_has_no_index():
     bp = BlockPencil.from_pencil(qp(1, 1, 1, 2))
-    assert minimal_index(bp) is None
-    assert kernel_poly(bp) is None
-    assert analyze(bp).minimal_index_d is None
+    res = analyze(bp)
+    assert res.minimal_index_d is None
+    assert res.kernel_poly is None
 
 
 def test_shift_example_d2():
-    assert minimal_index(SHIFT_EXAMPLE) == 2
-    f = kernel_poly(SHIFT_EXAMPLE)
+    res = analyze(SHIFT_EXAMPLE)
+    assert res.minimal_index_d == 2
+    f = res.kernel_poly
     # f = (x^2, -x, 1) up to a scalar
     scale = f[2].coeff(0)
     assert scale != 0
@@ -94,10 +96,10 @@ def test_minimal_index_iff_singular_det():
         n = rng.randint(2, 5)
         p = random_rational_pencil(rng, n)
         bp = BlockPencil.from_pencil(p)
-        assert (minimal_index(bp) is not None) == is_singular(p)
+        assert (analyze(bp).minimal_index_d is not None) == is_singular(p)
     for lam in (Fraction(2), Fraction(-1), Fraction(1, 2)):
         p = geometric_pencil(lam, 5)
-        assert minimal_index(BlockPencil.from_pencil(p)) == 0
+        assert analyze(BlockPencil.from_pencil(p)).minimal_index_d == 0
 
 
 def test_kernel_identity_on_synthetic_pencils():
@@ -110,12 +112,12 @@ def test_kernel_identity_on_synthetic_pencils():
         M0 = Mat(gf, [[gf.of(rng.choice([0, 0, 0, 1, 2])) for _ in range(n)] for _ in range(n)])
         M1 = Mat(gf, [[gf.of(rng.choice([0, 0, 0, 1, 3])) for _ in range(n)] for _ in range(n)])
         bp = BlockPencil(M0, M1)
-        f = kernel_poly(bp)
+        f = analyze(bp).kernel_poly
         if f is None:
             continue
         found += 1
         assert any(not fi.is_zero for fi in f)
-        residual = mat_vec(bp.as_polymat(), f)
+        residual = mat_vec(pencil_matrix(bp.M0, bp.M1), f)
         assert all(r.is_zero for r in residual)
         d = max(fi.degree for fi in f if not fi.is_zero)
         if d > 0:
@@ -130,7 +132,7 @@ def test_toeplitz_singular_small_n_means_d0():
         for n in range(2, 7):
             p = geometric_pencil(lam, n)
             bp = BlockPencil.from_pencil(p)
-            assert minimal_index(bp) == 0
+            assert analyze(bp).minimal_index_d == 0
             checked += 1
     assert checked == 15
 
@@ -139,4 +141,4 @@ def test_toeplitz_singular_small_n_means_d0():
 def test_kernel_poly_rejects_wrong_kernel_vector(monkeypatch, entry):
     monkeypatch.setattr(Mat, "kernel_basis", lambda self: [(QQ.of(entry),) * self.cols])
     with pytest.raises(ConsistencyAlarm):
-        kernel_poly(BlockPencil.from_pencil(qp(1, 2, 4, 8)))
+        analyze(BlockPencil.from_pencil(qp(1, 2, 4, 8)))

@@ -1,0 +1,45 @@
+"""Smoke tests for the experiment scripts, each run as its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def sweep_rows(stdout):
+    """(n, p) -> [scanned, valid, solutions, counterex] from the table rows."""
+    rows = [line.split() for line in stdout.splitlines()]
+    return {tuple(r[:2]): r[2:] for r in rows if r and r[0].isdigit()}
+
+
+def test_conjecture_sweep_clean_over_gf5():
+    proc = run_script("conjecture_sweep.py", "--n-max", "4", "--primes", "5", "--workers", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = sweep_rows(proc.stdout)
+    assert set(rows) == {("2", "5"), ("3", "5"), ("4", "5")}
+    assert rows[("4", "5")] == ["125", "52", "4", "0"]
+
+
+def test_conjecture_sweep_exits_3_on_gf7_counterexamples():
+    proc = run_script("conjecture_sweep.py", "--n-max", "5", "--primes", "7", "--workers", "1")
+    assert proc.returncode == 3, proc.stderr
+    assert sweep_rows(proc.stdout)[("5", "7")][-1] == "18"
+    assert proc.stdout.count("counterexample minors") == 18
+
+
+def test_equivalence_fuzz_finds_no_violation():
+    proc = run_script("equivalence_fuzz.py", "--n", "2..4", "--trials", "10", "--prime", "11")
+    assert proc.returncode == 0, proc.stderr
+    assert "VIOLATION" not in proc.stdout
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["n=2", "n=3", "n=4"]
