@@ -15,11 +15,11 @@ a disagreement is an implementation bug and raises ConsistencyAlarm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Tuple
 
-from .linalg import mat_vec, dot
-from .minors import MinorVector, build_sm_objects, principal_minors
-from .pencil import PencilInstance, is_geometric, is_singular, partition
+from .minors import MinorVector, principal_minors
+from .pencil import PencilInstance, is_geometric, is_singular
 
 
 class ConsistencyAlarm(RuntimeError):
@@ -42,17 +42,40 @@ class CriterionReport:
 
 def s_condition_values(p: PencilInstance, kmax: Optional[int] = None):
     """star = c_{n+1} - w Q^{-1} v, and the list of w Q^{-1} (B Q^{-1})^k v
-    for k = 1..kmax (default kmax = n-1)."""
+    for k = 1..kmax (default kmax = n-1).
+
+    Runs on plain ints. c is lifted to L*c (L = 1 over GF(p)); Q, v and w
+    scale by L and B does not, so star = star_L / L and
+    value_k = value_k,L * L^(k-1). Q is lower-triangular Toeplitz with
+    diagonal c1, and Q^{-1} is applied by forward substitution on numerators:
+    entry i of the running vector after k shifts by B has denominator
+    c1^(2k+1+i). Over GF(p) the rational results are reduced at the end,
+    where c1 is a unit.
+    """
     if kmax is None:
         kmax = p.n - 1
-    part = partition(p)
-    Qinv = part.Q.inv()
-    s = mat_vec(Qinv, part.v)  # Q^{-1} (B Q^{-1})^{k-1} ... running vector
-    star = p.coeff(p.n + 1) - dot(part.w, s, p.field)
+    c, L = p.field.lift(p.c)
+    fld, n, size = p.field, p.n, p.n - 1
+    c1 = c[0]
+    pw = [c1**i for i in range(size + 1)]
+    # Q's subdiagonals c_{k+1} times c1^(k-1), for k = size-1 down to 1
+    sub = [c[k] * pw[k - 1] for k in range(size - 1, 0, -1)]
+
+    def solve(b):
+        """Numerators of Q^{-1} b: entry i over c1^(f+1+i) when b's is over c1^(f+i)."""
+        s = []
+        for i, bi in enumerate(b):
+            s.append(bi - sum(map(mul, sub[size - 1 - i :], s)))
+        return s
+
+    v = c[1:n]
+    w = [wi * pw[size - 1 - i] for i, wi in enumerate(reversed(v))]  # w.u is over c1^(2k+size)
+    u = solve([vi * pw[i] for i, vi in enumerate(v)])
+    star = fld.of(c[n] * pw[size] - sum(map(mul, w, u))) / fld.of(pw[size] * L)
     values = []
-    for _ in range(kmax):
-        s = mat_vec(Qinv, mat_vec(part.B, s))
-        values.append(dot(part.w, s, p.field))
+    for k in range(1, kmax + 1):
+        u = solve(u[1:] + [0])  # B shifts up by one
+        values.append(fld.of(sum(map(mul, w, u)) * L ** (k - 1)) / fld.of(c1 ** (2 * k + size)))
     return star, values
 
 
@@ -69,16 +92,29 @@ def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
 
 
 def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> List:
-    """(t_y P) X^k y for k = 0..kmax (default kmax = n-3; empty for n = 2)."""
+    """(t_y P) X^k y for k = 0..kmax (default kmax = n-3; empty for n = 2).
+
+    Runs on plain ints: N = D*m over one common denominator D (D = 1 over
+    GF(p)). X and y are linear in the minors, so the k-th value is
+    homogeneous of degree k+2 in them and equals V_k(N) / D^(k+2).
+    """
     if kmax is None:
         kmax = mv.n - 3
-    sm = build_sm_objects(mv)
-    yP = tuple(reversed(sm.y))  # t_y P is y reversed
-    z = list(sm.y)
+    N, D = mv.field.lift(mv.m)
+    fld, size = mv.field, mv.n - 2
+    # 0-based: X[a][b] = (-1)^(a+b+1) m_{a+1-b} for b <= a+1, y[a] = (-1)^(a+1) m_{a+2}
+    X = [
+        [N[a + 1 - b] if (a + b) % 2 else -N[a + 1 - b] for b in range(min(a + 2, size))]
+        for a in range(size)
+    ]
+    y = [N[a + 2] if a % 2 else -N[a + 2] for a in range(size)]
+    yP = y[::-1]  # t_y P is y reversed
+    z = y
     values = []
-    for _ in range(kmax + 1):
-        values.append(dot(yP, z, mv.field))
-        z = list(mat_vec(sm.X, z))
+    for k in range(kmax + 1):
+        if k:
+            z = [sum(map(mul, row, z)) for row in X]
+        values.append(fld.of(sum(map(mul, yP, z))) / fld.of(D ** (k + 2)))
     return values
 
 

@@ -10,6 +10,8 @@ floating-point path anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import List, Sequence, Tuple
 
 
 class FieldMismatchError(TypeError):
@@ -150,6 +152,12 @@ class RationalField:
     def inv(self, a: Fraction) -> Fraction:
         return 1 / a
 
+    def lift(self, xs: Sequence) -> Tuple[List[int], int]:
+        """Plain ints over one common denominator: (L*x for x in xs) and L,
+        the lcm of the denominators."""
+        L = lcm(*(x.denominator for x in xs))
+        return [x.numerator * (L // x.denominator) for x in xs], L
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -184,6 +192,11 @@ class PrimeField:
 
     def inv(self, a: GFElement) -> GFElement:
         return a.inverse()
+
+    def lift(self, xs: Sequence) -> Tuple[List[int], int]:
+        """Plain ints: the residues in [0, p), with scale 1."""
+        z = self.zero
+        return [z._coerce(x).val for x in xs], 1
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

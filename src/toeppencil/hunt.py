@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
-from multiprocessing import get_context
 from typing import List, Optional, Tuple
 
 from .criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
@@ -54,6 +53,8 @@ class HuntConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.n < 2:
+            raise HuntConfigError("n must be >= 2")
         if self.mode not in ("exhaustive", "random"):
             raise HuntConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "exhaustive" and not isinstance(self.field, PrimeField):
@@ -135,6 +136,8 @@ def exhaustive_scan(cfg: HuntConfig) -> HuntReport:
     if cfg.workers == 1:
         shards = [_scan_shard(cfg.n, p, tuple(coords))]
     else:
+        from multiprocessing import get_context  # only parallel scans pay for the import
+
         w = min(cfg.workers, p)
         chunks = [tuple(coords[i::w]) for i in range(w)]
         ctx = get_context("fork")

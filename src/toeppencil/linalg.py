@@ -212,15 +212,6 @@ def mat_vec(M: Mat, v: Sequence) -> Tuple:
     return tuple(out)
 
 
-def dot(u: Sequence, v: Sequence, field) -> object:
-    if len(u) != len(v):
-        raise ShapeError("dot-product length mismatch")
-    s = field.zero
-    for a, b in zip(u, v):
-        s = s + a * b
-    return s
-
-
 class Poly:
     """Univariate polynomial with exact field coefficients, canonical form.
 

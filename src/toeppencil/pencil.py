@@ -11,7 +11,8 @@ w = reversed v, and the shift block B.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from math import factorial
+from typing import List, Optional, Sequence, Tuple
 
 from .field import QQ
 from .linalg import Mat, pencil_matrix
@@ -99,9 +100,66 @@ def partition(p: PencilInstance) -> PencilPartition:
     )
 
 
+def _det_int(a: List[List[int]]) -> int:
+    """Determinant of a square plain-int matrix (rows are overwritten) by
+    fraction-free (Bareiss) elimination; every division is exact."""
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        rk = a[k]
+        akk = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            aik = ri[k]
+            ri[k + 1 :] = [(akk * x - aik * y) // prev for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
+        prev = akk
+    return sign * a[n - 1][n - 1]
+
+
+def _newton_coefficients(values: Sequence[int]) -> List[int]:
+    """a_0, a_1, ... with P(x) = sum_k a_k x(x-1)...(x-k+1), where P is the
+    polynomial of degree < len(values) with P(x0) = values[x0]. The k-th
+    forward difference at 0 is k! a_k, so a_k is an integer whenever P has
+    integer coefficients, and P is zero mod p exactly when every a_k is (the
+    falling factorials are monic, so they stay a basis mod p)."""
+    out = []
+    for k in range(len(values)):
+        out.append(values[0] // factorial(k))
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
 def is_singular(p: PencilInstance) -> bool:
-    """True iff det T(x) is the zero polynomial (every coefficient zero)."""
-    return build_T(p).det().is_zero
+    """True iff det T(x) is the zero polynomial.
+
+    Runs on plain ints. Lifting c to L*c (L = 1 over GF(p)) gives the integer
+    pencil T'(x) = L*M0 + x*M1 with det T'(x) = L^n det T(x/L), and over GF(p)
+    det T(x) is det T'(x) with its coefficients reduced mod p. x sits in n-2
+    entries, so deg det T' <= n-2 and the values at x0 = 0..n-2 fix it: the
+    first value that is nonzero in the field proves the pencil regular.
+    Otherwise the interpolating integer polynomial decides; over GF(p) with
+    p <= n-2 the points repeat mod p, so the values alone would not.
+    """
+    c, _ = p.field.lift(p.c)
+    n, fld, zero = p.n, p.field, p.field.zero
+    values = []
+    for x0 in range(n - 1):
+        d = _det_int(
+            [
+                [c[i - j + 1] if j <= i + 1 else x0 if j == i + 2 else 0 for j in range(n)]
+                for i in range(n)
+            ]
+        )
+        if fld.of(d) != zero:
+            return False
+        values.append(d)
+    return all(fld.of(a) == zero for a in _newton_coefficients(values))
 
 
 def is_geometric(p: PencilInstance) -> Optional[object]:

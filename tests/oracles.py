@@ -1,16 +1,20 @@
 """Independent oracles for the test suite.
 
-Everything here deliberately avoids the elimination-based code paths under
-test: determinants by cofactor expansion, inverses by extended Euclid,
-linear solves by cofactor-based Cramer rule. The minor-space scan is checked
-against a direct enumeration of coefficient space on plain ints mod p, which
-uses no toeppencil arithmetic at all.
+Everything here deliberately avoids the code paths under test: determinants
+by cofactor expansion, inverses by extended Euclid, linear solves by
+cofactor-based Cramer rule. The minor-space scan is checked against a direct
+enumeration of coefficient space on plain ints mod p, which uses no
+toeppencil arithmetic at all. The S and SM values, which the library computes
+on plain ints, are checked against the field-typed matrix formulas they
+replaced: Gauss-Jordan ``Q.inv()`` and matrix-vector products over the field.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from toeppencil.linalg import Mat, Poly
+from toeppencil.linalg import Mat, Poly, mat_vec
+from toeppencil.minors import build_sm_objects
+from toeppencil.pencil import partition
 
 
 def det_cofactor(M: Mat):
@@ -46,6 +50,35 @@ def det_cofactor_poly(field, grid):
         term = grid[0][j] * det_cofactor_poly(field, sub)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def _dot(u, v, field):
+    return sum((a * b for a, b in zip(u, v, strict=True)), field.zero)
+
+
+def s_values_field(p, kmax: int):
+    """star = c_{n+1} - w Q^{-1} v and w Q^{-1} (B Q^{-1})^k v, k = 1..kmax,
+    from the partition blocks with Q inverted over the field."""
+    part = partition(p)
+    Qinv = part.Q.inv()
+    s = mat_vec(Qinv, part.v)
+    star = p.coeff(p.n + 1) - _dot(part.w, s, p.field)
+    values = []
+    for _ in range(kmax):
+        s = mat_vec(Qinv, mat_vec(part.B, s))
+        values.append(_dot(part.w, s, p.field))
+    return star, values
+
+
+def sm_values_field(mv, kmax: int):
+    """(t_y P) X^k y for k = 0..kmax, with X, y and P as field-typed matrices."""
+    sm = build_sm_objects(mv)
+    z = sm.y
+    values = []
+    for _ in range(kmax + 1):
+        values.append(_dot(mat_vec(sm.P, sm.y), z, mv.field))
+        z = mat_vec(sm.X, z)
+    return values
 
 
 def extended_euclid_inverse(a: int, p: int) -> int:

@@ -91,6 +91,13 @@ def test_hunt_nonprime_exit_2(capsys):
     assert "prime" in err
 
 
+def test_hunt_n_below_2_exit_2(capsys):
+    for argv in (["--n", "1", "--prime", "5", "--exhaustive"], ["--n", "1", "--random"]):
+        code, out, err = run(capsys, ["hunt", *argv])
+        assert code == 2 and out == ""
+        assert err == "error: n must be >= 2\n"
+
+
 def test_hunt_counterexample_exit_3(capsys):
     code, out, _ = run(
         capsys, ["hunt", "--n", "5", "--prime", "7", "--exhaustive", "--json"]

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 from toeppencil.criteria import (
@@ -10,14 +11,23 @@ from toeppencil.criteria import (
     sm_condition_values,
 )
 from toeppencil.field import GF
-from toeppencil.minors import principal_minors
-from toeppencil.pencil import build_pencil, is_singular, normalize_c1
+from toeppencil.linalg import Mat
+from toeppencil.minors import (
+    build_sm_objects,
+    det_X,
+    principal_minors,
+    q_inv_v_closed_form,
+    q_inverse_closed_form,
+    recover_c_from_minors,
+)
+from toeppencil.pencil import build_pencil, is_singular, normalize_c1, partition
 
 from conftest import (
     geometric_pencil,
     random_gf_pencil,
     random_rational_pencil,
 )
+from oracles import s_values_field, sm_values_field
 
 
 def qp(*cs):
@@ -180,3 +190,83 @@ def test_int_coefficients_stay_exact():
         assert not any(isinstance(e, float) for e in _leaves([p.c, minors, values]))
         assert minors == principal_minors(exact).m
         assert rep == evaluate_instance(exact)
+
+
+def _first_nonzero(values, zero, start):
+    return next(((k, v) for k, v in enumerate(values, start=start) if v != zero), None)
+
+
+def test_s_and_sm_values_match_field_formulas():
+    # reference: Q.inv() and field-typed matrix-vector products (tests/oracles.py)
+    rng = random.Random(113)
+    cases = [random_rational_pencil(rng, n) for n in range(2, 10) for _ in range(6)]
+    for lam, c1 in ((Fraction(2), Fraction(-3, 2)), (Fraction(-1, 3), Fraction(5))):
+        cases += [geometric_pencil(lam, n, c1) for n in (2, 4, 7)]
+    for q in (2, 3, 5, 7, 11):
+        cases += [random_gf_pencil(rng, n, q) for n in range(2, 9) for _ in range(3)]
+    # non-geometric singular pencils over GF(7), y != 0
+    cases += [build_pencil(c, GF(7)) for c in ([1, 1, 5, 4, 1, 2], [1, 2, 6, 4, 2, 1])]
+    for p in cases:
+        zero = p.field.zero
+        star, vals = s_condition_values(p, kmax=2 * p.n)
+        assert (star, vals) == s_values_field(p, 2 * p.n), p.c
+        holds, witness = check_S(p)
+        expected = _first_nonzero([star] + vals[: p.n - 1], zero, 0)
+        assert holds == (expected is None) and witness == expected, p.c
+        mv = principal_minors(p)
+        sm_vals = sm_condition_values(mv, kmax=p.n)
+        assert sm_vals == sm_values_field(mv, p.n), p.c
+        holds, witness, _ = check_SM(p)
+        expected = _first_nonzero([mv.m[p.n]] + sm_vals[: p.n - 2], zero, -1)
+        assert holds == (expected is None) and witness == expected, p.c
+
+
+def _toeppencil_calls(fn, *args):
+    """(module, code object) of every toeppencil function that fn(*args) enters."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("toeppencil"):
+            seen.add((module, frame.f_code))
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _codes(*fns):
+    return {fn.__code__ for fn in fns}
+
+
+def test_routes_stay_independent():
+    # the three verdicts are evidence only while no route reads another's work
+    minors_route = _codes(
+        principal_minors, recover_c_from_minors, build_sm_objects,
+        q_inverse_closed_form, q_inv_v_closed_form, det_X,
+    )
+    s_route = _codes(s_condition_values, check_S, partition)
+    sm_route = _codes(sm_condition_values, check_SM)
+    det_route = _codes(is_singular, Mat.det, Mat.inv)
+    cases = [
+        random_rational_pencil(random.Random(127), 7),
+        geometric_pencil(Fraction(3, 2), 6),
+        random_gf_pencil(random.Random(131), 6, 3),
+        build_pencil([1, 1, 5, 4, 1, 2], GF(7)),
+    ]
+    for p in cases:
+        calls = _toeppencil_calls(is_singular, p)
+        modules = {module for module, _ in calls}
+        assert not modules & {"toeppencil.criteria", "toeppencil.minors", "toeppencil.linalg"}
+        assert not {code for _, code in calls} & (minors_route | s_route | sm_route)
+        codes = {code for _, code in _toeppencil_calls(check_S, p)}
+        assert s_condition_values.__code__ in codes
+        assert not codes & (minors_route | sm_route | det_route)
+        codes = {code for _, code in _toeppencil_calls(check_SM, p)}
+        assert principal_minors.__code__ in codes
+        m_n_is_zero = principal_minors(p).m[p.n] == p.field.zero
+        assert (sm_condition_values.__code__ in codes) == m_n_is_zero
+        assert not codes & (s_route | det_route | _codes(q_inverse_closed_form))

@@ -22,6 +22,11 @@ def test_config_validation():
         HuntConfig(n=4, field=QQ, mode="random", trials=0)
     with pytest.raises(HuntConfigError):
         HuntConfig(n=4, field=GF(5), mode="typo")
+    for n in (1, 0, -3):
+        with pytest.raises(HuntConfigError):
+            HuntConfig(n=n, field=GF(5), mode="exhaustive")
+        with pytest.raises(HuntConfigError):
+            HuntConfig(n=n, field=QQ, mode="random", trials=5)
 
 
 def test_exhaustive_n4_gf5():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -149,3 +150,26 @@ def test_gf_pencils_work():
     p = build_pencil([gf.of(1), gf.of(2), gf.of(4), gf.of(1)], gf)
     assert is_geometric(p) == gf.of(2)  # 8 = 1 mod 7
     assert is_singular(p)
+
+
+def test_is_singular_matches_polynomial_determinant():
+    # reference: det T(x) over F[x] by the generic Bareiss loop
+    rng = random.Random(43)
+    cases = [random_rational_pencil(rng, n) for n in range(2, 13) for _ in range(4)]
+    for lam in (Fraction(-2, 3), Fraction(3)):
+        cases += [geometric_pencil(lam, n) for n in (2, 5, 9, 12)]
+    for p in cases:
+        assert is_singular(p) == build_T(p).det().is_zero, p.c
+    # every tail over GF(2) and GF(3), c1 = 1; for p <= n-2 the points
+    # x0 = 0..n-2 repeat mod p, so the zero test must interpolate
+    regular_vanishing = 0
+    for q in (2, 3):
+        gf = GF(q)
+        for n in range(2, 9):
+            for tail in product(range(1, q), repeat=n):
+                p = build_pencil([1, *tail], gf)
+                det = build_T(p).det()
+                assert is_singular(p) == det.is_zero, (q, p.c)
+                if not det.is_zero and all(det(gf.of(x0)) == 0 for x0 in range(q)):
+                    regular_vanishing += 1
+    assert regular_vanishing > 0
