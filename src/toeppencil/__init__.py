@@ -8,14 +8,13 @@ over small prime fields.
 """
 
 from .field import QQ, PrimeField, FieldMismatchError, GF
-from .linalg import Mat, Poly, PolyRing, ShapeError, SingularMatrixError
+from .linalg import Mat, Poly, ShapeError, SingularMatrixError
 from .pencil import (
     PencilInstance,
     PencilError,
     build_pencil,
     build_M0,
     build_M1,
-    build_T,
     partition,
     is_singular,
     is_geometric,

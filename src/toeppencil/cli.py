@@ -18,7 +18,7 @@ import sys
 from typing import List, Optional
 
 from .criteria import ConsistencyAlarm, evaluate_instance
-from .field import NotPrimeError, PrimeField, QQ, format_scalar
+from .field import NotPrimeError, PrimeField, QQ
 from .hunt import HuntConfig, HuntConfigError, exhaustive_scan, random_scan
 from .kronecker import BlockPencil, analyze
 from .minors import build_sm_objects, det_X, principal_minors
@@ -55,7 +55,7 @@ def _pencil_from_args(args):
 
 
 def _witness_json(w):
-    return None if w is None else [w[0], format_scalar(w[1])]
+    return None if w is None else [w[0], str(w[1])]
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -71,10 +71,10 @@ def cmd_verify(args) -> int:
     rep = evaluate_instance(p)
     doc = {
         "n": p.n,
-        "c": [format_scalar(ci) for ci in p.c],
+        "c": [str(ci) for ci in p.c],
         "singular": rep.singular_det,
         "geometric": rep.geometric is not None,
-        "lambda": None if rep.geometric is None else format_scalar(rep.geometric),
+        "lambda": None if rep.geometric is None else str(rep.geometric),
         "s_holds": rep.s_holds,
         "sm_holds": rep.sm_holds,
         "s_witness": _witness_json(rep.s_witness),
@@ -90,11 +90,11 @@ def cmd_minors(args) -> int:
     sm = build_sm_objects(mv)
     doc = {
         "n": p.n,
-        "c": [format_scalar(ci) for ci in p.c],
-        "minors": [format_scalar(m) for m in mv.m],
-        "X": [[format_scalar(e) for e in row] for row in sm.X.data],
-        "y": [format_scalar(e) for e in sm.y],
-        "det_X": format_scalar(det_X(mv)) if p.n >= 3 else None,
+        "c": [str(ci) for ci in p.c],
+        "minors": [str(m) for m in mv.m],
+        "X": [[str(e) for e in row] for row in sm.X.data],
+        "y": [str(e) for e in sm.y],
+        "det_X": str(det_X(mv)) if p.n >= 3 else None,
     }
     _emit(doc, args.json)
     return 0
@@ -104,7 +104,7 @@ def cmd_kernel(args) -> int:
     p = _pencil_from_args(args)
     result = analyze(BlockPencil.from_pencil(p))
     if result.minimal_index_d is None:
-        doc = {"n": p.n, "c": [format_scalar(ci) for ci in p.c], "d": None, "kernel": None}
+        doc = {"n": p.n, "c": [str(ci) for ci in p.c], "d": None, "kernel": None}
         if not args.json:
             print("regular pencil")
         else:
@@ -112,9 +112,9 @@ def cmd_kernel(args) -> int:
         return 0
     doc = {
         "n": p.n,
-        "c": [format_scalar(ci) for ci in p.c],
+        "c": [str(ci) for ci in p.c],
         "d": result.minimal_index_d,
-        "kernel": [[format_scalar(co) for co in f.coeffs] for f in result.kernel_poly],
+        "kernel": [[str(co) for co in f.coeffs] for f in result.kernel_poly],
     }
     _emit(doc, args.json)
     return 0
@@ -147,7 +147,7 @@ def cmd_demo(args) -> int:
     rep = evaluate_instance(build_pencil([QQ.of(1), QQ.of(2), QQ.of(4), QQ.of(8)]))
     print(
         f"singular={rep.singular_det} s_holds={rep.s_holds} "
-        f"sm_holds={rep.sm_holds} lambda={format_scalar(rep.geometric)}"
+        f"sm_holds={rep.sm_holds} lambda={rep.geometric!s}"
     )
     print("# non-geometric n=3 instance c=(1,1,1,2): regular, all tests fail")
     rep = evaluate_instance(build_pencil([QQ.of(1), QQ.of(1), QQ.of(1), QQ.of(2)]))

@@ -213,8 +213,3 @@ QQ = RationalField()
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-def format_scalar(a) -> str:
-    """Exact text form: 'p/q' or 'p' for rationals, decimal residue for GF(p)."""
-    return str(a)

@@ -63,6 +63,8 @@ class HuntConfig:
             raise HuntConfigError("random scans need trials >= 1")
         if self.workers < 1:
             raise HuntConfigError("workers must be >= 1")
+        if self.mode == "random" and self.workers != 1:
+            raise HuntConfigError("random scans run in one process; workers must be 1")
 
 
 @dataclass

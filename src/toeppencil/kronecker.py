@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .criteria import ConsistencyAlarm
-from .linalg import Mat, Poly, ShapeError, mat_vec, pencil_matrix
+from .linalg import Mat, Poly, ShapeError, mat_vec
 from .pencil import PencilInstance, build_M0, build_M1
 
 
@@ -83,10 +83,16 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     else:
         return KroneckerResult(minimal_index_d=None, kernel_poly=None)
     vec = basis[0]
-    f = [Poly(field, [vec[k * n + i] for k in range(d + 1)]) for i in range(n)]
-    residual = mat_vec(pencil_matrix(bp.M0, bp.M1), f)
-    if not all(r.is_zero for r in residual):
-        raise ConsistencyAlarm("kernel vector fails the pencil identity")
+    fk = [vec[k * n : (k + 1) * n] for k in range(d + 1)]  # coefficient of x^k
+    # the coefficient of x^k in (M0 + x*M1) f(x) is M0 f_k + M1 f_{k-1}
+    # (f_{-1} = f_{d+1} = 0); checked apart from build_C, which found f
+    zero = (field.zero,) * n
+    for k in range(d + 2):
+        low = mat_vec(bp.M0, fk[k]) if k <= d else zero
+        high = mat_vec(bp.M1, fk[k - 1]) if k > 0 else zero
+        if any(a + b != field.zero for a, b in zip(low, high)):
+            raise ConsistencyAlarm("kernel vector fails the pencil identity")
+    f = [Poly(field, [fk[k][i] for k in range(d + 1)]) for i in range(n)]
     degrees = [fi.degree for fi in f if not fi.is_zero]
     if not degrees or max(degrees) != d:
         raise ConsistencyAlarm("kernel vector degree disagrees with minimal index")

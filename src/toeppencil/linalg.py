@@ -1,9 +1,9 @@
-"""Dense exact matrices and univariate polynomials over an exact field.
+"""Dense exact matrices over an exact field, and the kernel's polynomials.
 
-A ``Mat`` holds entries of an exact field or of F[x] (``PolyRing``). Its one
-fraction-free (Bareiss) determinant divides exactly over either, so it also
-gives the determinant polynomial of a pencil without interpolation. Rank,
-kernel and inverse share one Gauss-Jordan elimination with exact division.
+A ``Mat`` holds entries of one exact field (rationals or GF(p)). The
+determinant is fraction-free (Bareiss) elimination; rank, kernel and inverse
+share one Gauss-Jordan elimination with exact division. ``Poly`` is the
+container in which the kernel extraction returns a vector polynomial.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -68,20 +68,6 @@ class Mat:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.data)
         return f"Mat[{body}]"
 
-    def __add__(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError("addition shape mismatch")
-        return Mat(
-            self.field,
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.field, [[-e for e in row] for row in self.data])
-
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeError("product shape mismatch")
@@ -112,7 +98,8 @@ class Mat:
         return Mat(self.field, rows)
 
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant over the entry field by fraction-free (Bareiss)
+        elimination."""
         if self.rows != self.cols:
             raise ShapeError("determinant of non-square matrix")
         n = self.rows
@@ -213,7 +200,8 @@ def mat_vec(M: Mat, v: Sequence) -> Tuple:
 
 
 class Poly:
-    """Univariate polynomial with exact field coefficients, canonical form.
+    """Univariate polynomial with exact field coefficients, canonical form:
+    the entries of a kernel vector polynomial f(x).
 
     ``coeffs[k]`` is the coefficient of x^k; trailing zeros are stripped so
     the zero polynomial is the empty tuple. ``degree`` is ``None`` for the
@@ -229,18 +217,6 @@ class Poly:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field) -> "Poly":
-        return cls(field, [])
-
-    @classmethod
-    def const(cls, field, c) -> "Poly":
-        return cls(field, [c])
-
-    @classmethod
-    def x(cls, field) -> "Poly":
-        return cls(field, [field.zero, field.one])
 
     @property
     def is_zero(self) -> bool:
@@ -259,58 +235,6 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.field, [self.coeff(k) - other.coeff(k) for k in range(n)])
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.field)
-        z = self.field.zero
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == z:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
-
-    def __truediv__(self, other: "Poly") -> "Poly":
-        """Quotient self / other, required to be exact (zero remainder)."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return Poly.zero(self.field)
-        z = self.field.zero
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            raise ValueError("inexact polynomial division")
-        lead_inv = self.field.inv(other.coeffs[-1])
-        quo = [z] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] * lead_inv
-            quo[k] = c
-            if c != z:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        if any(r != z for r in rem):
-            raise ValueError("inexact polynomial division")
-        return Poly(self.field, quo)
-
-    def __call__(self, x0):
-        s = self.field.zero
-        for c in reversed(self.coeffs):
-            s = s * x0 + c
-        return s
-
     def __repr__(self):
         if self.is_zero:
             return "Poly[0]"
@@ -319,41 +243,3 @@ class Poly:
 
     def __str__(self):
         return repr(self)
-
-
-class PolyRing:
-    """F[x] as the entry ring of a ``Mat``: enough for products and the Bareiss
-    determinant (``Poly.__truediv__`` is exact), not for rank, kernel or inverse."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field):
-        self.field = field
-
-    @property
-    def zero(self) -> Poly:
-        return Poly.zero(self.field)
-
-    @property
-    def one(self) -> Poly:
-        return Poly.const(self.field, self.field.one)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and other.field == self.field
-
-    def __hash__(self):
-        return hash(("poly-ring", self.field))
-
-    def __repr__(self):
-        return f"{self.field!r}[x]"
-
-
-def pencil_matrix(M0: Mat, M1: Mat) -> Mat:
-    """The pencil M0 + x*M1 as a matrix over F[x], entries of degree <= 1."""
-    if (M0.rows, M0.cols) != (M1.rows, M1.cols):
-        raise ShapeError("pencil shape mismatch")
-    f = M0.field
-    return Mat(
-        PolyRing(f),
-        [[Poly(f, [a, b]) for a, b in zip(r0, r1)] for r0, r1 in zip(M0.data, M1.data)],
-    )

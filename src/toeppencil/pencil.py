@@ -15,7 +15,7 @@ from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
 from .field import QQ
-from .linalg import Mat, pencil_matrix
+from .linalg import Mat
 
 
 class PencilError(ValueError):
@@ -81,11 +81,6 @@ def build_M1(p: PencilInstance) -> Mat:
         p.field,
         [[o if j == i + 2 else z for j in range(1, n + 1)] for i in range(1, n + 1)],
     )
-
-
-def build_T(p: PencilInstance) -> Mat:
-    """T(x) = M0 + x*M1 as a matrix over F[x]."""
-    return pencil_matrix(build_M0(p), build_M1(p))
 
 
 def partition(p: PencilInstance) -> PencilPartition:

@@ -2,17 +2,20 @@
 
 Everything here deliberately avoids the code paths under test: determinants
 by cofactor expansion, inverses by extended Euclid, linear solves by
-cofactor-based Cramer rule. The minor-space scan is checked against a direct
-enumeration of coefficient space on plain ints mod p, which uses no
-toeppencil arithmetic at all. The S and SM values, which the library computes
-on plain ints, are checked against the field-typed matrix formulas they
-replaced: Gauss-Jordan ``Q.inv()`` and matrix-vector products over the field.
+cofactor-based Cramer rule. The determinant polynomial det T(x) comes from
+Laplace expansion on coefficient tuples (ring operations only, no division
+or elimination), and kernel vectors are checked by multiplying out
+(M0 + x*M1) f(x) on the same tuples. The minor-space scan is checked
+against a direct enumeration of coefficient space on plain ints mod p, which
+uses no toeppencil arithmetic at all. The S and SM values, which the
+library computes on plain ints, are checked against the field-typed matrix
+formulas they replaced: Gauss-Jordan ``Q.inv()`` and matrix-vector products
+over the field.
 """
 
-from fractions import Fraction
 from itertools import product
 
-from toeppencil.linalg import Mat, Poly, mat_vec
+from toeppencil.linalg import Mat, mat_vec
 from toeppencil.minors import build_sm_objects
 from toeppencil.pencil import partition
 
@@ -35,21 +38,91 @@ def det_cofactor(M: Mat):
     return total
 
 
-def det_cofactor_poly(field, grid):
-    """Cofactor determinant of a grid of Poly entries, zero entries skipped."""
+def _poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(x + y for x, y in zip(a, b)) + tuple(a[len(b) :])
+
+
+def _poly_mul(a, b, field):
+    out = [field.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def _trim(a, field):
+    a = list(a)
+    while a and a[-1] == field.zero:
+        a.pop()
+    return tuple(a)
+
+
+def poly_eval(a, x0, field):
+    """The coefficient tuple a (x^k at index k) evaluated at x0."""
+    s = field.zero
+    for c in reversed(a):
+        s = s * x0 + c
+    return s
+
+
+def det_laplace(field, grid):
+    """Determinant of a square grid of polynomials, each a coefficient
+    sequence (x^k at index k), as a tuple without trailing zeros.
+
+    Laplace expansion along the rows, top down. The minor left below row i
+    depends only on the columns rows 0..i-1 did not take, so it is memoised
+    on that column set. Only +, - and *: no division, no elimination. Zero
+    entries are skipped, so a grid whose row i is zero right of column i+2,
+    as T(x) is, reaches O(n^3) column sets.
+    """
     n = len(grid)
-    if n == 0:
-        return Poly.const(field, field.one)
-    if n == 1:
-        return grid[0][0]
-    total = Poly.zero(field)
-    for j in range(n):
-        if grid[0][j].is_zero:
-            continue
-        sub = [[row[k] for k in range(n) if k != j] for row in grid[1:]]
-        term = grid[0][j] * det_cofactor_poly(field, sub)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    grid = [[_trim(e, field) for e in row] for row in grid]
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return (field.one,)
+        if cols not in memo:
+            row = grid[n - len(cols)]
+            total = ()
+            for pos, j in enumerate(cols):
+                entry = row[j]
+                if not entry:
+                    continue
+                term = _poly_mul(entry, minor(cols[:pos] + cols[pos + 1 :]), field)
+                total = _poly_add(total, term if pos % 2 == 0 else tuple(-t for t in term))
+            memo[cols] = total
+        return memo[cols]
+
+    return _trim(minor(tuple(range(n))), field)
+
+
+def pencil_det(p):
+    """det T(x) of a pencil instance as a coefficient tuple (x^k at index k,
+    no trailing zeros; () when T(x) is singular), read off p.c: entry (i, j),
+    1-based, is c_{i-j+2} for j <= i+1, x for j = i+2 and 0 otherwise."""
+    f, c, n = p.field, p.c, p.n
+    x = (f.zero, f.one)
+    grid = [
+        [(c[i - j + 1],) if j <= i + 1 else x if j == i + 2 else () for j in range(n)]
+        for i in range(n)
+    ]
+    return det_laplace(f, grid)
+
+
+def pencil_residual(M0: Mat, M1: Mat, f):
+    """(M0 + x*M1) f(x) for a vector of ``Poly``, row by row as coefficient
+    tuples without trailing zeros; all empty exactly when f is a kernel vector."""
+    field = M0.field
+    out = []
+    for r0, r1 in zip(M0.data, M1.data):
+        s = ()
+        for a, b, fj in zip(r0, r1, f, strict=True):
+            s = _poly_add(s, _poly_mul((a, b), fj.coeffs, field))
+        out.append(_trim(s, field))
+    return out
 
 
 def _dot(u, v, field):

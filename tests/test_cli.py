@@ -98,6 +98,13 @@ def test_hunt_n_below_2_exit_2(capsys):
         assert err == "error: n must be >= 2\n"
 
 
+def test_hunt_random_workers_exit_2(capsys):
+    argv = ["hunt", "--n", "5", "--random", "--trials", "10", "--workers", "2"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: random scans run in one process; workers must be 1\n"
+
+
 def test_hunt_counterexample_exit_3(capsys):
     code, out, _ = run(
         capsys, ["hunt", "--n", "5", "--prime", "7", "--exhaustive", "--json"]

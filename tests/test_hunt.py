@@ -27,6 +27,9 @@ def test_config_validation():
             HuntConfig(n=n, field=GF(5), mode="exhaustive")
         with pytest.raises(HuntConfigError):
             HuntConfig(n=n, field=QQ, mode="random", trials=5)
+    for workers in (2, 4):  # random scans never shard
+        with pytest.raises(HuntConfigError):
+            HuntConfig(n=4, field=QQ, mode="random", trials=5, workers=workers)
 
 
 def test_exhaustive_n4_gf5():

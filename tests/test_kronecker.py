@@ -6,10 +6,11 @@ import pytest
 from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import GF, QQ
 from toeppencil.kronecker import BlockPencil, analyze, build_C
-from toeppencil.linalg import Mat, mat_vec, pencil_matrix
-from toeppencil.pencil import build_M0, build_M1, build_pencil, build_T, is_singular
+from toeppencil.linalg import Mat
+from toeppencil.pencil import build_pencil, is_singular
 
 from conftest import geometric_pencil, random_rational_pencil
+from oracles import pencil_residual
 
 
 def qp(*cs):
@@ -64,8 +65,7 @@ def test_geometric_gives_d0_constant_kernel():
     assert res.minimal_index_d == 0
     f = res.kernel_poly
     assert all(fi.is_zero or fi.degree == 0 for fi in f)
-    residual = mat_vec(pencil_matrix(bp.M0, bp.M1), f)
-    assert all(r.is_zero for r in residual)
+    assert not any(pencil_residual(bp.M0, bp.M1, f))
 
 
 def test_regular_pencil_has_no_index():
@@ -117,8 +117,7 @@ def test_kernel_identity_on_synthetic_pencils():
             continue
         found += 1
         assert any(not fi.is_zero for fi in f)
-        residual = mat_vec(pencil_matrix(bp.M0, bp.M1), f)
-        assert all(r.is_zero for r in residual)
+        assert not any(pencil_residual(bp.M0, bp.M1, f))
         d = max(fi.degree for fi in f if not fi.is_zero)
         if d > 0:
             assert build_C(bp, d - 1).rank() == n * d
@@ -137,8 +136,19 @@ def test_toeplitz_singular_small_n_means_d0():
     assert checked == 15
 
 
-@pytest.mark.parametrize("entry", [1, 0], ids=["fails-identity", "zero-vector"])
-def test_kernel_poly_rejects_wrong_kernel_vector(monkeypatch, entry):
+# the stacked all-ones vector is offered as the kernel at d = 0; with M0 = 0
+# it fails only M1 f_0 = 0 (the top coefficient), with M1 = 0 only M0 f_0 = 0
+@pytest.mark.parametrize(
+    "bp, entry",
+    [
+        (BlockPencil.from_pencil(qp(1, 2, 4, 8)), 1),
+        (BlockPencil.from_pencil(qp(1, 2, 4, 8)), 0),
+        (BlockPencil(Mat.zeros(QQ, 2, 2), Mat.identity(QQ, 2)), 1),
+        (BlockPencil(Mat.identity(QQ, 2), Mat.zeros(QQ, 2, 2)), 1),
+    ],
+    ids=["fails-identity", "zero-vector", "fails-top-only", "fails-bottom-only"],
+)
+def test_kernel_poly_rejects_wrong_kernel_vector(monkeypatch, bp, entry):
     monkeypatch.setattr(Mat, "kernel_basis", lambda self: [(QQ.of(entry),) * self.cols])
     with pytest.raises(ConsistencyAlarm):
-        analyze(BlockPencil.from_pencil(qp(1, 2, 4, 8)))
+        analyze(bp)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from toeppencil.field import GF, QQ
-from toeppencil.linalg import Mat, Poly, PolyRing, ShapeError, SingularMatrixError
-from oracles import det_cofactor, det_cofactor_poly
+from toeppencil.linalg import Mat, Poly, ShapeError, SingularMatrixError
+from toeppencil.pencil import build_M0, build_M1
+from oracles import det_cofactor, det_laplace, pencil_det, poly_eval
 
-from conftest import random_rational
+from conftest import random_gf_pencil, random_rational, random_rational_pencil
 
 
 def qmat(rows):
@@ -120,49 +121,26 @@ def test_poly_canonical_form():
     assert Poly(QQ, [Fraction(0), Fraction(2)]).degree == 1
 
 
-def test_poly_arithmetic_and_eval():
-    x = Poly.x(QQ)
-    one = Poly.const(QQ, Fraction(1))
-    p = (x + one) * (x - one)
-    assert p == Poly(QQ, [Fraction(-1), Fraction(0), Fraction(1)])
-    assert p(Fraction(3)) == 8
-
-
-def test_poly_exact_division():
-    x = Poly.x(QQ)
-    one = Poly.const(QQ, Fraction(1))
-    prod = (x + one) * (x + x + one)
-    assert prod / (x + one) == x + x + one
-    with pytest.raises(ValueError):
-        (x * x + one) / (x + one)
-
-
-def test_polymat_det_matches_cofactor():
+def test_det_laplace_oracle_matches_evaluated_det():
     rng = random.Random(13)
     gf = GF(5)
     for field, entry in ((QQ, random_rational), (gf, lambda r: gf.of(r.randrange(5)))):
         for size in range(1, 5):
             for _ in range(15):
                 grid = [
-                    [
-                        Poly(field, [entry(rng) for _ in range(rng.randint(1, 3))])
-                        for _ in range(size)
-                    ]
+                    [[entry(rng) for _ in range(rng.randint(1, 3))] for _ in range(size)]
                     for _ in range(size)
                 ]
-                T = Mat(PolyRing(field), grid)
-                assert T.det() == det_cofactor_poly(field, [list(r) for r in grid])
-
-
-def test_polymat_det_evaluation_commutes():
-    rng = random.Random(17)
-    for _ in range(25):
-        size = rng.randint(1, 4)
-        grid = [
-            [Poly(QQ, [random_rational(rng), random_rational(rng)]) for _ in range(size)]
-            for _ in range(size)
-        ]
-        d = Mat(PolyRing(QQ), grid).det()
-        for _ in range(3):
-            x0 = random_rational(rng)
-            assert d(x0) == Mat(QQ, [[e(x0) for e in row] for row in grid]).det()
+                d = det_laplace(field, grid)
+                for _ in range(3):
+                    x0 = entry(rng)
+                    at = Mat(field, [[poly_eval(e, x0, field) for e in row] for row in grid])
+                    assert poly_eval(d, x0, field) == at.det()
+    # the pencil grid it is built from: T(x0) = M0 + x0*M1 entry by entry
+    for n in range(2, 7):
+        for p in (random_rational_pencil(rng, n), random_gf_pencil(rng, n, 5)):
+            M0, M1, field = build_M0(p), build_M1(p), p.field
+            d = pencil_det(p)
+            for x0 in (field.of(rng.randint(-4, 4)) for _ in range(3)):
+                at = Mat(field, [[M0[i, j] + x0 * M1[i, j] for j in range(n)] for i in range(n)])
+                assert poly_eval(d, x0, field) == at.det()
