@@ -121,7 +121,9 @@ def test_poly_canonical_form():
     assert Poly(QQ, [Fraction(0), Fraction(2)]).degree == 1
 
 
-def test_det_laplace_oracle_matches_evaluated_det():
+def test_polymat_det_matches_cofactor():
+    # det_laplace on grids of polynomials, evaluated at random points, equals
+    # Mat.det and the cofactor expansion of the evaluated grid
     rng = random.Random(13)
     gf = GF(5)
     for field, entry in ((QQ, random_rational), (gf, lambda r: gf.of(r.randrange(5)))):
@@ -135,8 +137,13 @@ def test_det_laplace_oracle_matches_evaluated_det():
                 for _ in range(3):
                     x0 = entry(rng)
                     at = Mat(field, [[poly_eval(e, x0, field) for e in row] for row in grid])
-                    assert poly_eval(d, x0, field) == at.det()
-    # the pencil grid it is built from: T(x0) = M0 + x0*M1 entry by entry
+                    assert poly_eval(d, x0, field) == at.det() == det_cofactor(at)
+
+
+def test_polymat_det_evaluation_commutes():
+    # pencil_det evaluated at x0 equals Mat.det of T(x0) = M0 + x0*M1, built
+    # entry by entry
+    rng = random.Random(17)
     for n in range(2, 7):
         for p in (random_rational_pencil(rng, n), random_gf_pencil(rng, n, 5)):
             M0, M1, field = build_M0(p), build_M1(p), p.field
