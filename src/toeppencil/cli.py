@@ -39,7 +39,9 @@ def _field_from_args(args):
 
 
 def _parse_c(args, fld) -> List:
-    raw = [s for s in args.c.split(",") if s.strip()]
+    raw = args.c.split(",")
+    if not all(s.strip() for s in raw):
+        raise InputError(f"empty entry in coefficient list {args.c!r}")
     try:
         return [fld.parse(s) for s in raw]
     except (ValueError, ZeroDivisionError) as e:
@@ -125,6 +127,8 @@ def cmd_hunt(args) -> int:
         raise InputError("choose exactly one of --exhaustive / --random")
     fld = _field_from_args(args)
     mode = "exhaustive" if args.exhaustive else "random"
+    if args.trials is None:
+        args.trials = 100 if args.random else 0
     try:
         cfg = HuntConfig(
             n=args.n,
@@ -188,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, needs_c=False)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--random", action="store_true")
-    sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--trials", type=int, default=None, help="random scans only (default 100)")
+    sp.add_argument("--seed", type=int, default=0, help="random scans only")
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_hunt)
 

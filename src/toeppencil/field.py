@@ -19,21 +19,27 @@ class FieldMismatchError(TypeError):
 
 
 class NotPrimeError(ValueError):
-    """Raised when a prime-field modulus fails the primality check."""
+    """Raised when a prime-field modulus fails, or is beyond, the primality check."""
+
+
+# The least strong pseudoprime to all twelve prime bases up to 37 (Sorenson
+# and Webster, Math. Comp. 86, 2017): Miller-Rabin with them is exact below.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_CHECK_BOUND = 318665857834031151167461
 
 
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test (moduli here are small)."""
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin; refuses p >= PRIME_CHECK_BOUND."""
+    if p >= PRIME_CHECK_BOUND:
+        raise NotPrimeError(f"{p} is too large to certify as prime (limit {PRIME_CHECK_BOUND})")
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    d = (p - 1) >> s
+    return not any(
+        pow(b, d, p) != 1 and all(pow(b, d << i, p) != p - 1 for i in range(s))
+        for b in _MR_BASES
+    )
 
 
 class GFElement:
@@ -149,9 +155,6 @@ class RationalField:
         # accepts "p", "-p", "p/q"
         return Fraction(s.strip())
 
-    def inv(self, a: Fraction) -> Fraction:
-        return 1 / a
-
     def lift(self, xs: Sequence) -> Tuple[List[int], int]:
         """Plain ints over one common denominator: (L*x for x in xs) and L,
         the lcm of the denominators."""
@@ -189,9 +192,6 @@ class PrimeField:
 
     def parse(self, s: str) -> GFElement:
         return GFElement(int(s.strip()), self.p)
-
-    def inv(self, a: GFElement) -> GFElement:
-        return a.inverse()
 
     def lift(self, xs: Sequence) -> Tuple[List[int], int]:
         """Plain ints: the residues in [0, p), with scale 1."""

@@ -59,6 +59,8 @@ class HuntConfig:
             raise HuntConfigError(f"unknown mode {self.mode!r}")
         if self.mode == "exhaustive" and not isinstance(self.field, PrimeField):
             raise HuntConfigError("exhaustive scans require a prime field")
+        if self.mode == "exhaustive" and (self.trials or self.seed):
+            raise HuntConfigError("exhaustive scans take no trials or seed")
         if self.mode == "random" and self.trials < 1:
             raise HuntConfigError("random scans need trials >= 1")
         if self.workers < 1:
@@ -156,7 +158,7 @@ def exhaustive_scan(cfg: HuntConfig) -> HuntReport:
 def _geometric_ratios(fld):
     if isinstance(fld, RationalField):
         return [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)]
-    return [fld.one, fld.of(2), -fld.one, fld.inv(fld.of(2))]
+    return [fld.one, fld.of(2), -fld.one, fld.one / fld.of(2)]
 
 
 def _sample_nonzero(fld, rng: random.Random):

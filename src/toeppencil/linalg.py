@@ -1,8 +1,9 @@
 """Dense exact matrices over an exact field, and the kernel's polynomials.
 
 A ``Mat`` holds entries of one exact field (rationals or GF(p)). The
-determinant is fraction-free (Bareiss) elimination; rank, kernel and inverse
-share one Gauss-Jordan elimination with exact division. ``Poly`` is the
+determinant, rank, kernel and inverse all read one fraction-free (Bareiss)
+Gauss-Jordan reduction of the entries lifted to Python ints; values become
+field elements again only at the return. ``Poly`` is the
 container in which the kernel extraction returns a vector polynomial.
 
 All objects are immutable after construction and all operations are pure.
@@ -28,7 +29,8 @@ class Mat:
 
     def __init__(self, field, rows: Sequence[Sequence]):
         self.field = field
-        self.data = tuple(tuple(r) for r in rows)
+        # from a list, not a generator: a growing tuple fragments the heap
+        self.data = tuple([tuple(r) for r in rows])
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.rows else 0
         for r in self.data:
@@ -97,71 +99,60 @@ class Mat:
         ]
         return Mat(self.field, rows)
 
-    def det(self):
-        """Exact determinant over the entry field by fraction-free (Bareiss)
-        elimination."""
-        if self.rows != self.cols:
-            raise ShapeError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return self.field.one
-        a = [list(row) for row in self.data]
-        z, one = self.field.zero, self.field.one
-        prev = one
-        sign = 1
-        for k in range(n - 1):
-            if a[k][k] == z:
-                for i in range(k + 1, n):
-                    if a[i][k] != z:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return z
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-                a[i][k] = z
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return d if sign == 1 else -d
-
-    def _row_echelon(self):
-        """Row echelon form with exact division; returns (rows, pivot cols)."""
-        a = [list(row) for row in self.data]
-        z = self.field.zero
+    def _reduce(self):
+        """Fraction-free Gauss-Jordan on the lifted ints: (rows, pivot cols,
+        swap sign, scale L). The pivot is the first entry nonzero in the field;
+        a row with f != 0 in its column becomes (piv*x - f*y) // level, exact
+        by Sylvester's identity (Bareiss). Rows with f = 0 are left alone, so
+        row i is its Bareiss row times level[i]/prev: a[r][j] / a[r][c] on
+        pivot row r is the reduced echelon form, and the last pivot row holds
+        the last pivot."""
+        fld = self.field
+        flat, L = fld.lift([e for row in self.data for e in row])
+        k = self.cols
+        a = [flat[i * k : (i + 1) * k] for i in range(self.rows)]
+        level = [1] * self.rows
         pivots: List[int] = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if a[i][c] != z:
-                    pr = i
-                    break
+        sign, prev, r = 1, 1, 0
+        for c in range(k):
+            pr = next((i for i in range(r, self.rows) if fld.of(a[i][c])), None)
             if pr is None:
                 continue
-            a[r], a[pr] = a[pr], a[r]
-            inv = self.field.inv(a[r][c])
-            a[r] = [e * inv for e in a[r]]
+            if pr != r:
+                a[r], a[pr], level[r], level[pr] = a[pr], a[r], level[pr], level[r]
+                sign = -sign
+            if level[r] != prev:
+                a[r] = [x * prev // level[r] for x in a[r]]
+            top = a[r]
+            piv = top[c]
             for i in range(self.rows):
-                if i != r and a[i][c] != z:
-                    f = a[i][c]
-                    a[i] = [ei - f * er for ei, er in zip(a[i], a[r])]
+                f = a[i][c]
+                if f and i != r:
+                    a[i] = [(piv * x - f * y) // level[i] for x, y in zip(a[i], top)]
+                    level[i] = piv
+            level[r] = prev = piv
             pivots.append(c)
             r += 1
-            if r == self.rows:
-                break
-        return a, pivots
+        return a, pivots, sign, L
+
+    def det(self):
+        """Exact determinant: sign * last pivot / L^n of the reduction."""
+        if self.rows != self.cols:
+            raise ShapeError("determinant of non-square matrix")
+        a, pivots, sign, L = self._reduce()
+        if len(pivots) < self.rows:
+            return self.field.zero
+        return self.field.of(sign * a[-1][-1] if a else 1) / self.field.of(L**self.rows)
 
     def rank(self) -> int:
-        _, pivots = self._row_echelon()
-        return len(pivots)
+        return len(self._reduce()[1])
 
     def kernel_basis(self) -> List[Tuple]:
-        """Basis of the right null space, deterministic (free columns ascending,
-        leftmost pivots first); empty list iff full column rank."""
-        a, pivots = self._row_echelon()
-        z, o = self.field.zero, self.field.one
+        """Basis of the right null space, one vector per free column f (ascending):
+        1 at f, 0 at the other free columns; empty list iff full column rank."""
+        a, pivots, _, _ = self._reduce()
+        fld = self.field
+        z, o = fld.zero, fld.one
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
@@ -169,21 +160,22 @@ class Mat:
             v = [z] * self.cols
             v[f] = o
             for r, c in enumerate(pivots):
-                v[c] = -a[r][f]
+                v[c] = fld.of(-a[r][f]) / fld.of(a[r][c])
             basis.append(tuple(v))
         return basis
 
     def inv(self) -> "Mat":
-        """Inverse by Gauss-Jordan on [A | I]: A is invertible exactly when the
-        pivots of the reduced form are the first n columns."""
+        """Inverse from the reduction of [A | I]: A is invertible exactly when
+        the pivots are the first n columns."""
         if self.rows != self.cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        eye = Mat.identity(self.field, n).data
-        a, pivots = Mat(self.field, [r + e for r, e in zip(self.data, eye)])._row_echelon()
+        fld = self.field
+        eye = Mat.identity(fld, n).data
+        a, pivots, _, _ = Mat(fld, [r + e for r, e in zip(self.data, eye)])._reduce()
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Mat(self.field, [row[n:] for row in a])
+        return Mat(fld, [[fld.of(e) / fld.of(row[r]) for e in row[n:]] for r, row in enumerate(a)])
 
 
 def mat_vec(M: Mat, v: Sequence) -> Tuple:

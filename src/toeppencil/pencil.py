@@ -169,5 +169,5 @@ def is_geometric(p: PencilInstance) -> Optional[object]:
 def normalize_c1(p: PencilInstance) -> PencilInstance:
     """Divide every coefficient by c1; singularity is preserved (each
     determinant coefficient is homogeneous in the c's)."""
-    inv = p.field.inv(p.coeff(1))
+    inv = p.field.one / p.coeff(1)
     return PencilInstance(p.field, tuple(ci * inv for ci in p.c))

@@ -1,11 +1,12 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the code paths under test: determinants
-by cofactor expansion, inverses by extended Euclid, linear solves by
-cofactor-based Cramer rule. The determinant polynomial det T(x) comes from
-Laplace expansion on coefficient tuples (ring operations only, no division
-or elimination), and kernel vectors are checked by multiplying out
-(M0 + x*M1) f(x) on the same tuples. The minor-space scan is checked
+by cofactor expansion, inverses by extended Euclid, primality by trial
+division, linear solves by cofactor-based Cramer rule, ranks by nonzero
+minors. The determinant polynomial det T(x) comes from Laplace expansion on
+coefficient tuples (ring operations only, no division or elimination), and
+kernel vectors are checked by multiplying out (M0 + x*M1) f(x) on the same
+tuples. The minor-space scan is checked
 against a direct enumeration of coefficient space on plain ints mod p, which
 uses no toeppencil arithmetic at all. The S and SM values, which the
 library computes on plain ints, are checked against the field-typed matrix
@@ -13,7 +14,7 @@ formulas they replaced: Gauss-Jordan ``Q.inv()`` and matrix-vector products
 over the field.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 from toeppencil.linalg import Mat, mat_vec
 from toeppencil.minors import build_sm_objects
@@ -65,6 +66,17 @@ def poly_eval(a, x0, field):
     for c in reversed(a):
         s = s * x0 + c
     return s
+
+
+def rank_by_minors(M: Mat) -> int:
+    """The largest k with a nonzero k x k minor (cofactor determinants)."""
+    for k in range(min(M.rows, M.cols), 0, -1):
+        for rows in combinations(range(M.rows), k):
+            for cols in combinations(range(M.cols), k):
+                sub = Mat(M.field, [[M.data[i][j] for j in cols] for i in rows])
+                if det_cofactor(sub) != M.field.zero:
+                    return k
+    return 0
 
 
 def det_laplace(field, grid):
@@ -164,6 +176,11 @@ def extended_euclid_inverse(a: int, p: int) -> int:
         old_s, s = s, old_s - q * s
     assert old_r == 1, f"{a} not invertible mod {p}"
     return old_s % p
+
+
+def is_prime_trial(p: int) -> bool:
+    """Primality by trial division up to the square root."""
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 def solve_cramer(M: Mat, b):

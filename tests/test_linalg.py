@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from toeppencil.field import GF, QQ
-from toeppencil.linalg import Mat, Poly, ShapeError, SingularMatrixError
+from toeppencil.linalg import Mat, Poly, ShapeError, SingularMatrixError, mat_vec
 from toeppencil.pencil import build_M0, build_M1
-from oracles import det_cofactor, det_laplace, pencil_det, poly_eval
+from oracles import det_cofactor, det_laplace, pencil_det, poly_eval, rank_by_minors
 
 from conftest import random_gf_pencil, random_rational, random_rational_pencil
 
@@ -71,8 +71,6 @@ def test_rank_nullity_randomized():
         M = Mat(QQ, [[random_rational(rng) for _ in range(c)] for _ in range(r)])
         assert M.rank() + len(M.kernel_basis()) == c
         for v in M.kernel_basis():
-            from toeppencil.linalg import mat_vec
-
             assert all(e == 0 for e in mat_vec(M, v))
 
 
@@ -111,6 +109,59 @@ def test_inverse_two_sided_randomized():
             I = Mat.identity(field, size)
             assert Minv * M == I and M * Minv == I
             done += 1
+
+
+def _random_matrix(rng, field, entry):
+    """A random r x c product through a k-dimensional middle; half the time
+    k < min(r, c), so the matrix is rank-deficient."""
+    r, c = rng.randint(1, 5), rng.randint(1, 5)
+    k = rng.randint(0, min(r, c) - 1) if rng.random() < 0.5 else min(r, c)
+    left = [[entry(rng) for _ in range(k)] for _ in range(r)]
+    right = [[entry(rng) for _ in range(c)] for _ in range(k)]
+    return Mat(
+        field,
+        [[sum((left[i][t] * right[t][j] for t in range(k)), field.zero) for j in range(c)]
+         for i in range(r)],
+    )
+
+
+def test_kernel_basis_is_unit_on_free_columns():
+    # the vector of free column f is 1 at f and 0 at every other free column,
+    # which fixes the basis uniquely; its last nonzero entry is at f
+    rng = random.Random(19)
+    fields = [(QQ, random_rational)]
+    for p in (5, 7):
+        gf = GF(p)
+        fields.append((gf, lambda r, gf=gf, p=p: gf.of(r.randrange(p))))
+    for field, entry in fields:
+        for _ in range(80):
+            M = _random_matrix(rng, field, entry)
+            basis = M.kernel_basis()
+            rank = rank_by_minors(M)
+            assert M.rank() == rank and len(basis) == M.cols - rank
+            free = [max(j for j, e in enumerate(v) if e != field.zero) for v in basis]
+            assert free == sorted(set(free))
+            for v, f in zip(basis, free):
+                assert all(v[g] == (field.one if g == f else field.zero) for g in free)
+                assert all(e == field.zero for e in mat_vec(M, v))
+
+
+def test_pivot_is_chosen_by_field_zero_not_integer_zero():
+    gf = GF(5)
+
+    def gmat(rows):
+        return Mat(gf, [[gf.of(e) for e in r] for r in rows])
+
+    # after the first step the second column holds 5: zero mod 5, not as an int
+    M = gmat([[2, 1, 0], [1, 3, 1]])
+    assert M.rank() == 2
+    (v,) = M.kernel_basis()
+    assert v == (gf.of(2), gf.one, gf.zero) and mat_vec(M, v) == (gf.zero, gf.zero)
+    # integer determinant -5
+    S = gmat([[1, 2], [3, 1]])
+    assert S.det() == gf.zero and S.rank() == 1
+    with pytest.raises(SingularMatrixError):
+        S.inv()
 
 
 def test_poly_canonical_form():
