@@ -11,7 +11,8 @@ Usage: python3 scripts/conjecture_sweep.py [--n-max 6] [--primes 5,7] [--workers
 import argparse
 import sys
 
-from toeppencil.hunt import verify_conjecture_smalln
+from toeppencil.field import NotPrimeError
+from toeppencil.hunt import HuntConfigError, verify_conjecture_smalln
 
 
 def main() -> int:
@@ -22,7 +23,11 @@ def main() -> int:
     args = ap.parse_args()
     primes = [int(p) for p in args.primes.split(",")]
 
-    rows = verify_conjecture_smalln(args.n_max, primes, workers=args.workers)
+    try:
+        rows = verify_conjecture_smalln(args.n_max, primes, workers=args.workers)
+    except (NotPrimeError, HuntConfigError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"{'n':>3} {'p':>4} {'scanned':>9} {'valid':>7} {'solutions':>10} {'counterex':>10}")
     total_cex = 0
     for n, p, rep in rows:

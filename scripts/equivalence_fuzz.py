@@ -11,8 +11,8 @@ Usage: python3 scripts/equivalence_fuzz.py [--n 2..8] [--trials 500] [--seed 0] 
 import argparse
 import sys
 
-from toeppencil.field import PrimeField, QQ
-from toeppencil.hunt import HuntConfig, random_scan
+from toeppencil.field import NotPrimeError, PrimeField, QQ
+from toeppencil.hunt import HuntConfig, HuntConfigError, random_scan
 
 
 def main() -> int:
@@ -26,14 +26,21 @@ def main() -> int:
         lo, hi = (int(s) for s in args.n.split(".."))
     else:
         lo = hi = int(args.n)
-    fld = PrimeField(args.prime) if args.prime else QQ
+    try:
+        fld = PrimeField(args.prime) if args.prime is not None else QQ
+        cfgs = [
+            HuntConfig(n=n, field=fld, mode="random", trials=args.trials, seed=args.seed)
+            for n in range(lo, hi + 1)
+        ]
+    except (NotPrimeError, HuntConfigError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
     bad = 0
-    for n in range(lo, hi + 1):
-        cfg = HuntConfig(n=n, field=fld, mode="random", trials=args.trials, seed=args.seed)
+    for cfg in cfgs:
         rep = random_scan(cfg)
         print(
-            f"n={n} field={fld!r} trials={rep.tuples_scanned} "
+            f"n={cfg.n} field={fld!r} trials={rep.tuples_scanned} "
             f"solutions={rep.sm_solutions} violations={len(rep.equivalence_violations)}"
         )
         for v in rep.equivalence_violations:

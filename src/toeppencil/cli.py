@@ -105,20 +105,17 @@ def cmd_minors(args) -> int:
 def cmd_kernel(args) -> int:
     p = _pencil_from_args(args)
     result = analyze(BlockPencil.from_pencil(p))
-    if result.minimal_index_d is None:
-        doc = {"n": p.n, "c": [str(ci) for ci in p.c], "d": None, "kernel": None}
-        if not args.json:
-            print("regular pencil")
-        else:
-            _emit(doc, True)
-        return 0
+    f = result.kernel_poly
     doc = {
         "n": p.n,
         "c": [str(ci) for ci in p.c],
         "d": result.minimal_index_d,
-        "kernel": [[str(co) for co in f.coeffs] for f in result.kernel_poly],
+        "kernel": None if f is None else [[str(co) for co in fi.coeffs] for fi in f],
     }
-    _emit(doc, args.json)
+    if f is None and not args.json:
+        print("regular pencil")
+    else:
+        _emit(doc, args.json)
     return 0
 
 
@@ -127,17 +124,18 @@ def cmd_hunt(args) -> int:
         raise InputError("choose exactly one of --exhaustive / --random")
     fld = _field_from_args(args)
     mode = "exhaustive" if args.exhaustive else "random"
-    if args.trials is None:
-        args.trials = 100 if args.random else 0
     try:
         cfg = HuntConfig(
             n=args.n,
             field=fld,
             mode=mode,
-            trials=args.trials,
-            seed=args.seed,
+            trials=(100 if args.random else 0) if args.trials is None else args.trials,
+            seed=0 if args.seed is None else args.seed,
             workers=args.workers,
         )
+        if args.exhaustive and (args.trials, args.seed) != (None, None):
+            # an explicit 0 passes HuntConfig, which cannot tell it from the default
+            raise HuntConfigError("exhaustive scans take no trials or seed")
         report = exhaustive_scan(cfg) if args.exhaustive else random_scan(cfg)
     except HuntConfigError as e:
         raise InputError(str(e)) from e
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--random", action="store_true")
     sp.add_argument("--trials", type=int, default=None, help="random scans only (default 100)")
-    sp.add_argument("--seed", type=int, default=0, help="random scans only")
+    sp.add_argument("--seed", type=int, default=None, help="random scans only (default 0)")
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_hunt)
 

@@ -34,7 +34,6 @@ class CriterionReport:
     sm_holds: bool
     s_witness: Optional[Tuple[int, object]]  # first violated condition; k=0 is the star condition
     sm_witness: Optional[Tuple[int, object]]  # k=-1 denotes the m_n condition
-    star_value: object  # c_{n+1} - w Q^{-1} v
     m_n: object  # n-th principal minor of the normalized instance
     y_is_zero: bool
     geometric: Optional[object]  # common ratio, when the sequence is geometric
@@ -134,8 +133,6 @@ def evaluate_instance(p: PencilInstance) -> CriterionReport:
     singular = is_singular(p)
     s_holds, s_witness = check_S(p)
     sm_holds, sm_witness, mv = check_SM(p)
-    # check_S stops at the first violation, and k = 0 is the star condition
-    star = s_witness[1] if s_witness is not None and s_witness[0] == 0 else p.field.zero
     y_is_zero = all(mv.m[r] == p.field.zero for r in range(2, mv.n))
     report = CriterionReport(
         n=p.n,
@@ -144,7 +141,6 @@ def evaluate_instance(p: PencilInstance) -> CriterionReport:
         sm_holds=sm_holds,
         s_witness=s_witness,
         sm_witness=sm_witness,
-        star_value=star,
         m_n=mv.m[mv.n],
         y_is_zero=y_is_zero,
         geometric=is_geometric(p),

@@ -140,13 +140,8 @@ class GFElement:
 class RationalField:
     """The field of rationals; elements are ``Fraction`` values."""
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def of(self, x) -> Fraction:
         return Fraction(x)
@@ -178,14 +173,8 @@ class PrimeField:
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         self.p = p
-
-    @property
-    def zero(self):
-        return GFElement(0, self.p)
-
-    @property
-    def one(self):
-        return GFElement(1, self.p)
+        self.zero = GFElement(0, p)
+        self.one = GFElement(1, p)
 
     def of(self, x: int) -> GFElement:
         return GFElement(x, self.p)

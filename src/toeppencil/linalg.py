@@ -52,16 +52,7 @@ class Mat:
         return self.data[i][j]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return isinstance(other, Mat) and self.data == other.data
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.data))
@@ -232,6 +223,3 @@ class Poly:
             return "Poly[0]"
         terms = [f"{c}*x^{k}" for k, c in enumerate(self.coeffs) if c != self.field.zero]
         return "Poly[" + " + ".join(terms) + "]"
-
-    def __str__(self):
-        return repr(self)

@@ -29,12 +29,11 @@ class DimensionError(ValueError):
 @dataclass(frozen=True)
 class MinorVector:
     field: object
-    n: int
     m: Tuple  # m[0] = m_0 = 1, ..., m[n] = m_n
 
-    def __post_init__(self):
-        if len(self.m) != self.n + 1:
-            raise DimensionError("minor vector must have n+1 entries")
+    @property
+    def n(self) -> int:
+        return len(self.m) - 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ def principal_minors(p: PencilInstance) -> MinorVector:
     for r in range(1, p.n + 1):
         t = c[r]  # c_{r+1}, with coefficient (-1)^(r-1) m_0
         ms.append(_recurrence_head(c, ms, r, p.field.zero) + (t if r % 2 == 1 else -t))
-    return MinorVector(field=p.field, n=p.n, m=tuple(ms))
+    return MinorVector(field=p.field, m=tuple(ms))
 
 
 def _signed_minor(mv: MinorVector, i: int, j: int):
@@ -91,15 +90,9 @@ def q_inv_v_closed_form(mv: MinorVector) -> Tuple:
 
 
 def build_sm_objects(mv: MinorVector) -> SMObjects:
-    n = mv.n
-    size = n - 2
-    X = Mat(
-        mv.field,
-        [[_signed_minor(mv, i + 1, j) for j in range(1, size + 1)] for i in range(1, size + 1)],
-    )
-    y = tuple(
-        -mv.m[i + 1] if i % 2 == 1 else mv.m[i + 1] for i in range(1, size + 1)
-    )
+    size = mv.n - 2
+    X = q_inverse_closed_form(mv).drop_row_col(0, size)
+    y = q_inv_v_closed_form(mv)[1:]
     z, o = mv.field.zero, mv.field.one
     P = Mat(
         mv.field,

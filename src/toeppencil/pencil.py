@@ -21,10 +21,6 @@ from .linalg import Mat
 class PencilError(ValueError):
     """Invalid pencil coefficients (zero entry or too few)."""
 
-    def __init__(self, message: str, index: Optional[int] = None):
-        super().__init__(message)
-        self.index = index
-
 
 @dataclass(frozen=True)
 class PencilInstance:
@@ -57,7 +53,7 @@ def build_pencil(c: Sequence, field=None) -> PencilInstance:
     zero = field.zero
     for i, ci in enumerate(c):
         if ci == zero:
-            raise PencilError(f"coefficient c{i + 1} is zero", index=i + 1)
+            raise PencilError(f"coefficient c{i + 1} is zero")
     return PencilInstance(field, c)
 
 

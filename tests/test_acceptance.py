@@ -128,7 +128,7 @@ def test_criterion_06_n4_sm_system():
     for _ in range(200):
         ms = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2])) for _ in range(3)]
         m1, m2, m3 = ms
-        mv = MinorVector(field=QQ, n=4, m=(QQ.one, m1, m2, m3, QQ.zero))
+        mv = MinorVector(field=QQ, m=(QQ.one, m1, m2, m3, QQ.zero))
         v0, v1 = sm_condition_values(mv)
         e0 = -2 * m2 * m3
         e1 = m2**3 + m3**2 + 2 * m1 * m2 * m3
@@ -148,9 +148,7 @@ def test_criterion_06_n4_sm_system():
     for p in (5, 7):
         gf = GF(p)
         for m1, m2, m3 in product(range(p), repeat=3):
-            mv = MinorVector(
-                field=gf, n=4, m=(gf.one, gf.of(m1), gf.of(m2), gf.of(m3), gf.zero)
-            )
+            mv = MinorVector(field=gf, m=(gf.one, gf.of(m1), gf.of(m2), gf.of(m3), gf.zero))
             if all(v == gf.zero for v in sm_condition_values(mv)):
                 assert m2 == 0 and m3 == 0
     # and over the rationals by dense sampling away from m2 = m3 = 0
@@ -237,7 +235,7 @@ def test_criterion_07_characteristic_zero_certificate():
         ms, polys = _sm_polynomials(sp, n)
         for _ in range(50):
             vals = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in ms]
-            mv = MinorVector(field=QQ, n=n, m=(QQ.one, *vals, QQ.zero))
+            mv = MinorVector(field=QQ, m=(QQ.one, *vals, QQ.zero))
             at = {s: sp.Rational(v.numerator, v.denominator) for s, v in zip(ms, vals)}
             symbolic = [poly.xreplace(at) for poly in polys]
             assert [Fraction(int(e.p), int(e.q)) for e in symbolic] == sm_condition_values(mv)

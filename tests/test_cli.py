@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -108,10 +109,32 @@ def test_hunt_random_workers_exit_2(capsys):
 
 def test_hunt_exhaustive_trials_or_seed_exit_2(capsys):
     base = ["hunt", "--n", "4", "--prime", "5", "--exhaustive"]
-    for extra in (["--trials", "7", "--seed", "9"], ["--trials", "7"], ["--seed", "9"]):
+    for extra in (
+        ["--trials", "7", "--seed", "9"], ["--trials", "7"], ["--seed", "9"],
+        ["--trials", "0", "--seed", "0"], ["--trials", "0"], ["--seed", "0"], ["--seed", "1"],
+    ):
         code, out, err = run(capsys, base + extra)
         assert code == 2 and out == ""
         assert err == "error: exhaustive scans take no trials or seed\n"
+    random_hunt = ["hunt", "--n", "5", "--random", "--trials", "20", "--json"]
+    assert run(capsys, random_hunt) == run(capsys, random_hunt + ["--seed", "0"])
+
+
+def test_hunt_exhaustive_size_bound_exit_2(capsys):
+    def too_slow(signum, frame):
+        raise TimeoutError("the refusal took over 1 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        code, out, err = run(capsys, ["hunt", "--n", "3", "--prime", "1000003", "--exhaustive"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: exhaustive scan of 1000003^2 = 1000006000009 tuples exceeds the limit 100000000\n"
+    )
 
 
 def test_empty_coefficient_entry_exit_2(capsys):

@@ -10,7 +10,7 @@ from toeppencil.criteria import (
     s_condition_values,
     sm_condition_values,
 )
-from toeppencil.field import GF
+from toeppencil.field import GF, QQ
 from toeppencil.linalg import Mat
 from toeppencil.minors import (
     build_sm_objects,
@@ -138,6 +138,42 @@ def test_sm_values_invariant_under_scaling():
         assert sm_condition_values(principal_minors(p)) == sm_condition_values(
             principal_minors(scaled)
         )
+
+
+def test_routes_invariant_under_beta_scaling():
+    # c_k -> beta^(k-1) c_k is diag(beta^i) T(x) diag(beta^-j) times beta, with
+    # x rescaled: each route keeps its verdict and its first-violation index,
+    # and the minors scale as m_r -> beta^r m_r
+    def k_of(witness):
+        return None if witness is None else witness[0]
+
+    rng = random.Random(113)
+    checked = 0
+    for p_mod in (None, 7, 11):
+        for n in range(2, 9):
+            if p_mod is None:
+                fld = QQ
+                cases = [random_rational_pencil(rng, n) for _ in range(12)]
+                cases.append(geometric_pencil(Fraction(2), n))
+                cases.append(geometric_pencil(Fraction(-1, 3), n, Fraction(3)))
+                betas = [Fraction(b) for b in (2, -1, "1/2", "-3/2", 3)]
+            else:
+                fld = GF(p_mod)
+                cases = [random_gf_pencil(rng, n, p_mod) for _ in range(12)]
+                for lam in (2, 3):
+                    cases.append(build_pencil([fld.of(lam**k) for k in range(n + 1)], fld))
+                betas = [fld.of(b) for b in range(2, p_mod)]
+            for p in cases:
+                beta = rng.choice(betas)
+                q = build_pencil([ci * beta**k for k, ci in enumerate(p.c)], fld)
+                assert is_singular(q) == is_singular(p)
+                (s_p, w_p), (s_q, w_q) = check_S(p), check_S(q)
+                (sm_p, v_p, mv_p), (sm_q, v_q, mv_q) = check_SM(p), check_SM(q)
+                assert (s_q, sm_q) == (s_p, sm_p)
+                assert (k_of(w_q), k_of(v_q)) == (k_of(w_p), k_of(v_p))
+                assert mv_q.m == tuple(m * beta**r for r, m in enumerate(mv_p.m))
+                checked += 1
+    assert checked == 3 * 7 * 14
 
 
 def test_geometric_has_identically_zero_y():

@@ -33,6 +33,12 @@ def test_config_validation():
     for extra in ({"trials": 7}, {"seed": 9}, {"trials": 7, "seed": 9}):
         with pytest.raises(HuntConfigError):  # exhaustive scans draw nothing at random
             HuntConfig(n=4, field=GF(5), mode="exhaustive", **extra)
+    for n, p in ((3, 1000003), (11, 7), (2, 100000007), (10**9, 7)):  # p^(n-1) > 10^8
+        with pytest.raises(HuntConfigError, match="exceeds the limit"):
+            HuntConfig(n=n, field=GF(p), mode="exhaustive")
+    # the cells up to (10,7) at 7^9 = 40M tuples stay allowed, and 99999989 is prime
+    for n, p in ((3, 7), (5, 7), (6, 7), (9, 7), (8, 11), (10, 7), (2, 99999989)):
+        HuntConfig(n=n, field=GF(p), mode="exhaustive")
 
 
 def test_exhaustive_n4_gf5():
@@ -78,7 +84,7 @@ def test_zero_y_solutions_are_geometric():
         cs = recover_c_from_minors(ms, gf)
         if any(ci == gf.zero for ci in cs):
             continue
-        mv = MinorVector(field=gf, n=4, m=(gf.one, *ms))
+        mv = MinorVector(field=gf, m=(gf.one, *ms))
         if all(v == gf.zero for v in sm_condition_values(mv)):
             solutions += 1
             assert m2 == 0 and m3 == 0
@@ -145,3 +151,12 @@ def test_gf7_n5_counterexamples_are_real_and_marked():
         rep = evaluate_instance(p)
         assert rep.singular_det and rep.sm_holds and not rep.y_is_zero
         assert is_geometric(p) is None
+
+
+def test_gf7_n5_counterexamples_closed_under_beta_scaling():
+    # c_k -> beta^(k-1) c_k preserves singularity and maps m_r to beta^r m_r
+    found = set(exhaustive_scan(HuntConfig(n=5, field=GF(7), mode="exhaustive")).counterexamples)
+    assert len(found) == 18
+    for beta in range(2, 7):
+        scaled = {tuple(m * beta**r % 7 for r, m in enumerate(t, start=1)) for t in found}
+        assert scaled == found

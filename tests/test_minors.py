@@ -154,12 +154,15 @@ def test_sm_objects_n3_and_n2():
 
 
 def test_x_is_qinv_minus_first_row_last_col():
+    # against the generic inverse of the Q block, not the closed form X is read from
     rng = random.Random(61)
     for n in range(3, 10):
         p = normalize_c1(random_rational_pencil(rng, n))
-        mv = principal_minors(p)
-        qinv = q_inverse_closed_form(mv)
-        assert build_sm_objects(mv).X == qinv.drop_row_col(0, n - 2)
+        part = partition(p)
+        qinv = part.Q.inv()
+        sm = build_sm_objects(principal_minors(p))
+        assert sm.X == qinv.drop_row_col(0, n - 2)
+        assert sm.y == mat_vec(qinv, part.v)[1:]
 
 
 def test_det_x_property():

@@ -43,3 +43,21 @@ def test_equivalence_fuzz_finds_no_violation():
     assert proc.returncode == 0, proc.stderr
     assert "VIOLATION" not in proc.stdout
     assert [line.split()[0] for line in proc.stdout.splitlines()] == ["n=2", "n=3", "n=4"]
+
+
+def test_scripts_refuse_bad_primes_and_oversized_scans():
+    fuzz = ["--n", "2..3", "--trials", "5"]
+    cases = [
+        ("equivalence_fuzz.py", fuzz + ["--prime", "0"], "0 is not prime"),
+        ("equivalence_fuzz.py", fuzz + ["--prime", "4"], "4 is not prime"),
+        ("equivalence_fuzz.py", ["--n", "1..3", "--trials", "5"], "n must be >= 2"),
+        ("conjecture_sweep.py", ["--n-max", "3", "--primes", "5,4"], "4 is not prime"),
+        # every config is checked before the first scan, so (2, 5) does not run
+        ("conjecture_sweep.py", ["--n-max", "5", "--primes", "5,1009"], "exceeds the limit"),
+    ]
+    for name, args, message in cases:
+        proc = run_script(name, *args)
+        assert proc.returncode == 2, (name, args, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
