@@ -15,15 +15,21 @@ from toeppencil.field import NotPrimeError
 from toeppencil.hunt import HuntConfigError, verify_conjecture_smalln
 
 
+def parse_primes(text: str) -> list:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise HuntConfigError(f"--primes takes comma-separated integers, got {text!r}") from None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=6)
     ap.add_argument("--primes", default="5,7")
     ap.add_argument("--workers", type=int, default=4)
     args = ap.parse_args()
-    primes = [int(p) for p in args.primes.split(",")]
-
     try:
+        primes = parse_primes(args.primes)
         rows = verify_conjecture_smalln(args.n_max, primes, workers=args.workers)
     except (NotPrimeError, HuntConfigError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,6 +15,18 @@ from toeppencil.field import NotPrimeError, PrimeField, QQ
 from toeppencil.hunt import HuntConfig, HuntConfigError, random_scan
 
 
+def inclusive_range(text: str) -> range:
+    """n, or lo..hi with both ends included; refused when malformed or empty."""
+    lo, sep, hi = text.partition("..")
+    try:
+        ns = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise HuntConfigError(f"--n takes n or lo..hi, got {text!r}") from None
+    if not ns:
+        raise HuntConfigError(f"--n range {text} is empty")
+    return ns
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", default="2..8", help="single n or inclusive range lo..hi")
@@ -22,15 +34,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--prime", type=int, default=None, help="fuzz over GF(p) instead of Q")
     args = ap.parse_args()
-    if ".." in args.n:
-        lo, hi = (int(s) for s in args.n.split(".."))
-    else:
-        lo = hi = int(args.n)
     try:
         fld = PrimeField(args.prime) if args.prime is not None else QQ
         cfgs = [
             HuntConfig(n=n, field=fld, mode="random", trials=args.trials, seed=args.seed)
-            for n in range(lo, hi + 1)
+            for n in inclusive_range(args.n)
         ]
     except (NotPrimeError, HuntConfigError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -70,11 +70,11 @@ def s_condition_values(p: PencilInstance, kmax: Optional[int] = None):
     v = c[1:n]
     w = [wi * pw[size - 1 - i] for i, wi in enumerate(reversed(v))]  # w.u is over c1^(2k+size)
     u = solve([vi * pw[i] for i, vi in enumerate(v)])
-    star = fld.of(c[n] * pw[size] - sum(map(mul, w, u))) / fld.of(pw[size] * L)
+    star = fld.frac(c[n] * pw[size] - sum(map(mul, w, u)), pw[size] * L)
     values = []
     for k in range(1, kmax + 1):
         u = solve(u[1:] + [0])  # B shifts up by one
-        values.append(fld.of(sum(map(mul, w, u)) * L ** (k - 1)) / fld.of(c1 ** (2 * k + size)))
+        values.append(fld.frac(sum(map(mul, w, u)) * L ** (k - 1), c1 ** (2 * k + size)))
     return star, values
 
 
@@ -113,7 +113,7 @@ def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> List:
     for k in range(kmax + 1):
         if k:
             z = [sum(map(mul, row, z)) for row in X]
-        values.append(fld.of(sum(map(mul, yP, z))) / fld.of(D ** (k + 2)))
+        values.append(fld.frac(sum(map(mul, yP, z)), D ** (k + 2)))
     return values
 
 

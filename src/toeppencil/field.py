@@ -156,6 +156,10 @@ class RationalField:
         L = lcm(*(x.denominator for x in xs))
         return [x.numerator * (L // x.denominator) for x in xs], L
 
+    def frac(self, num: int, den: int) -> Fraction:
+        """num / den for plain ints: the way back from ``lift``."""
+        return Fraction(num, den)
+
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -186,6 +190,12 @@ class PrimeField:
         """Plain ints: the residues in [0, p), with scale 1."""
         z = self.zero
         return [z._coerce(x).val for x in xs], 1
+
+    def frac(self, num: int, den: int) -> GFElement:
+        """num / den for plain ints, mod p: the way back from ``lift``."""
+        if den % self.p == 0:
+            raise ZeroDivisionError(f"{den} is 0 in GF({self.p})")
+        return GFElement(num * pow(den, -1, self.p), self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -178,7 +178,7 @@ def _sample_nonzero(fld, rng: random.Random):
 
 def random_scan(cfg: HuntConfig) -> HuntReport:
     """Seeded fuzz of the three-way criterion equivalence on random nonzero
-    coefficient lists, with geometric instances injected every run."""
+    coefficient lists, plus geometric ones for each nonzero ratio 1, 2, -1, 1/2."""
     if cfg.mode != "random":
         raise HuntConfigError("config is not in random mode")
     rng = random.Random(cfg.seed)
@@ -186,8 +186,8 @@ def random_scan(cfg: HuntConfig) -> HuntReport:
     instances = []
     for _ in range(cfg.trials):
         instances.append([_sample_nonzero(cfg.field, rng) for _ in range(cfg.n + 1)])
-    fld = cfg.field
-    for lam in (fld.one, fld.of(2), -fld.one, fld.one / fld.of(2)):
+    fld, two = cfg.field, cfg.field.of(2)
+    for lam in (fld.one, two, -fld.one, fld.one / two) if two else (fld.one, -fld.one):
         geo = [fld.one]
         for _ in range(cfg.n):
             geo.append(geo[-1] * lam)

@@ -133,7 +133,7 @@ class Mat:
         a, pivots, sign, L = self._reduce()
         if len(pivots) < self.rows:
             return self.field.zero
-        return self.field.of(sign * a[-1][-1] if a else 1) / self.field.of(L**self.rows)
+        return self.field.frac(sign * a[-1][-1] if a else 1, L**self.rows)
 
     def rank(self) -> int:
         return len(self._reduce()[1])
@@ -151,7 +151,7 @@ class Mat:
             v = [z] * self.cols
             v[f] = o
             for r, c in enumerate(pivots):
-                v[c] = fld.of(-a[r][f]) / fld.of(a[r][c])
+                v[c] = fld.frac(-a[r][f], a[r][c])
             basis.append(tuple(v))
         return basis
 
@@ -166,7 +166,7 @@ class Mat:
         a, pivots, _, _ = Mat(fld, [r + e for r, e in zip(self.data, eye)])._reduce()
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Mat(fld, [[fld.of(e) / fld.of(row[r]) for e in row[n:]] for r, row in enumerate(a)])
+        return Mat(fld, [[fld.frac(e, row[r]) for e in row[n:]] for r, row in enumerate(a)])
 
 
 def mat_vec(M: Mat, v: Sequence) -> Tuple:

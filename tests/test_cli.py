@@ -172,6 +172,14 @@ def test_hunt_random_deterministic(capsys):
     assert out1 == out2
 
 
+def test_hunt_random_gf2(capsys):
+    code, out, err = run(
+        capsys, ["hunt", "--n", "3", "--random", "--prime", "2", "--trials", "3", "--json"]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["hunt"]["scanned"] == 5
+
+
 def test_gf_field_verify(capsys):
     code, out, _ = run(capsys, ["verify", "--c", "1,2,4,1", "--prime", "7", "--json"])
     assert code == 0

@@ -13,6 +13,7 @@ from toeppencil.criteria import (
 from toeppencil.field import GF, QQ
 from toeppencil.linalg import Mat
 from toeppencil.minors import (
+    _reciprocal,
     build_sm_objects,
     det_X,
     principal_minors,
@@ -282,7 +283,7 @@ def test_routes_stay_independent():
     # the three verdicts are evidence only while no route reads another's work
     minors_route = _codes(
         principal_minors, recover_c_from_minors, build_sm_objects,
-        q_inverse_closed_form, q_inv_v_closed_form, det_X,
+        q_inverse_closed_form, q_inv_v_closed_form, det_X, _reciprocal,
     )
     s_route = _codes(s_condition_values, check_S, partition)
     sm_route = _codes(sm_condition_values, check_SM)

@@ -38,6 +38,23 @@ def test_gf_inverse_matches_extended_euclid():
             assert f.of(a).inverse().val == extended_euclid_inverse(a, p)
 
 
+def test_frac_matches_field_division():
+    big = 3**200
+    nums = (0, 1, -1, 12, -35, 2**64 + 1, big, -big - 7)
+    dens = (1, -1, 2, -6, 7, 10**9 + 8, big + 2, -(2**61 - 1))
+    for fld in (QQ, GF(2), GF(7), GF(10**9 + 7)):
+        zero_dens = (0,) if fld == QQ else (0, fld.p, 2 * fld.p, -fld.p)
+        for num in nums:
+            for den in dens + zero_dens:
+                if fld.of(den) == fld.zero:
+                    with pytest.raises(ZeroDivisionError):
+                        fld.frac(num, den)
+                    continue
+                got = fld.frac(num, den)
+                assert got == fld.of(num) / fld.of(den)
+                assert type(got) is type(fld.one)
+
+
 def test_modulus_must_be_prime():
     with pytest.raises(NotPrimeError):
         PrimeField(4)

@@ -117,6 +117,14 @@ def test_random_scan_gf():
     assert r.counterexamples == []
 
 
+def test_random_scan_injects_only_existing_ratios():
+    # 2 and 1/2 are not nonzero ratios in GF(2); in GF(3) they equal -1 and stay
+    for p, injected in ((2, 2), (3, 4), (5, 4)):
+        r = random_scan(HuntConfig(n=3, field=GF(p), mode="random", trials=3, seed=0))
+        assert r.tuples_scanned == 3 + injected
+        assert r.equivalence_violations == []
+
+
 def test_verify_conjecture_smalln():
     rows = verify_conjecture_smalln(4, [5, 7])
     assert [(n, p) for n, p, _ in rows] == [

@@ -54,6 +54,19 @@ def test_principal_minors_match_cofactor_oracle():
         assert recover_c_from_minors(mv.m[1:], gf) == list(normalize_c1(p).c[1:])
 
 
+def test_minor_map_on_every_small_field_tail():
+    # GF(2) alone hides sign slips (-1 = 1 there); GF(3) with c1 = 2 = -1 also
+    # shows a wrong power of c1
+    for p, c1, n_max in ((3, 2, 5), (2, 1, 6)):
+        gf = GF(p)
+        for n in range(2, n_max + 1):
+            for tail in product(range(p), repeat=n):
+                pi = PencilInstance(gf, tuple(gf.of(v) for v in (c1, *tail)))
+                mv = principal_minors(pi)
+                assert mv.m == cofactor_minors(pi)
+                assert recover_c_from_minors(mv.m[1:], gf) == list(normalize_c1(pi).c[1:])
+
+
 def test_minor_examples():
     mv = principal_minors(qp(1, 1, 1, 2))
     assert mv.m == (Fraction(1), Fraction(1), Fraction(0), Fraction(1))

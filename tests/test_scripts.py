@@ -51,7 +51,11 @@ def test_scripts_refuse_bad_primes_and_oversized_scans():
         ("equivalence_fuzz.py", fuzz + ["--prime", "0"], "0 is not prime"),
         ("equivalence_fuzz.py", fuzz + ["--prime", "4"], "4 is not prime"),
         ("equivalence_fuzz.py", ["--n", "1..3", "--trials", "5"], "n must be >= 2"),
+        ("equivalence_fuzz.py", ["--n", "5..2", "--trials", "5"], "is empty"),
+        ("equivalence_fuzz.py", ["--n", "2..x", "--trials", "5"], "n or lo..hi"),
         ("conjecture_sweep.py", ["--n-max", "3", "--primes", "5,4"], "4 is not prime"),
+        ("conjecture_sweep.py", ["--n-max", "3", "--primes", "5,x"], "comma-separated"),
+        ("conjecture_sweep.py", ["--n-max", "3", "--primes", ","], "comma-separated"),
         # every config is checked before the first scan, so (2, 5) does not run
         ("conjecture_sweep.py", ["--n-max", "5", "--primes", "5,1009"], "exceeds the limit"),
     ]
