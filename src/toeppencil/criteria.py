@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .minors import MinorVector, principal_minors
 from .pencil import PencilInstance, is_geometric, is_singular
@@ -90,6 +90,25 @@ def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
     return True, None
 
 
+def _sm_values(N: Sequence[int], kmax: int) -> Iterator[int]:
+    """V_k(N) = (t_y P) X^k y for k = 0..kmax, on the plain ints N = (N_0, ..., N_n)
+    standing for the minors m_0..m_n; lazy, so a caller may stop at the first
+    nonzero value."""
+    size = len(N) - 3
+    # 0-based: X[a][b] = (-1)^(a+b+1) m_{a+1-b} for b <= a+1, y[a] = (-1)^(a+1) m_{a+2}
+    X = [
+        [N[a + 1 - b] if (a + b) % 2 else -N[a + 1 - b] for b in range(min(a + 2, size))]
+        for a in range(size)
+    ]
+    y = [N[a + 2] if a % 2 else -N[a + 2] for a in range(size)]
+    yP = y[::-1]  # t_y P is y reversed
+    z = y
+    for k in range(kmax + 1):
+        if k:
+            z = [sum(map(mul, row, z)) for row in X]
+        yield sum(map(mul, yP, z))
+
+
 def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> List:
     """(t_y P) X^k y for k = 0..kmax (default kmax = n-3; empty for n = 2).
 
@@ -100,21 +119,7 @@ def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> List:
     if kmax is None:
         kmax = mv.n - 3
     N, D = mv.field.lift(mv.m)
-    fld, size = mv.field, mv.n - 2
-    # 0-based: X[a][b] = (-1)^(a+b+1) m_{a+1-b} for b <= a+1, y[a] = (-1)^(a+1) m_{a+2}
-    X = [
-        [N[a + 1 - b] if (a + b) % 2 else -N[a + 1 - b] for b in range(min(a + 2, size))]
-        for a in range(size)
-    ]
-    y = [N[a + 2] if a % 2 else -N[a + 2] for a in range(size)]
-    yP = y[::-1]  # t_y P is y reversed
-    z = y
-    values = []
-    for k in range(kmax + 1):
-        if k:
-            z = [sum(map(mul, row, z)) for row in X]
-        values.append(fld.frac(sum(map(mul, yP, z)), D ** (k + 2)))
-    return values
+    return [mv.field.frac(v, D ** (k + 2)) for k, v in enumerate(_sm_values(N, kmax))]
 
 
 def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], MinorVector]:

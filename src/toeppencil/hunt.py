@@ -8,9 +8,18 @@ tuple where the condition holds with y != 0 as a counterexample. Working in
 minor space instead of coefficient space makes the m_n = 0 constraint free
 and drops one enumeration dimension.
 
-Scans are deterministic regardless of worker count: the search space is
-partitioned by the first minor coordinate, per-shard reports merge by
-summation and list concatenation, and merged lists are sorted canonically.
+Only the representatives m_1 = 1 are evaluated, on plain ints mod p. The
+scaling c_k -> beta^(k-1) c_k (beta != 0) maps m_r to beta^r m_r, so each
+tuple with m_1 != 0 lies in the orbit of one representative; tuples with
+m_1 = 0 are never valid, because c_2 = m_1. Validity is an orbit invariant,
+as c_{k+1} picks up the unit beta^k, and so is the minor condition: X's
+entry (a, b) has weight a+1-b and y_a weight a+2, so (X^k y)_a has weight
+a+2+k and V_k(beta*m) = beta^(n+k+1) V_k(m). A representative's verdict
+holds for its p-1 tuples; each cross-checked tuple is compared against it.
+
+Scans are deterministic regardless of worker count: the representatives
+are partitioned by m_2, per-shard reports merge by summation and list
+concatenation, and merged lists are sorted canonically.
 Finite-field validity of the criteria is not assumed: every condition
 solution, plus a deterministic subsample of scanned instances, is
 re-verified through the full three-way criterion comparison, and any
@@ -25,9 +34,9 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Tuple
 
-from .criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
+from .criteria import ConsistencyAlarm, _sm_values, evaluate_instance
 from .field import PrimeField, RationalField
-from .minors import MinorVector, recover_c_from_minors
+from .minors import _reciprocal
 from .pencil import build_pencil
 
 # Deterministic subsampling of full criterion cross-checks during exhaustive
@@ -39,8 +48,8 @@ def _crosscheck_selected(mtuple: Tuple[int, ...]) -> bool:
     return sum((i + 1) * v for i, v in enumerate(mtuple)) % _CROSSCHECK_STRIDE == 0
 
 
-# Largest exhaustive scan, in p^(n-1) tuples: about 70 min on one core at
-# the 23k tuples/s of a (5,7) scan.
+# Largest exhaustive scan, in p^(n-1) tuples: about 15-20 min on one core at
+# the 80k-120k tuples/s of the cells (5,7) to (8,7) and (7,11).
 MAX_EXHAUSTIVE_TUPLES = 10**8
 
 
@@ -114,34 +123,40 @@ class HuntReport:
         }
 
 
-def _scan_shard(n: int, p: int, first_coords: Tuple[int, ...]) -> HuntReport:
-    """Scan all minor tuples whose first coordinate lies in first_coords."""
+def _scan_shard(n: int, p: int, second_coords: Tuple[int, ...]) -> HuntReport:
+    """Scan the representatives m_1 = 1 whose m_2 lies in second_coords (for
+    n = 2, the one representative (1,)) and count each verdict for the
+    p-1 tuples of its orbit."""
     gf = PrimeField(p)
-    zero = gf.zero
     report = HuntReport()
-    for m1 in first_coords:
-        for rest in product(range(p), repeat=n - 2):
-            mtuple = (m1,) + rest
-            report.tuples_scanned += 1
-            ms = [gf.of(v) for v in mtuple] + [zero]  # m_1..m_{n-1}, m_n = 0
-            cs = recover_c_from_minors(ms, gf)
-            if any(ci == zero for ci in cs):
-                continue
-            report.valid_instances += 1
-            mv = MinorVector(field=gf, m=(gf.one, *ms))
-            sm_ok = all(v == zero for v in sm_condition_values(mv))
-            crosscheck = sm_ok or _crosscheck_selected(mtuple)
-            if crosscheck:
+    # (beta^r, (-beta)^r) mod p for r = 0..n: m_r -> beta^r m_r, c_{r+1} -> beta^r c_{r+1}
+    orbit = [
+        ([pow(b, r, p) for r in range(n + 1)], [pow(-b, r, p) for r in range(n + 1)])
+        for b in range(1, p)
+    ]
+    tails = product(second_coords, *[range(p)] * (n - 3)) if n > 2 else [()]
+    for tail in tails:
+        report.tuples_scanned += p  # the orbit and (0, *tail), never valid as c_2 = m_1
+        N = (1, 1, *tail, 0)  # m_0, m_1 = 1, m_2..m_{n-1}, m_n = 0
+        B = _reciprocal(N, n + 1)  # c_{k+1} = (-1)^k B_k
+        if not all(b % p for b in B):
+            continue
+        report.valid_instances += p - 1
+        sm_ok = not any(v % p for v in _sm_values(N, n - 3))
+        for scale_m, scale_c in orbit:
+            mtuple = tuple(scale_m[r] * N[r] % p for r in range(1, n))
+            if sm_ok or _crosscheck_selected(mtuple):
+                c = [s * b % p for s, b in zip(scale_c, B)]  # c_1 = 1, c_{k+1} = (-beta)^k B_k
                 try:
-                    rep = evaluate_instance(build_pencil([gf.one] + cs, gf))
+                    rep = evaluate_instance(build_pencil(c, gf))
                     if rep.sm_holds != sm_ok:
                         report.equivalence_violations.append((mtuple, "sm-mismatch"))
                 except ConsistencyAlarm:
                     report.equivalence_violations.append((mtuple, "criterion-disagreement"))
-            if sm_ok:
-                report.sm_solutions += 1
-                if any(mi != zero for mi in ms[1 : n - 1]):  # y built from m_2..m_{n-1}
-                    report.counterexamples.append(mtuple)
+            if sm_ok and any(tail):  # y built from m_2..m_{n-1}
+                report.counterexamples.append(mtuple)
+        if sm_ok:
+            report.sm_solutions += p - 1
     return report
 
 
@@ -149,14 +164,13 @@ def exhaustive_scan(cfg: HuntConfig) -> HuntReport:
     if cfg.mode != "exhaustive":
         raise HuntConfigError("config is not in exhaustive mode")
     p = cfg.field.p
-    coords = list(range(p))
-    if cfg.workers == 1:
-        shards = [_scan_shard(cfg.n, p, tuple(coords))]
+    w = min(cfg.workers, p) if cfg.n > 2 else 1
+    chunks = [tuple(range(i, p, w)) for i in range(w)]
+    if w == 1:
+        shards = [_scan_shard(cfg.n, p, chunks[0])]
     else:
         from multiprocessing import get_context  # only parallel scans pay for the import
 
-        w = min(cfg.workers, p)
-        chunks = [tuple(coords[i::w]) for i in range(w)]
         ctx = get_context("fork")
         with ctx.Pool(w) as pool:
             shards = pool.starmap(_scan_shard, [(cfg.n, p, ch) for ch in chunks])

@@ -11,14 +11,19 @@ against a direct enumeration of coefficient space on plain ints mod p, which
 uses no toeppencil arithmetic at all. The S and SM values, which the
 library computes on plain ints, are checked against the field-typed matrix
 formulas they replaced: Gauss-Jordan ``Q.inv()`` and matrix-vector products
-over the field.
+over the field. The orbit-reduced integer hunt is checked against the
+per-tuple scan it replaced, which recovers the coefficients and evaluates SM
+on field elements for every one of the p^(n-1) tuples.
 """
 
 from itertools import combinations, product
 
+from toeppencil.criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
+from toeppencil.field import PrimeField
+from toeppencil.hunt import _crosscheck_selected
 from toeppencil.linalg import Mat, mat_vec
-from toeppencil.minors import build_sm_objects
-from toeppencil.pencil import partition
+from toeppencil.minors import MinorVector, build_sm_objects, recover_c_from_minors
+from toeppencil.pencil import build_pencil, partition
 
 
 def det_cofactor(M: Mat):
@@ -246,3 +251,41 @@ def nongeometric_singular_minor_tuples(n: int, p: int):
             continue  # geometric with ratio c2
         found.append(tuple(_det_mod_p([row[:r] for row in m0[:r]], p) for r in range(1, n)))
     return sorted(found)
+
+
+def exhaustive_scan_reference(n: int, p: int) -> dict:
+    """The exhaustive hunt of (n, p) in ``HuntReport.to_dict()`` form, one
+    tuple (m_1, ..., m_{n-1}, m_n = 0) at a time over GF(p): coefficients by
+    ``recover_c_from_minors``, SM by ``sm_condition_values``, and
+    ``evaluate_instance`` on every SM solution and every stride-selected
+    valid tuple."""
+    gf = PrimeField(p)
+    zero = gf.zero
+    valid = sm_solutions = 0
+    counterexamples, violations = [], []
+    for mtuple in product(range(p), repeat=n - 1):
+        ms = [gf.of(v) for v in mtuple] + [zero]
+        cs = recover_c_from_minors(ms, gf)
+        if any(ci == zero for ci in cs):
+            continue
+        valid += 1
+        sm_ok = all(v == zero for v in sm_condition_values(MinorVector(field=gf, m=(gf.one, *ms))))
+        if sm_ok or _crosscheck_selected(mtuple):
+            try:
+                if evaluate_instance(build_pencil([gf.one] + cs, gf)).sm_holds != sm_ok:
+                    violations.append((mtuple, "sm-mismatch"))
+            except ConsistencyAlarm:
+                violations.append((mtuple, "criterion-disagreement"))
+        if sm_ok:
+            sm_solutions += 1
+            if any(mtuple[1:]):
+                counterexamples.append(mtuple)
+    note = "finite-field evidence only; not lifted to characteristic 0"
+    return {
+        "scanned": p ** (n - 1),
+        "valid": valid,
+        "sm_solutions": sm_solutions,
+        "counterexamples": [list(t) for t in sorted(counterexamples)],
+        "violations": [list(t) for t in sorted(violations)],
+        "note": note if counterexamples else None,
+    }

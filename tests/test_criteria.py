@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 from toeppencil.criteria import (
+    _sm_values,
     check_S,
     check_SM,
     evaluate_instance,
@@ -286,7 +287,7 @@ def test_routes_stay_independent():
         q_inverse_closed_form, q_inv_v_closed_form, det_X, _reciprocal,
     )
     s_route = _codes(s_condition_values, check_S, partition)
-    sm_route = _codes(sm_condition_values, check_SM)
+    sm_route = _codes(sm_condition_values, check_SM, _sm_values)
     det_route = _codes(is_singular, Mat.det, Mat.inv)
     cases = [
         random_rational_pencil(random.Random(127), 7),

@@ -1,12 +1,17 @@
 import json
+import multiprocessing
 
 import pytest
 
+import oracles
+from oracles import exhaustive_scan_reference
+from toeppencil import hunt
 from toeppencil.criteria import evaluate_instance
 from toeppencil.field import GF, PrimeField, QQ
 from toeppencil.hunt import (
     HuntConfig,
     HuntConfigError,
+    _crosscheck_selected,
     exhaustive_scan,
     random_scan,
     verify_conjecture_smalln,
@@ -92,13 +97,95 @@ def test_zero_y_solutions_are_geometric():
     assert solutions == 4
 
 
-def test_sharded_scans_identical():
-    base = exhaustive_scan(HuntConfig(n=4, field=GF(5), mode="exhaustive", workers=1))
-    for w in (2, 4):
-        r = exhaustive_scan(HuntConfig(n=4, field=GF(5), mode="exhaustive", workers=w))
-        assert json.dumps(r.to_dict(), sort_keys=True) == json.dumps(
-            base.to_dict(), sort_keys=True
+def test_sharded_scans_identical(monkeypatch):
+    pools = []
+    real_get_context = multiprocessing.get_context
+
+    class CountingContext:
+        def __init__(self, method):
+            self.ctx = real_get_context(method)
+
+        def Pool(self, processes):
+            pools.append(processes)
+            return self.ctx.Pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
+    cells = [((4, 5), (2, 4))] + [((n, p), (2, p, p + 3)) for n in (2, 3) for p in (3, 5)]
+    for (n, p), worker_counts in cells:
+        base = exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive", workers=1))
+        for w in worker_counts:
+            pools.clear()
+            r = exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive", workers=w))
+            assert json.dumps(r.to_dict(), sort_keys=True) == json.dumps(
+                base.to_dict(), sort_keys=True
+            )
+            # n = 2 has one representative; otherwise one process per m_2 chunk, at most p
+            assert pools == ([] if n == 2 else [min(w, p)])
+
+
+_TWO_WORKER_CELLS = ((5, 7), (6, 7))
+
+
+@pytest.mark.parametrize(
+    "n,p", [(n, p) for p in (2, 3, 5, 7) for n in range(2, 6)] + [(6, 5), (6, 7), (7, 5)]
+)
+def test_orbit_scan_matches_per_tuple_reference(n, p):
+    want = exhaustive_scan_reference(n, p)
+    for w in (1, 2) if (n, p) in _TWO_WORKER_CELLS else (1,):
+        got = exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive", workers=w))
+        assert got.to_dict() == want
+
+
+def _record_pencils(monkeypatch, module):
+    """Record the coefficients of every pencil that module.evaluate_instance is called on."""
+    seen, real = [], module.evaluate_instance
+
+    def record(p):
+        seen.append(tuple(ci.val for ci in p.c))
+        return real(p)
+
+    monkeypatch.setattr(module, "evaluate_instance", record)
+    return seen
+
+
+@pytest.mark.parametrize("n,count", [(5, 86), (6, 414)])
+def test_orbit_scan_crosschecks_the_reference_pencils(monkeypatch, n, count):
+    got, want = _record_pencils(monkeypatch, hunt), _record_pencils(monkeypatch, oracles)
+    exhaustive_scan(HuntConfig(n=n, field=GF(7), mode="exhaustive"))
+    exhaustive_scan_reference(n, 7)
+    assert len(want) == count
+    assert sorted(got) == sorted(want)
+
+
+def test_flipped_orbit_verdict_is_an_sm_mismatch(monkeypatch):
+    # the orbit's verdict is inferred from its representative (m_1 = 1); a wrong
+    # inference must surface in the cross-checks of the orbit's tuples
+    p, cfg = 7, HuntConfig(n=5, field=GF(7), mode="exhaustive")
+    base = exhaustive_scan(cfg)
+
+    def orbit(rep):
+        return [tuple(b**r * m % p for r, m in enumerate(rep, start=1)) for b in range(1, p)]
+
+    real = hunt._sm_values
+    # an SM orbit read as not SM: only its stride-selected tuples are cross-checked
+    sm_rep = next(
+        t for t in base.counterexamples if t[0] == 1 and any(map(_crosscheck_selected, orbit(t)))
+    )
+    # a valid orbit outside SM read as SM: every one of its tuples is cross-checked
+    other_rep = (1, 0, 0, 2)
+    gf = GF(p)
+    assert gf.zero not in recover_c_from_minors([gf.of(v) for v in other_rep] + [gf.zero], gf)
+    assert other_rep not in base.counterexamples
+    for rep, planted, checked, solutions in (
+        (sm_rep, [1], [t for t in orbit(sm_rep) if _crosscheck_selected(t)], -(p - 1)),
+        (other_rep, [], orbit(other_rep), p - 1),
+    ):
+        monkeypatch.setattr(
+            hunt, "_sm_values", lambda N, kmax: iter(planted) if N[1:-1] == rep else real(N, kmax)
         )
+        r = exhaustive_scan(cfg)
+        assert r.equivalence_violations == sorted((t, "sm-mismatch") for t in checked)
+        assert r.sm_solutions == base.sm_solutions + solutions
 
 
 def test_random_scan_deterministic():
