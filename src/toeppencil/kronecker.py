@@ -5,17 +5,22 @@ the first block subdiagonal (d+1 block columns, d+2 block rows) has linearly
 dependent columns exactly when a nonzero vector polynomial f(x) of degree
 <= d satisfies (M0 + x*M1) f(x) = 0. The smallest such d is the minimal
 index; a singular n x n pencil always has one below n, so the search is
-bounded. Inputs are general square pencils: the machinery does not need the
-nonzero-coefficient hypothesis of the Toeplitz construction.
+bounded. A regular pencil usually leaves before any stacked matrix is built:
+a nonzero det T(x0) at one of the probe points x0 = 0..n-1 proves it regular
+after one n x n elimination. Inputs are general square pencils: the
+machinery does not need the nonzero-coefficient hypothesis of the Toeplitz
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional
 
 from .criteria import ConsistencyAlarm
-from .linalg import Mat, Poly, ShapeError, mat_vec
+from .field import FieldMismatchError
+from .linalg import Mat, Poly, ShapeError, _eliminate, _kernel_vectors
 from .pencil import PencilInstance, build_M0, build_M1
 
 
@@ -29,6 +34,8 @@ class BlockPencil:
             raise ShapeError("pencil matrices must be square")
         if self.M0.rows != self.M1.rows:
             raise ShapeError("pencil matrices must have equal size")
+        if self.M0.field != self.M1.field:
+            raise FieldMismatchError(f"pencil matrices over {self.M0.field} and {self.M1.field}")
 
     @property
     def n(self) -> int:
@@ -45,54 +52,69 @@ class KroneckerResult:
     kernel_poly: Optional[List[Poly]]  # f with (M0 + x*M1) f(x) = 0, deg f = d
 
 
+def _stack(m0, m1, z, d: int) -> list:
+    """The rows of C(d) from the rows of M0 and M1 and the zero z: block row
+    bi holds M1 in block column bi-1 and M0 in block column bi."""
+    n = len(m0)
+    rows = []
+    for bi in range(d + 2):
+        for i in range(n):
+            row = [z] * (n * max(bi - 1, 0))
+            if bi > 0:
+                row += m1[i]
+            if bi <= d:
+                row += m0[i]
+            rows.append(row + [z] * (n * (d - bi)))
+    return rows
+
+
 def build_C(bp: BlockPencil, d: int) -> Mat:
     """The ((d+2)*n) x ((d+1)*n) stacked matrix; block column j holds the
     coefficient slot of x^j in a candidate kernel polynomial."""
     if d < 0:
         raise ValueError("block depth must be nonnegative")
-    n = bp.n
-    field = bp.M0.field
-    z = field.zero
-    rows = []
-    for bi in range(d + 2):
-        for i in range(n):
-            row = []
-            for bj in range(d + 1):
-                if bi == bj:
-                    row.extend(bp.M0.data[i])
-                elif bi == bj + 1:
-                    row.extend(bp.M1.data[i])
-                else:
-                    row.extend([z] * n)
-            rows.append(row)
-    return Mat(field, rows)
+    return Mat(bp.M0.field, _stack(bp.M0.data, bp.M1.data, bp.M0.field.zero, d))
 
 
 def analyze(bp: BlockPencil) -> KroneckerResult:
     """The minimal index d and a degree-d nonzero f(x) with
-    (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil. The first d
-    with a rank-deficient stacked matrix is minimal: the first n*d columns of
-    C(d) are those of C(d-1) padded with zero rows, so they stay independent.
+    (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil.
+
+    M0 and M1 are lifted to ints over one common scale, and every step runs
+    the int core of ``linalg``. For d = 0, 1, ..., n-1: if T(d) = A0 + d*A1
+    has n pivots, det T(d) != 0 proves the pencil regular. Otherwise C(d)
+    is reduced; the first d with a rank-deficient C(d) is minimal, because
+    the first n*d columns of C(d) are those of C(d-1) padded with zero rows,
+    so they stay independent. "Regular" is thus returned only with a proof:
+    a nonzero value of det T, or full column rank of every C(d), d < n (a
+    singular n x n pencil has its minimal index below n). A det that
+    vanishes at every probe, such as x(x-1)...(x-n+1) or, over GF(p) with
+    p <= n, x^p - x, falls through to that stacked search.
     Both the identity and the degree are re-verified exactly before returning."""
     n = bp.n
     field = bp.M0.field
+    flat, _ = field.lift([e for M in (bp.M0, bp.M1) for row in M.data for e in row])
+    A0 = [flat[i * n : (i + 1) * n] for i in range(n)]
+    A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
     for d in range(n):
-        basis = build_C(bp, d).kernel_basis()
-        if basis:
+        probe = [[x + d * y for x, y in zip(r0, r1)] for r0, r1 in zip(A0, A1)]
+        if len(_eliminate(probe, field)[1]) == n:
+            return KroneckerResult(minimal_index_d=None, kernel_poly=None)
+        a, pivots, _ = _eliminate(_stack(A0, A1, 0, d), field)
+        vec = next(_kernel_vectors(a, pivots, (d + 1) * n, field), None)
+        if vec is not None:
             break
     else:
         return KroneckerResult(minimal_index_d=None, kernel_poly=None)
-    vec = basis[0]
-    fk = [vec[k * n : (k + 1) * n] for k in range(d + 1)]  # coefficient of x^k
     # the coefficient of x^k in (M0 + x*M1) f(x) is M0 f_k + M1 f_{k-1}
-    # (f_{-1} = f_{d+1} = 0); checked apart from build_C, which found f
-    zero = (field.zero,) * n
-    for k in range(d + 2):
-        low = mat_vec(bp.M0, fk[k]) if k <= d else zero
-        high = mat_vec(bp.M1, fk[k - 1]) if k > 0 else zero
-        if any(a + b != field.zero for a, b in zip(low, high)):
+    # (f_{-1} = f_{d+1} = 0); checked on the lifted rows, apart from C(d)
+    ints = field.lift(vec)[0]
+    zero = [0] * n
+    fk = [zero] + [ints[k * n : (k + 1) * n] for k in range(d + 1)] + [zero]
+    for lo, hi in zip(fk[1:], fk):
+        if any(field.of(sum(map(mul, r0, lo)) + sum(map(mul, r1, hi))) for r0, r1 in zip(A0, A1)):
             raise ConsistencyAlarm("kernel vector fails the pencil identity")
-    f = [Poly(field, [fk[k][i] for k in range(d + 1)]) for i in range(n)]
+    f = [Poly(field, vec[i :: n]) for i in range(n)]
     degrees = [fi.degree for fi in f if not fi.is_zero]
     if not degrees or max(degrees) != d:
         raise ConsistencyAlarm("kernel vector degree disagrees with minimal index")

@@ -1,17 +1,18 @@
 """Dense exact matrices over an exact field, and the kernel's polynomials.
 
 A ``Mat`` holds entries of one exact field (rationals or GF(p)). The
-determinant, rank, kernel and inverse all read one fraction-free (Bareiss)
-Gauss-Jordan reduction of the entries lifted to Python ints; values become
-field elements again only at the return. ``Poly`` is the
-container in which the kernel extraction returns a vector polynomial.
+determinant, rank, kernel and inverse all lift the entries to Python ints and
+run one fraction-free (Bareiss) Gauss-Jordan reduction, ``_eliminate``, on
+them; values become field elements again only at the return. The kernel
+extraction runs the same int core on rows it lifts itself. ``Poly`` is the
+container in which it returns a vector polynomial.
 
 All objects are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 
 class ShapeError(ValueError):
@@ -90,70 +91,30 @@ class Mat:
         ]
         return Mat(self.field, rows)
 
-    def _reduce(self):
-        """Fraction-free Gauss-Jordan on the lifted ints: (rows, pivot cols,
-        swap sign, scale L). The pivot is the first entry nonzero in the field;
-        a row with f != 0 in its column becomes (piv*x - f*y) // level, exact
-        by Sylvester's identity (Bareiss). Rows with f = 0 are left alone, so
-        row i is its Bareiss row times level[i]/prev: a[r][j] / a[r][c] on
-        pivot row r is the reduced echelon form, and the last pivot row holds
-        the last pivot."""
-        fld = self.field
-        flat, L = fld.lift([e for row in self.data for e in row])
+    def _lift(self) -> Tuple[List[List[int]], int]:
+        """The rows as plain ints over one common scale L, and L."""
+        flat, L = self.field.lift([e for row in self.data for e in row])
         k = self.cols
-        a = [flat[i * k : (i + 1) * k] for i in range(self.rows)]
-        level = [1] * self.rows
-        pivots: List[int] = []
-        sign, prev, r = 1, 1, 0
-        for c in range(k):
-            pr = next((i for i in range(r, self.rows) if fld.of(a[i][c])), None)
-            if pr is None:
-                continue
-            if pr != r:
-                a[r], a[pr], level[r], level[pr] = a[pr], a[r], level[pr], level[r]
-                sign = -sign
-            if level[r] != prev:
-                a[r] = [x * prev // level[r] for x in a[r]]
-            top = a[r]
-            piv = top[c]
-            for i in range(self.rows):
-                f = a[i][c]
-                if f and i != r:
-                    a[i] = [(piv * x - f * y) // level[i] for x, y in zip(a[i], top)]
-                    level[i] = piv
-            level[r] = prev = piv
-            pivots.append(c)
-            r += 1
-        return a, pivots, sign, L
+        return [flat[i * k : (i + 1) * k] for i in range(self.rows)], L
 
     def det(self):
         """Exact determinant: sign * last pivot / L^n of the reduction."""
         if self.rows != self.cols:
             raise ShapeError("determinant of non-square matrix")
-        a, pivots, sign, L = self._reduce()
+        a, L = self._lift()
+        a, pivots, sign = _eliminate(a, self.field)
         if len(pivots) < self.rows:
             return self.field.zero
         return self.field.frac(sign * a[-1][-1] if a else 1, L**self.rows)
 
     def rank(self) -> int:
-        return len(self._reduce()[1])
+        return len(_eliminate(self._lift()[0], self.field)[1])
 
     def kernel_basis(self) -> List[Tuple]:
         """Basis of the right null space, one vector per free column f (ascending):
         1 at f, 0 at the other free columns; empty list iff full column rank."""
-        a, pivots, _, _ = self._reduce()
-        fld = self.field
-        z, o = fld.zero, fld.one
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [z] * self.cols
-            v[f] = o
-            for r, c in enumerate(pivots):
-                v[c] = fld.frac(-a[r][f], a[r][c])
-            basis.append(tuple(v))
-        return basis
+        a, pivots, _ = _eliminate(self._lift()[0], self.field)
+        return list(_kernel_vectors(a, pivots, self.cols, self.field))
 
     def inv(self) -> "Mat":
         """Inverse from the reduction of [A | I]: A is invertible exactly when
@@ -162,11 +123,62 @@ class Mat:
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
         fld = self.field
-        eye = Mat.identity(fld, n).data
-        a, pivots, _, _ = Mat(fld, [r + e for r, e in zip(self.data, eye)])._reduce()
+        aug = Mat(fld, [r + e for r, e in zip(self.data, Mat.identity(fld, n).data)])
+        a, pivots, _ = _eliminate(aug._lift()[0], fld)
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
         return Mat(fld, [[fld.frac(e, row[r]) for e in row[n:]] for r, row in enumerate(a)])
+
+
+def _eliminate(a: List[Sequence[int]], fld) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan on int rows, lifted from ``fld``: (rows,
+    pivot cols, swap sign). The list ``a`` is reordered in place; its rows
+    are replaced, never written. The pivot is the first entry nonzero in the
+    field; a row with f != 0 in its column becomes (piv*x - f*y) // level,
+    exact by Sylvester's identity (Bareiss). Rows with f = 0 are left alone,
+    so row i is its Bareiss row times level[i]/prev: a[r][j] / a[r][c] on
+    pivot row r is the reduced echelon form, and the last pivot row holds
+    the last pivot."""
+    m = len(a)
+    level = [1] * m
+    pivots: List[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(r, m) if fld.of(a[i][c])), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr], level[r], level[pr] = a[pr], a[r], level[pr], level[r]
+            sign = -sign
+        if level[r] != prev:
+            a[r] = [x * prev // level[r] for x in a[r]]
+        top = a[r]
+        piv = top[c]
+        for i in range(m):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [(piv * x - f * y) // level[i] for x, y in zip(a[i], top)]
+                level[i] = piv
+        level[r] = prev = piv
+        pivots.append(c)
+        r += 1
+    return a, pivots, sign
+
+
+def _kernel_vectors(a: List[Sequence[int]], pivots: List[int], cols: int, fld) -> Iterator[Tuple]:
+    """The null-space basis read off a reduction by ``_eliminate``, one field
+    vector per free column f (ascending): 1 at f, -a[r][f] / a[r][c] at the
+    pivot c of row r, 0 at the other free columns."""
+    z, o = fld.zero, fld.one
+    pivot_set = set(pivots)
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [z] * cols
+        v[f] = o
+        for r, c in enumerate(pivots):
+            v[c] = fld.frac(-a[r][f], a[r][c])
+        yield tuple(v)
 
 
 def mat_vec(M: Mat, v: Sequence) -> Tuple:

@@ -13,7 +13,10 @@ library computes on plain ints, are checked against the field-typed matrix
 formulas they replaced: Gauss-Jordan ``Q.inv()`` and matrix-vector products
 over the field. The orbit-reduced integer hunt is checked against the
 per-tuple scan it replaced, which recovers the coefficients and evaluates SM
-on field elements for every one of the p^(n-1) tuples.
+on field elements for every one of the p^(n-1) tuples. The kernel extraction
+on lifted ints, with its det-probe exit, is checked against the stacked search
+it replaced: ``Mat.kernel_basis`` of every C(d) and ``Fraction``/GF(p)
+matrix-vector products for the identity.
 """
 
 from itertools import combinations, product
@@ -21,7 +24,8 @@ from itertools import combinations, product
 from toeppencil.criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
 from toeppencil.field import PrimeField
 from toeppencil.hunt import _crosscheck_selected
-from toeppencil.linalg import Mat, mat_vec
+from toeppencil.kronecker import BlockPencil, KroneckerResult, build_C
+from toeppencil.linalg import Mat, Poly, mat_vec
 from toeppencil.minors import MinorVector, build_sm_objects, recover_c_from_minors
 from toeppencil.pencil import build_pencil, partition
 
@@ -289,3 +293,34 @@ def exhaustive_scan_reference(n: int, p: int) -> dict:
         "violations": [list(t) for t in sorted(violations)],
         "note": note if counterexamples else None,
     }
+
+
+def analyze_reference(bp: BlockPencil) -> KroneckerResult:
+    """The minimal index d and a degree-d nonzero f(x) with
+    (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil. The first d
+    with a rank-deficient stacked matrix is minimal: the first n*d columns of
+    C(d) are those of C(d-1) padded with zero rows, so they stay independent.
+    Both the identity and the degree are re-verified exactly before returning."""
+    n = bp.n
+    field = bp.M0.field
+    for d in range(n):
+        basis = build_C(bp, d).kernel_basis()
+        if basis:
+            break
+    else:
+        return KroneckerResult(minimal_index_d=None, kernel_poly=None)
+    vec = basis[0]
+    fk = [vec[k * n : (k + 1) * n] for k in range(d + 1)]  # coefficient of x^k
+    # the coefficient of x^k in (M0 + x*M1) f(x) is M0 f_k + M1 f_{k-1}
+    # (f_{-1} = f_{d+1} = 0); checked apart from build_C, which found f
+    zero = (field.zero,) * n
+    for k in range(d + 2):
+        low = mat_vec(bp.M0, fk[k]) if k <= d else zero
+        high = mat_vec(bp.M1, fk[k - 1]) if k > 0 else zero
+        if any(a + b != field.zero for a, b in zip(low, high)):
+            raise ConsistencyAlarm("kernel vector fails the pencil identity")
+    f = [Poly(field, [fk[k][i] for k in range(d + 1)]) for i in range(n)]
+    degrees = [fi.degree for fi in f if not fi.is_zero]
+    if not degrees or max(degrees) != d:
+        raise ConsistencyAlarm("kernel vector degree disagrees with minimal index")
+    return KroneckerResult(minimal_index_d=d, kernel_poly=f)

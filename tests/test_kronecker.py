@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from toeppencil import kronecker
 from toeppencil.criteria import ConsistencyAlarm
-from toeppencil.field import GF, QQ
+from toeppencil.field import GF, QQ, FieldMismatchError
 from toeppencil.kronecker import BlockPencil, analyze, build_C
 from toeppencil.linalg import Mat
+from toeppencil.minors import recover_c_from_minors
 from toeppencil.pencil import build_pencil, is_singular
 
 from conftest import geometric_pencil, random_rational_pencil
-from oracles import pencil_residual
+from oracles import analyze_reference, nongeometric_singular_minor_tuples, pencil_residual
 
 
 def qp(*cs):
@@ -136,19 +139,145 @@ def test_toeplitz_singular_small_n_means_d0():
     assert checked == 15
 
 
-# the stacked all-ones vector is offered as the kernel at d = 0; with M0 = 0
-# it fails only M1 f_0 = 0 (the top coefficient), with M1 = 0 only M0 f_0 = 0
+# the stacked all-ones vector is offered as the kernel at d = 0, wherever
+# T(0) is singular; with M0 = 0 it fails only M1 f_0 = 0 (the top
+# coefficient), with M1 = 0 only M0 f_0 = 0 (the bottom one)
 @pytest.mark.parametrize(
     "bp, entry",
     [
         (BlockPencil.from_pencil(qp(1, 2, 4, 8)), 1),
         (BlockPencil.from_pencil(qp(1, 2, 4, 8)), 0),
         (BlockPencil(Mat.zeros(QQ, 2, 2), Mat.identity(QQ, 2)), 1),
-        (BlockPencil(Mat.identity(QQ, 2), Mat.zeros(QQ, 2, 2)), 1),
+        (BlockPencil(qmat([[1, 0], [0, 0]]), Mat.zeros(QQ, 2, 2)), 1),
     ],
     ids=["fails-identity", "zero-vector", "fails-top-only", "fails-bottom-only"],
 )
 def test_kernel_poly_rejects_wrong_kernel_vector(monkeypatch, bp, entry):
-    monkeypatch.setattr(Mat, "kernel_basis", lambda self: [(QQ.of(entry),) * self.cols])
+    monkeypatch.setattr(
+        kronecker, "_kernel_vectors", lambda a, pivots, cols, fld: iter([(QQ.of(entry),) * cols])
+    )
     with pytest.raises(ConsistencyAlarm):
         analyze(bp)
+
+
+def test_kernel_poly_rejects_degree_below_index(monkeypatch):
+    # a true degree-0 kernel vector, offered at d = 1 padded with a zero
+    # top block: it passes the identity, so only the degree check stops it
+    bp = BlockPencil.from_pencil(qp(1, 2, 4, 8))
+    (v,) = build_C(bp, 0).kernel_basis()
+
+    def late_vector(a, pivots, cols, fld):
+        return iter([v + (fld.zero,) * 3] if cols == 6 else [])
+
+    monkeypatch.setattr(kronecker, "_kernel_vectors", late_vector)
+    with pytest.raises(ConsistencyAlarm, match="degree"):
+        analyze(bp)
+
+
+@pytest.mark.parametrize(
+    "f0, f1",
+    [(QQ, GF(7)), (GF(7), QQ), (GF(5), GF(7))],
+    ids=["qq-gf7", "gf7-qq", "gf5-gf7"],
+)
+def test_block_pencil_refuses_mixed_fields(f0, f1):
+    with pytest.raises(FieldMismatchError):
+        BlockPencil(Mat.identity(f0, 2), Mat.identity(f1, 2))
+
+
+def _sparse_pencil(rng, field, n, dens=(1,)):
+    def entry():
+        return field.frac(rng.choice([0, 0, 0, 1, 2, -1]), rng.choice(dens))
+
+    return BlockPencil(
+        Mat(field, [[entry() for _ in range(n)] for _ in range(n)]),
+        Mat(field, [[entry() for _ in range(n)] for _ in range(n)]),
+    )
+
+
+def _differential_cells():
+    yield "shift", SHIFT_EXAMPLE
+    for lam in (Fraction(2), Fraction(-1, 3)):
+        for n in range(2, 13):
+            yield f"geometric {lam} n={n}", BlockPencil.from_pencil(geometric_pencil(lam, n))
+    rng = random.Random(139)
+    for n in range(2, 8):
+        for _ in range(3):
+            yield f"random QQ n={n}", BlockPencil.from_pencil(random_rational_pencil(rng, n))
+    gf3 = GF(3)
+    for n in range(2, 6):
+        for tail in product((1, 2), repeat=n):
+            yield f"GF(3) {tail}", BlockPencil.from_pencil(build_pencil([1, *tail], gf3))
+    gf7 = GF(7)
+    for n in (5, 6):
+        for mt in nongeometric_singular_minor_tuples(n, 7):
+            c = recover_c_from_minors([gf7.of(m) for m in mt] + [gf7.zero], gf7)
+            yield f"GF(7) minors {mt}", BlockPencil.from_pencil(build_pencil([gf7.one] + c, gf7))
+    rng = random.Random(149)
+    for p in (2, 3, 5):
+        for _ in range(60):
+            yield f"sparse GF({p})", _sparse_pencil(rng, GF(p), rng.randint(1, 5))
+    # M0 and M1 with different denominators: the two must share one scale
+    for _ in range(60):
+        yield "sparse QQ", _sparse_pencil(rng, QQ, rng.randint(1, 5), dens=(1, 2, 3))
+
+
+def test_analyze_matches_stacked_reference():
+    singular = regular = 0
+    for label, bp in _differential_cells():
+        res = analyze(bp)
+        assert res == analyze_reference(bp), label
+        if res.minimal_index_d is None:
+            regular += 1
+        else:
+            singular += 1
+    # both branches are exercised, the probe exit and the stacked kernel
+    assert singular > 50 and regular > 50
+
+
+def _diag(field, roots, n):
+    """diag(x - r_1, ..., x - r_k, 1, ..., 1), n x n."""
+    k = len(roots)
+    d0 = [field.of(-r) for r in roots] + [field.one] * (n - k)
+    d1 = [field.one] * k + [field.zero] * (n - k)
+
+    def mat(diagonal):
+        return Mat(field, [[e if i == j else field.zero for j in range(n)] for i, e in enumerate(diagonal)])
+
+    return BlockPencil(mat(d0), mat(d1))
+
+
+# det T(x) vanishes at the probe points x = 0..k-1 and not at x = k, so the
+# probes up to k-1 fail and the stacked C(0..k-1) (full column rank) are
+# built before T(k) proves regularity; at k = n only the stacked search does
+@pytest.mark.parametrize(
+    "bp, k",
+    [
+        *((_diag(QQ, range(n), n), n) for n in range(1, 6)),
+        (_diag(GF(2), [0, 1], 2), 2),
+        (_diag(QQ, [0, 1], 4), 2),
+    ],
+    ids=[*(f"qq-diag-n{n}" for n in range(1, 6)), "gf2-x-x1", "qq-x-x1-1-1"],
+)
+def test_regular_pencil_det_vanishing_at_probes(monkeypatch, bp, k):
+    built = []
+    stack = kronecker._stack
+
+    def counting_stack(m0, m1, z, d):
+        built.append(d)
+        return stack(m0, m1, z, d)
+
+    monkeypatch.setattr(kronecker, "_stack", counting_stack)
+    res = analyze(bp)
+    assert (res.minimal_index_d, res.kernel_poly) == (None, None)
+    assert built == list(range(k))
+
+
+def test_regular_pencil_exits_before_any_stacked_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("stacked matrix built for a regular pencil")
+
+    monkeypatch.setattr(kronecker, "_stack", refuse)
+    p = random_rational_pencil(random.Random(151), 12)
+    assert not is_singular(p)
+    res = analyze(BlockPencil.from_pencil(p))
+    assert (res.minimal_index_d, res.kernel_poly) == (None, None)
