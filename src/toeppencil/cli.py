@@ -129,13 +129,10 @@ def cmd_hunt(args) -> int:
             n=args.n,
             field=fld,
             mode=mode,
-            trials=(100 if args.random else 0) if args.trials is None else args.trials,
-            seed=0 if args.seed is None else args.seed,
+            trials=100 if args.random and args.trials is None else args.trials,
+            seed=args.seed,
             workers=args.workers,
         )
-        if args.exhaustive and (args.trials, args.seed) != (None, None):
-            # an explicit 0 passes HuntConfig, which cannot tell it from the default
-            raise HuntConfigError("exhaustive scans take no trials or seed")
         report = exhaustive_scan(cfg) if args.exhaustive else random_scan(cfg)
     except HuntConfigError as e:
         raise InputError(str(e)) from e

@@ -6,7 +6,9 @@ principal minors only): m_n = 0 together with (t_y P) X^k y = 0 for all
 k >= 0. The infinite quantifiers are truncated at k <= n-1 and k <= n-3
 respectively: powers of a matrix beyond its dimension are linear
 combinations of lower powers (Cayley-Hamilton), and both conditions are
-linear in the power, so the finite range is equivalent.
+linear in the power, so the finite range is equivalent. The values come
+as bounded lazy streams, and each check reads its stream only up to the
+first violated condition.
 
 Both tests must agree with the direct zero-polynomial test on det T(x);
 a disagreement is an implementation bug and raises ConsistencyAlarm.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .minors import MinorVector, principal_minors
 from .pencil import PencilInstance, is_geometric, is_singular
@@ -28,19 +30,17 @@ class ConsistencyAlarm(RuntimeError):
 
 @dataclass(frozen=True)
 class CriterionReport:
-    n: int
     singular_det: bool
     s_holds: bool
     sm_holds: bool
     s_witness: Optional[Tuple[int, object]]  # first violated condition; k=0 is the star condition
     sm_witness: Optional[Tuple[int, object]]  # k=-1 denotes the m_n condition
-    m_n: object  # n-th principal minor of the normalized instance
     y_is_zero: bool
     geometric: Optional[object]  # common ratio, when the sequence is geometric
 
 
-def s_condition_values(p: PencilInstance, kmax: Optional[int] = None):
-    """star = c_{n+1} - w Q^{-1} v, and the list of w Q^{-1} (B Q^{-1})^k v
+def s_condition_values(p: PencilInstance, kmax: Optional[int] = None) -> Iterator:
+    """Lazily: star = c_{n+1} - w Q^{-1} v, then w Q^{-1} (B Q^{-1})^k v
     for k = 1..kmax (default kmax = n-1).
 
     Runs on plain ints. c is lifted to L*c (L = 1 over GF(p)); Q, v and w
@@ -51,8 +51,6 @@ def s_condition_values(p: PencilInstance, kmax: Optional[int] = None):
     c1^(2k+1+i). Over GF(p) the rational results are reduced at the end,
     where c1 is a unit.
     """
-    if kmax is None:
-        kmax = p.n - 1
     c, L = p.field.lift(p.c)
     fld, n, size = p.field, p.n, p.n - 1
     c1 = c[0]
@@ -70,24 +68,21 @@ def s_condition_values(p: PencilInstance, kmax: Optional[int] = None):
     v = c[1:n]
     w = [wi * pw[size - 1 - i] for i, wi in enumerate(reversed(v))]  # w.u is over c1^(2k+size)
     u = solve([vi * pw[i] for i, vi in enumerate(v)])
-    star = fld.frac(c[n] * pw[size] - sum(map(mul, w, u)), pw[size] * L)
-    values = []
-    for k in range(1, kmax + 1):
+    yield fld.frac(c[n] * pw[size] - sum(map(mul, w, u)), pw[size] * L)
+    for k in range(1, size + 1 if kmax is None else kmax + 1):
         u = solve(u[1:] + [0])  # B shifts up by one
-        values.append(fld.frac(sum(map(mul, w, u)) * L ** (k - 1), c1 ** (2 * k + size)))
-    return star, values
+        yield fld.frac(sum(map(mul, w, u)) * L ** (k - 1), c1 ** (2 * k + size))
+
+
+def _first_violation(values: Iterable, start: int) -> Optional[Tuple[int, object]]:
+    """(k, value) of the first nonzero value, counting from start; reads no further."""
+    return next(((k, v) for k, v in enumerate(values, start) if v), None)
 
 
 def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
     """Power condition, truncated at k = n-1; witness is the first violation."""
-    star, values = s_condition_values(p)
-    zero = p.field.zero
-    if star != zero:
-        return False, (0, star)
-    for k, val in enumerate(values, start=1):
-        if val != zero:
-            return False, (k, val)
-    return True, None
+    witness = _first_violation(s_condition_values(p), 0)
+    return witness is None, witness
 
 
 def _sm_values(N: Sequence[int], kmax: int) -> Iterator[int]:
@@ -109,29 +104,25 @@ def _sm_values(N: Sequence[int], kmax: int) -> Iterator[int]:
         yield sum(map(mul, yP, z))
 
 
-def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> List:
-    """(t_y P) X^k y for k = 0..kmax (default kmax = n-3; empty for n = 2).
+def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> Iterator:
+    """Lazily: (t_y P) X^k y for k = 0..kmax (default kmax = n-3; empty for n = 2).
 
     Runs on plain ints: N = D*m over one common denominator D (D = 1 over
     GF(p)). X and y are linear in the minors, so the k-th value is
     homogeneous of degree k+2 in them and equals V_k(N) / D^(k+2).
     """
-    if kmax is None:
-        kmax = mv.n - 3
     N, D = mv.field.lift(mv.m)
-    return [mv.field.frac(v, D ** (k + 2)) for k, v in enumerate(_sm_values(N, kmax))]
+    for k, v in enumerate(_sm_values(N, mv.n - 3 if kmax is None else kmax)):
+        yield mv.field.frac(v, D ** (k + 2))
 
 
 def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], MinorVector]:
     """Minor condition, truncated at k = n-3; for n = 2 it is just m_2 = 0."""
     mv = principal_minors(p)
-    zero = p.field.zero
-    if mv.m[mv.n] != zero:
-        return False, (-1, mv.m[mv.n]), mv
-    for k, val in enumerate(sm_condition_values(mv)):
-        if val != zero:
-            return False, (k, val), mv
-    return True, None, mv
+    m_n = mv.m[mv.n]
+    # the k >= 0 stream is created only when m_n = 0
+    witness = (-1, m_n) if m_n else _first_violation(sm_condition_values(mv), 0)
+    return witness is None, witness, mv
 
 
 def evaluate_instance(p: PencilInstance) -> CriterionReport:
@@ -140,13 +131,11 @@ def evaluate_instance(p: PencilInstance) -> CriterionReport:
     sm_holds, sm_witness, mv = check_SM(p)
     y_is_zero = all(mv.m[r] == p.field.zero for r in range(2, mv.n))
     report = CriterionReport(
-        n=p.n,
         singular_det=singular,
         s_holds=s_holds,
         sm_holds=sm_holds,
         s_witness=s_witness,
         sm_witness=sm_witness,
-        m_n=mv.m[mv.n],
         y_is_zero=y_is_zero,
         geometric=is_geometric(p),
     )

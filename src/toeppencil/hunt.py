@@ -62,8 +62,8 @@ class HuntConfig:
     n: int
     field: object
     mode: str = "exhaustive"  # "exhaustive" | "random"
-    trials: int = 0
-    seed: int = 0
+    trials: Optional[int] = None  # random scans only, and required there
+    seed: Optional[int] = None  # random scans only; None seeds as 0
     workers: int = 1
 
     def __post_init__(self):
@@ -74,7 +74,7 @@ class HuntConfig:
         if self.mode == "exhaustive":
             if not isinstance(self.field, PrimeField):
                 raise HuntConfigError("exhaustive scans require a prime field")
-            if self.trials or self.seed:
+            if (self.trials, self.seed) != (None, None):
                 raise HuntConfigError("exhaustive scans take no trials or seed")
             p, e = self.field.p, self.n - 1
             cap = MAX_EXHAUSTIVE_TUPLES.bit_length()  # p^cap >= 2^cap > the limit
@@ -83,7 +83,7 @@ class HuntConfig:
                 raise HuntConfigError(
                     f"exhaustive scan of {count} tuples exceeds the limit {MAX_EXHAUSTIVE_TUPLES}"
                 )
-        if self.mode == "random" and self.trials < 1:
+        if self.mode == "random" and (self.trials is None or self.trials < 1):
             raise HuntConfigError("random scans need trials >= 1")
         if self.workers < 1:
             raise HuntConfigError("workers must be >= 1")
@@ -195,7 +195,7 @@ def random_scan(cfg: HuntConfig) -> HuntReport:
     coefficient lists, plus geometric ones for each nonzero ratio 1, 2, -1, 1/2."""
     if cfg.mode != "random":
         raise HuntConfigError("config is not in random mode")
-    rng = random.Random(cfg.seed)
+    rng = random.Random(cfg.seed or 0)  # random.Random(None) would seed from the clock
     report = HuntReport()
     instances = []
     for _ in range(cfg.trials):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
-from .field import QQ
+from .field import QQ, FieldMismatchError
 from .linalg import Mat
 
 
@@ -52,6 +52,8 @@ def build_pencil(c: Sequence, field=None) -> PencilInstance:
         raise PencilError(f"need at least 3 coefficients, got {len(c)}")
     zero = field.zero
     for i, ci in enumerate(c):
+        if not isinstance(ci, type(zero)):  # a GF(q) element of another modulus fails at ==
+            raise FieldMismatchError(f"coefficient c{i + 1} = {ci!r} is not in {field!r}")
         if ci == zero:
             raise PencilError(f"coefficient c{i + 1} is zero")
     return PencilInstance(field, c)

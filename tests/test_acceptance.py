@@ -114,7 +114,7 @@ def test_criterion_05_truncation_soundness():
         cases = [random_rational_pencil(rng, n) for _ in range(200)]
         cases += [geometric_pencil(lam, n) for lam in GEOMETRIC_RATIOS]
         for p in cases:
-            star, vals = s_condition_values(p, kmax=2 * n)
+            star, *vals = s_condition_values(p, kmax=2 * n)
             if star == 0 and all(v == 0 for v in vals[: n - 1]):
                 assert all(v == 0 for v in vals[n - 1 :])
                 nonvacuous += 1
@@ -238,7 +238,8 @@ def test_criterion_07_characteristic_zero_certificate():
             mv = MinorVector(field=QQ, m=(QQ.one, *vals, QQ.zero))
             at = {s: sp.Rational(v.numerator, v.denominator) for s, v in zip(ms, vals)}
             symbolic = [poly.xreplace(at) for poly in polys]
-            assert [Fraction(int(e.p), int(e.q)) for e in symbolic] == sm_condition_values(mv)
+            expected = [Fraction(int(e.p), int(e.q)) for e in symbolic]
+            assert expected == list(sm_condition_values(mv))
     # over Q the minor condition forces y = 0, so no scan counterexample lifts
     for n in range(3, 7):
         assert _uncertified(sp, n) == (), n

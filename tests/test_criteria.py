@@ -2,6 +2,7 @@ import dataclasses
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from toeppencil.criteria import (
     _sm_values,
@@ -117,6 +118,23 @@ def test_equivalence_chain_gf():
                 assert rep.singular_det == rep.s_holds == rep.sm_holds
 
 
+def test_small_prime_census():
+    # every c1 = 1 pencil of the small-prime cells, p <= n+2 included: evaluate_instance
+    # raises ConsistencyAlarm on any disagreement, and the singular pencils are the p-1
+    # geometric ones, plus the hunt's 18 non-geometric ones at (n, p) = (5, 7)
+    cells = [(n, q) for q in (2, 3) for n in range(2, 9)]
+    cells += [(n, q) for q in (5, 7) for n in range(2, 6)]
+    for n, q in cells:
+        fld = GF(q)
+        reports = [
+            evaluate_instance(build_pencil([1, *tail], fld))
+            for tail in product(range(1, q), repeat=n)
+        ]
+        singular = [r for r in reports if r.singular_det]
+        assert sum(r.geometric is not None for r in singular) == q - 1, (n, q)
+        assert len(singular) == (24 if (n, q) == (5, 7) else q - 1), (n, q)
+
+
 def test_truncation_soundness_extended_range():
     rng = random.Random(103)
     for n in range(2, 8):
@@ -124,7 +142,7 @@ def test_truncation_soundness_extended_range():
         cases.append(geometric_pencil(Fraction(2), n))
         cases.append(geometric_pencil(Fraction(-1), n))
         for p in cases:
-            star, vals = s_condition_values(p, kmax=2 * n)
+            star, *vals = s_condition_values(p, kmax=2 * n)
             truncated_ok = star == 0 and all(v == 0 for v in vals[: n - 1])
             if truncated_ok:
                 assert all(v == 0 for v in vals)
@@ -137,8 +155,8 @@ def test_sm_values_invariant_under_scaling():
         p = random_rational_pencil(rng, n)
         t = Fraction(rng.choice([2, 3, -2]))
         scaled = build_pencil([ci * t for ci in p.c])
-        assert sm_condition_values(principal_minors(p)) == sm_condition_values(
-            principal_minors(scaled)
+        assert list(sm_condition_values(principal_minors(p))) == list(
+            sm_condition_values(principal_minors(scaled))
         )
 
 
@@ -201,7 +219,7 @@ def test_smallest_violated_k_reported():
         if holds or witness[0] == 0:
             continue
         k, value = witness
-        star, vals = s_condition_values(p)
+        star, *vals = s_condition_values(p)
         assert star == 0
         assert all(v == 0 for v in vals[: k - 1]) and vals[k - 1] == value != 0
         found += 1
@@ -246,13 +264,13 @@ def test_s_and_sm_values_match_field_formulas():
     cases += [build_pencil(c, GF(7)) for c in ([1, 1, 5, 4, 1, 2], [1, 2, 6, 4, 2, 1])]
     for p in cases:
         zero = p.field.zero
-        star, vals = s_condition_values(p, kmax=2 * p.n)
+        star, *vals = s_condition_values(p, kmax=2 * p.n)
         assert (star, vals) == s_values_field(p, 2 * p.n), p.c
         holds, witness = check_S(p)
         expected = _first_nonzero([star] + vals[: p.n - 1], zero, 0)
         assert holds == (expected is None) and witness == expected, p.c
         mv = principal_minors(p)
-        sm_vals = sm_condition_values(mv, kmax=p.n)
+        sm_vals = list(sm_condition_values(mv, kmax=p.n))
         assert sm_vals == sm_values_field(mv, p.n), p.c
         holds, witness, _ = check_SM(p)
         expected = _first_nonzero([mv.m[p.n]] + sm_vals[: p.n - 2], zero, -1)

@@ -35,7 +35,9 @@ def test_config_validation():
     for workers in (2, 4):  # random scans never shard
         with pytest.raises(HuntConfigError):
             HuntConfig(n=4, field=QQ, mode="random", trials=5, workers=workers)
-    for extra in ({"trials": 7}, {"seed": 9}, {"trials": 7, "seed": 9}):
+    for extra in (
+        {"trials": 7}, {"seed": 9}, {"trials": 7, "seed": 9}, {"trials": 0}, {"seed": 0},
+    ):
         with pytest.raises(HuntConfigError):  # exhaustive scans draw nothing at random
             HuntConfig(n=4, field=GF(5), mode="exhaustive", **extra)
     for n, p in ((3, 1000003), (11, 7), (2, 100000007), (10**9, 7)):  # p^(n-1) > 10^8

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from toeppencil.field import GF, QQ
+from toeppencil.field import GF, QQ, FieldMismatchError
 from toeppencil.linalg import Mat
 from toeppencil.pencil import (
     PencilError,
@@ -32,6 +32,20 @@ def test_build_pencil_validation():
         qp(1, 0, 4, 8)
     with pytest.raises(PencilError):
         qp(1, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_build_pencil_refuses_non_field_coefficients(field):
+    for bad in (1.5, "2"):
+        for pos in range(3):
+            c = [1, 2, 3]
+            c[pos] = bad
+            with pytest.raises(FieldMismatchError, match=f"^coefficient c{pos + 1} = "):
+                build_pencil(c, field)
+    # an element of another field: the mixed-moduli error over GF(7) is unchanged
+    mixed = r"^mixed moduli: GF\(5\) vs GF\(7\)$" if field == GF(7) else "^coefficient c2 = "
+    with pytest.raises(FieldMismatchError, match=mixed):
+        build_pencil([1, GF(5).of(2), 3], field)
 
 
 def test_m0_display():
