@@ -3,12 +3,15 @@
 Power condition (on the partition blocks): w Q^{-1} v = c_{n+1} together
 with w Q^{-1} (B Q^{-1})^k v = 0 for all k >= 1. Minor condition (on the
 principal minors only): m_n = 0 together with (t_y P) X^k y = 0 for all
-k >= 0. The infinite quantifiers are truncated at k <= n-1 and k <= n-3
+k >= 0. The infinite quantifiers are truncated at k <= n-2 and k <= n-3
 respectively: powers of a matrix beyond its dimension are linear
 combinations of lower powers (Cayley-Hamilton), and both conditions are
-linear in the power, so the finite range is equivalent. The values come
-as bounded lazy streams, and each check reads its stream only up to the
-first violated condition.
+linear in the power, so the finite range is equivalent. For S one more
+power drops: B is the nilpotent shift, so det(B Q^{-1}) = 0, the
+characteristic polynomial of the (n-1) x (n-1) matrix B Q^{-1} has no
+constant term, and (B Q^{-1})^(n-1) is a combination of the powers
+1..n-2 alone. The values come as bounded lazy streams, and each check
+reads its stream only up to the first violated condition.
 
 Both tests must agree with the direct zero-polynomial test on det T(x);
 a disagreement is an implementation bug and raises ConsistencyAlarm.
@@ -41,7 +44,7 @@ class CriterionReport:
 
 def s_condition_values(p: PencilInstance, kmax: Optional[int] = None) -> Iterator:
     """Lazily: star = c_{n+1} - w Q^{-1} v, then w Q^{-1} (B Q^{-1})^k v
-    for k = 1..kmax (default kmax = n-1).
+    for k = 1..kmax (default kmax = n-2).
 
     Runs on plain ints. c is lifted to L*c (L = 1 over GF(p)); Q, v and w
     scale by L and B does not, so star = star_L / L and
@@ -69,7 +72,7 @@ def s_condition_values(p: PencilInstance, kmax: Optional[int] = None) -> Iterato
     w = [wi * pw[size - 1 - i] for i, wi in enumerate(reversed(v))]  # w.u is over c1^(2k+size)
     u = solve([vi * pw[i] for i, vi in enumerate(v)])
     yield fld.frac(c[n] * pw[size] - sum(map(mul, w, u)), pw[size] * L)
-    for k in range(1, size + 1 if kmax is None else kmax + 1):
+    for k in range(1, size if kmax is None else kmax + 1):
         u = solve(u[1:] + [0])  # B shifts up by one
         yield fld.frac(sum(map(mul, w, u)) * L ** (k - 1), c1 ** (2 * k + size))
 
@@ -80,7 +83,7 @@ def _first_violation(values: Iterable, start: int) -> Optional[Tuple[int, object
 
 
 def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
-    """Power condition, truncated at k = n-1; witness is the first violation."""
+    """Power condition, truncated at k = n-2; witness is the first violation."""
     witness = _first_violation(s_condition_values(p), 0)
     return witness is None, witness
 
@@ -90,18 +93,17 @@ def _sm_values(N: Sequence[int], kmax: int) -> Iterator[int]:
     standing for the minors m_0..m_n; lazy, so a caller may stop at the first
     nonzero value."""
     size = len(N) - 3
-    # 0-based: X[a][b] = (-1)^(a+b+1) m_{a+1-b} for b <= a+1, y[a] = (-1)^(a+1) m_{a+2}
-    X = [
-        [N[a + 1 - b] if (a + b) % 2 else -N[a + 1 - b] for b in range(min(a + 2, size))]
-        for a in range(size)
-    ]
-    y = [N[a + 2] if a % 2 else -N[a + 2] for a in range(size)]
+    # 0-based, unsigned: X[a][b] = m_{a+1-b} for b <= a+1, y[a] = m_{a+2}
+    X = [N[a + 1 :: -1][:size] for a in range(size)]
+    y = N[2 : size + 2]
     yP = y[::-1]  # t_y P is y reversed
     z = y
     for k in range(kmax + 1):
         if k:
             z = [sum(map(mul, row, z)) for row in X]
-        yield sum(map(mul, yP, z))
+        v = sum(map(mul, yP, z))
+        # the signs (-1)^(a+b+1) of X and (-1)^(a+1) of y leave (-1)^(k+size+1)
+        yield v if (k + size) % 2 else -v
 
 
 def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> Iterator:

@@ -7,7 +7,7 @@ dependent columns exactly when a nonzero vector polynomial f(x) of degree
 index; a singular n x n pencil always has one below n, so the search is
 bounded. A regular pencil usually leaves before any stacked matrix is built:
 a nonzero det T(x0) at one of the probe points x0 = 0..n-1 proves it regular
-after one n x n elimination. Inputs are general square pencils: the
+after one n x n determinant. Inputs are general square pencils: the
 machinery does not need the nonzero-coefficient hypothesis of the Toeplitz
 construction.
 """
@@ -21,7 +21,7 @@ from typing import List, Optional
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
 from .linalg import Mat, Poly, ShapeError, _eliminate, _kernel_vectors
-from .pencil import PencilInstance, build_M0, build_M1
+from .pencil import PencilInstance, _det_int, build_M0, build_M1
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,16 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil.
 
     M0 and M1 are lifted to ints over one common scale, and every step runs
-    the int core of ``linalg``. For d = 0, 1, ..., n-1: if T(d) = A0 + d*A1
-    has n pivots, det T(d) != 0 proves the pencil regular. Otherwise C(d)
-    is reduced; the first d with a rank-deficient C(d) is minimal, because
-    the first n*d columns of C(d) are those of C(d-1) padded with zero rows,
-    so they stay independent. "Regular" is thus returned only with a proof:
-    a nonzero value of det T, or full column rank of every C(d), d < n (a
-    singular n x n pencil has its minimal index below n). A det that
-    vanishes at every probe, such as x(x-1)...(x-n+1) or, over GF(p) with
-    p <= n, x^p - x, falls through to that stacked search.
+    on them. For d = 0, 1, ..., n-1: a nonzero det T(d) (T(d) = A0 + d*A1,
+    by the det route's ``_det_int``) proves the pencil regular. Otherwise
+    C(d) is reduced by ``linalg``'s int core; the first d with a
+    rank-deficient C(d) is minimal, because the first n*d columns of C(d)
+    are those of C(d-1) padded with zero rows, so they stay independent.
+    "Regular" is thus returned only with a proof: a nonzero value of det T,
+    or full column rank of every C(d), d < n (a singular n x n pencil has
+    its minimal index below n). A det that vanishes at every probe, such as
+    x(x-1)...(x-n+1) or, over GF(p) with p <= n, x^p - x, falls through to
+    that stacked search.
     Both the identity and the degree are re-verified exactly before returning."""
     n = bp.n
     field = bp.M0.field
@@ -98,7 +99,7 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
     for d in range(n):
         probe = [[x + d * y for x, y in zip(r0, r1)] for r0, r1 in zip(A0, A1)]
-        if len(_eliminate(probe, field)[1]) == n:
+        if field.of(_det_int(probe)):
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
         a, pivots, _ = _eliminate(_stack(A0, A1, 0, d), field)
         vec = next(_kernel_vectors(a, pivots, (d + 1) * n, field), None)

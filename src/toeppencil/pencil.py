@@ -59,26 +59,25 @@ def build_pencil(c: Sequence, field=None) -> PencilInstance:
     return PencilInstance(field, c)
 
 
+def _rows(c: Sequence, x, zero) -> List[list]:
+    """The rows of T(x) = M0 + x*M1 for c = (c1, ..., c_{n+1}): entry (i, j),
+    0-based, is c_{i-j+2} when j <= i+1, x when j = i+2, else zero."""
+    n = len(c) - 1
+    return [
+        [c[i - j + 1] if j <= i + 1 else x if j == i + 2 else zero for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def build_M0(p: PencilInstance) -> Mat:
-    n = p.n
     z = p.field.zero
-    # entry (i, j), 1-based: c_{i-j+2} when j <= i+1, else 0
-    return Mat(
-        p.field,
-        [
-            [p.coeff(i - j + 2) if j <= i + 1 else z for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ],
-    )
+    return Mat(p.field, _rows(p.c, z, z))
 
 
 def build_M1(p: PencilInstance) -> Mat:
-    n = p.n
-    z, o = p.field.zero, p.field.one
-    return Mat(
-        p.field,
-        [[o if j == i + 2 else z for j in range(1, n + 1)] for i in range(1, n + 1)],
-    )
+    # the coefficient of x: every c_k zero, x one
+    z = p.field.zero
+    return Mat(p.field, _rows((z,) * len(p.c), p.field.one, z))
 
 
 def partition(p: PencilInstance) -> PencilPartition:
@@ -143,12 +142,7 @@ def is_singular(p: PencilInstance) -> bool:
     n, fld, zero = p.n, p.field, p.field.zero
     values = []
     for x0 in range(n - 1):
-        d = _det_int(
-            [
-                [c[i - j + 1] if j <= i + 1 else x0 if j == i + 2 else 0 for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        d = _det_int(_rows(c, x0, 0))
         if fld.of(d) != zero:
             return False
         values.append(d)

@@ -3,7 +3,9 @@ import signal
 
 import pytest
 
+from toeppencil import cli
 from toeppencil.cli import main
+from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import PRIME_CHECK_BOUND
 
 VERIFY_KEYS = {
@@ -36,6 +38,69 @@ def test_verify_regular(capsys):
     assert doc["singular"] is False
     assert doc["s_holds"] is False and doc["sm_holds"] is False
     assert doc["geometric"] is False and doc["lambda"] is None
+
+
+TEXT_OUTPUTS = {
+    "verify --c 1,2,4,8": (
+        "n: 3\n"
+        "c: ['1', '2', '4', '8']\n"
+        "singular: True\n"
+        "geometric: True\n"
+        "lambda: 2\n"
+        "s_holds: True\n"
+        "sm_holds: True\n"
+        "s_witness: None\n"
+        "sm_witness: None\n"
+    ),
+    "minors --c 1,1,1,2": (
+        "n: 3\n"
+        "c: ['1', '1', '1', '2']\n"
+        "minors: ['1', '1', '0', '1']\n"
+        "X: [['-1']]\n"
+        "y: ['0']\n"
+        "det_X: -1\n"
+    ),
+    "kernel --c 1,2,4,8": (
+        "n: 3\n"
+        "c: ['1', '2', '4', '8']\n"
+        "d: 0\n"
+        "kernel: [['-1/2'], ['1'], []]\n"
+    ),
+    # the hunt line is the report's dict repr
+    "hunt --n 4 --prime 5 --exhaustive": (
+        "n: 4\n"
+        "hunt: {'scanned': 125, 'valid': 52, 'sm_solutions': 4, 'counterexamples': [], "
+        "'violations': [], 'note': None}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TEXT_OUTPUTS))
+def test_text_output(capsys, argv):
+    assert run(capsys, argv.split()) == (0, TEXT_OUTPUTS[argv], "")
+
+
+def test_hunt_needs_exactly_one_mode_exit_2(capsys):
+    for mode in ([], ["--exhaustive", "--random"]):
+        code, out, err = run(capsys, ["hunt", "--n", "4", "--prime", "5", *mode])
+        assert code == 2 and out == ""
+        assert err == "error: choose exactly one of --exhaustive / --random\n"
+
+
+def test_unparsable_coefficient_exit_2(capsys):
+    code, out, err = run(capsys, ["verify", "--c", "1,x,3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse coefficient list '1,x,3'")
+
+
+def test_consistency_alarm_exit_4(capsys, monkeypatch):
+    def planted(p):
+        raise ConsistencyAlarm("planted disagreement")
+
+    monkeypatch.setattr(cli, "evaluate_instance", planted)
+    code, out, err = run(capsys, ["verify", "--c", "1,2,4,8"])
+    assert code == 4 and out == ""
+    assert err == "internal consistency alarm: planted disagreement\n"
 
 
 def test_verify_zero_coefficient_exit_2(capsys):

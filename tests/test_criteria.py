@@ -13,6 +13,7 @@ from toeppencil.criteria import (
     sm_condition_values,
 )
 from toeppencil.field import GF, QQ
+from toeppencil.kronecker import BlockPencil, analyze
 from toeppencil.linalg import Mat
 from toeppencil.minors import (
     _reciprocal,
@@ -143,9 +144,9 @@ def test_truncation_soundness_extended_range():
         cases.append(geometric_pencil(Fraction(-1), n))
         for p in cases:
             star, *vals = s_condition_values(p, kmax=2 * n)
-            truncated_ok = star == 0 and all(v == 0 for v in vals[: n - 1])
+            truncated_ok = star == 0 and all(v == 0 for v in vals[: n - 2])
             if truncated_ok:
-                assert all(v == 0 for v in vals)
+                assert all(v == 0 for v in vals[n - 2 :])
 
 
 def test_sm_values_invariant_under_scaling():
@@ -267,7 +268,7 @@ def test_s_and_sm_values_match_field_formulas():
         star, *vals = s_condition_values(p, kmax=2 * p.n)
         assert (star, vals) == s_values_field(p, 2 * p.n), p.c
         holds, witness = check_S(p)
-        expected = _first_nonzero([star] + vals[: p.n - 1], zero, 0)
+        expected = _first_nonzero([star] + vals[: p.n - 2], zero, 0)
         assert holds == (expected is None) and witness == expected, p.c
         mv = principal_minors(p)
         sm_vals = list(sm_condition_values(mv, kmax=p.n))
@@ -326,3 +327,25 @@ def test_routes_stay_independent():
         m_n_is_zero = principal_minors(p).m[p.n] == p.field.zero
         assert (sm_condition_values.__code__ in codes) == m_n_is_zero
         assert not codes & (s_route | det_route | _codes(q_inverse_closed_form))
+
+
+def test_kernel_stays_apart_from_the_verdicts():
+    # the kernel shares the det route's _det_int, but no verdict: it never
+    # enters a verdict route, and no verdict route enters it
+    verdicts = _codes(is_singular, check_S, check_SM, evaluate_instance)
+    pencils = [
+        random_rational_pencil(random.Random(137), 6),
+        geometric_pencil(Fraction(2), 5),
+        build_pencil([1, 1, 5, 4, 1, 2], GF(7)),
+    ]
+    shift = BlockPencil(  # not Toeplitz, and singular
+        Mat(QQ, [[QQ.of(int(i == j < 2)) for j in range(3)] for i in range(3)]),
+        Mat(QQ, [[QQ.of(int(j == i + 1)) for j in range(3)] for i in range(3)]),
+    )
+    for bp in [BlockPencil.from_pencil(p) for p in pencils] + [shift]:
+        codes = {code for _, code in _toeppencil_calls(analyze, bp)}
+        assert analyze.__code__ in codes
+        assert not codes & verdicts
+    for p in pencils:
+        for fn in (is_singular, check_S, check_SM, evaluate_instance):
+            assert analyze.__code__ not in {code for _, code in _toeppencil_calls(fn, p)}
