@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import List, Optional
 
@@ -198,9 +199,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_c(argv: List[str]) -> List[str]:
+    """``--c -1/2,1,2`` as ``--c=-1/2,1,2``: argparse reads a separate
+    value that starts with a minus sign as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--c" and re.match(r"-[.0-9]", arg):
+            out[-1] = f"--c={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_c(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as e:

@@ -82,7 +82,8 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
 
     M0 and M1 are lifted to ints over one common scale, and every step runs
     on them. For d = 0, 1, ..., n-1: a nonzero det T(d) (T(d) = A0 + d*A1,
-    by the det route's ``_det_int``) proves the pencil regular. Otherwise
+    by the det route's ``_det_int`` on its transpose, which for a Toeplitz
+    pencil has lower bandwidth 2) proves the pencil regular. Otherwise
     C(d) is reduced by ``linalg``'s int core; the first d with a
     rank-deficient C(d) is minimal, because the first n*d columns of C(d)
     are those of C(d-1) padded with zero rows, so they stay independent.
@@ -98,7 +99,7 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     A0 = [flat[i * n : (i + 1) * n] for i in range(n)]
     A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
     for d in range(n):
-        probe = [[x + d * y for x, y in zip(r0, r1)] for r0, r1 in zip(A0, A1)]
+        probe = [[x + d * y for x, y in zip(c0, c1)] for c0, c1 in zip(zip(*A0), zip(*A1))]
         if field.of(_det_int(probe)):
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
         a, pivots, _ = _eliminate(_stack(A0, A1, 0, d), field)

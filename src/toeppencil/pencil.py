@@ -94,24 +94,41 @@ def partition(p: PencilInstance) -> PencilPartition:
 
 def _det_int(a: List[List[int]]) -> int:
     """Determinant of a square plain-int matrix (rows are overwritten) by
-    fraction-free (Bareiss) elimination; every division is exact."""
+    fraction-free (Bareiss) elimination; every division is exact.
+
+    A row with a zero in the pivot column is not touched: it keeps the
+    pivot it was last updated with, level[i], and is its Bareiss row times
+    level[i]/prev. Its next update, (akk*x - aik*y) // level[i], is exact by
+    Sylvester's identity (``_eliminate``'s rule), and a pivot row whose
+    level is behind is first brought up to date. A matrix with lower
+    bandwidth w, such as T(x0) transposed (w = 2), thus costs O(w n^2). An
+    updated row that vanishes right of the pivot column proves det = 0."""
     n = len(a)
+    level = [1] * n
     sign, prev = 1, 1
     for k in range(n - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if swap is None:
                 return 0
-            a[k], a[swap] = a[swap], a[k]
+            a[k], a[swap], level[k], level[swap] = a[swap], a[k], level[swap], level[k]
             sign = -sign
         rk = a[k]
+        if level[k] != prev:
+            rk[k:] = [x * prev // level[k] for x in rk[k:]]
         akk = rk[k]
         for i in range(k + 1, n):
             ri = a[i]
             aik = ri[k]
-            ri[k + 1 :] = [(akk * x - aik * y) // prev for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
+            if aik:
+                lv = level[i]
+                tail = [(akk * x - aik * y) // lv for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
+                if not any(tail):
+                    return 0
+                ri[k + 1 :] = tail
+                level[i] = akk
         prev = akk
-    return sign * a[n - 1][n - 1]
+    return sign * (a[-1][-1] * prev // level[-1])
 
 
 def _newton_coefficients(values: Sequence[int]) -> List[int]:
@@ -136,13 +153,15 @@ def is_singular(p: PencilInstance) -> bool:
     entries, so deg det T' <= n-2 and the values at x0 = 0..n-2 fix it: the
     first value that is nonzero in the field proves the pencil regular.
     Otherwise the interpolating integer polynomial decides; over GF(p) with
-    p <= n-2 the points repeat mod p, so the values alone would not.
+    p <= n-2 the points repeat mod p, so the values alone would not. Each
+    value is ``_det_int`` of T(x0) transposed, which has lower bandwidth 2:
+    O(n^2) per point.
     """
     c, _ = p.field.lift(p.c)
     n, fld, zero = p.n, p.field, p.field.zero
     values = []
     for x0 in range(n - 1):
-        d = _det_int(_rows(c, x0, 0))
+        d = _det_int([list(col) for col in zip(*_rows(c, x0, 0))])
         if fld.of(d) != zero:
             return False
         values.append(d)

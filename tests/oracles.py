@@ -133,6 +133,27 @@ def pencil_det(p):
     return det_laplace(f, grid)
 
 
+def jacobi_det(c, x0: int) -> int:
+    """det T(x0) for integer coefficients c = (c1, ..., c_{n+1}) and an
+    integer x0 != 0, in O(n^2) integer operations and without elimination.
+
+    T(x0) is rows 2..n+1 and columns 0..n-1 of the lower-triangular Toeplitz
+    matrix of b(t) = x0 + c1 t + ... + c_{n+1} t^{n+1}, whose inverse is the
+    Toeplitz matrix of 1/b(t) = sum_r G_r t^r / x0^(r+1). Jacobi's
+    complementary-minor theorem leaves det T(x0) = (G_n^2 - G_{n-1} G_{n+1})
+    / x0^n, with G_0 = 1 and G_r = -sum_{k=1..r} b_k x0^(k-1) G_{r-k}.
+    """
+    n = len(c) - 1
+    b = (x0, *c)
+    G = [1]
+    for r in range(1, n + 2):
+        G.append(-sum(b[k] * x0 ** (k - 1) * G[r - k] for k in range(1, r + 1)))
+    det, rem = divmod(G[n] ** 2 - G[n - 1] * G[n + 1], x0**n)
+    if rem:
+        raise ArithmeticError(f"Jacobi's identity left a remainder at x0 = {x0}")
+    return det
+
+
 def pencil_residual(M0: Mat, M1: Mat, f):
     """(M0 + x*M1) f(x) for a vector of ``Poly``, row by row as coefficient
     tuples without trailing zeros; all empty exactly when f is a kernel vector."""

@@ -1,5 +1,6 @@
 import json
 import signal
+import sys
 
 import pytest
 
@@ -78,6 +79,24 @@ TEXT_OUTPUTS = {
 @pytest.mark.parametrize("argv", sorted(TEXT_OUTPUTS))
 def test_text_output(capsys, argv):
     assert run(capsys, argv.split()) == (0, TEXT_OUTPUTS[argv], "")
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+@pytest.mark.parametrize("cmd", ["verify", "minors", "kernel"])
+def test_negative_first_coefficient(capsys, monkeypatch, cmd, extra):
+    # argparse alone reads a separate value that starts with "-" as an option
+    joined = run(capsys, [cmd, "--c=-1/2,1,2", *extra])
+    assert joined[0] == 0 and joined[1]
+    assert run(capsys, [cmd, "--c", "-1/2,1,2", *extra]) == joined
+    monkeypatch.setattr(sys, "argv", ["toeppencil", cmd, "--c", "-1/2,1,2", *extra])
+    assert run(capsys, None) == joined
+
+
+def test_missing_coefficient_list_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--c", "--json"])
+    assert exc.value.code == 2
+    assert "argument --c: expected one argument" in capsys.readouterr().err
 
 
 def test_hunt_needs_exactly_one_mode_exit_2(capsys):

@@ -5,9 +5,13 @@ from itertools import product
 import pytest
 
 from toeppencil.field import GF, QQ, FieldMismatchError
+from toeppencil.hunt import HuntConfig, exhaustive_scan
 from toeppencil.linalg import Mat
+from toeppencil.minors import recover_c_from_minors
 from toeppencil.pencil import (
     PencilError,
+    _det_int,
+    _rows,
     build_M0,
     build_M1,
     build_pencil,
@@ -17,8 +21,8 @@ from toeppencil.pencil import (
     partition,
 )
 
-from conftest import geometric_pencil, random_rational_pencil
-from oracles import pencil_det, poly_eval
+from conftest import geometric_pencil, random_gf_pencil, random_rational_pencil
+from oracles import det_laplace, jacobi_det, pencil_det, poly_eval
 
 
 def qp(*cs):
@@ -185,3 +189,123 @@ def test_is_singular_matches_polynomial_determinant():
                 if det and all(poly_eval(det, gf.of(x0), gf) == 0 for x0 in range(q)):
                     regular_vanishing += 1
     assert regular_vanishing > 0
+
+
+def _int_det(grid):
+    det = det_laplace(QQ, [[(Fraction(e),) for e in row] for row in grid])
+    return int(det[0]) if det else 0
+
+
+def test_jacobi_det_matches_laplace_and_mat_det():
+    # det T'(x0) = L^n det T(x0/L) for the lifted pencil T'(x) = L*M0 + x*M1;
+    # Mat.det runs on linalg's Gauss-Jordan core, not on _det_int
+    rng = random.Random(61)
+    cases = [random_rational_pencil(rng, n) for n in range(2, 10) for _ in range(3)]
+    cases += [random_gf_pencil(rng, n, q) for q in (3, 5, 7, 11) for n in range(2, 8)]
+    for p in cases:
+        fld = p.field
+        c, L = fld.lift(p.c)
+        det = pencil_det(p)
+        M0, M1 = build_M0(p), build_M1(p)
+        points = range(1, p.n + 2) if fld == QQ else range(1, fld.p)
+        for x0 in points:
+            x = fld.frac(x0, L)
+            rows = [[a + x * b for a, b in zip(r0, r1)] for r0, r1 in zip(M0.data, M1.data)]
+            want = fld.of(L) ** p.n * poly_eval(det, x, fld)
+            assert fld.of(jacobi_det(c, x0)) == want == fld.of(L) ** p.n * Mat(fld, rows).det()
+
+
+def test_jacobi_det_vanishes_on_singular_pencils():
+    for lam in (2, -3, 5):
+        for n in range(2, 20):
+            c = [lam**k for k in range(n + 1)]
+            assert all(jacobi_det(c, x0) == 0 for x0 in range(1, n + 2)), (lam, n)
+    # the 30 non-geometric singular pencils over GF(7), n = 5 and 6
+    gf = GF(7)
+    fixtures = 0
+    for n in (5, 6):
+        for ms in exhaustive_scan(HuntConfig(n=n, field=gf, mode="exhaustive")).counterexamples:
+            tail = recover_c_from_minors([gf.of(m) for m in ms] + [gf.zero], gf)
+            c = [1] + [e.val for e in tail]
+            assert all(jacobi_det(c, x0) % 7 == 0 for x0 in range(1, 7)), (n, c)
+            assert is_singular(build_pencil(c, gf))
+            fixtures += 1
+    assert fixtures == 30
+
+
+def test_det_int_banded_matches_jacobi_at_large_n():
+    rng = random.Random(67)
+    for n in (32, 64, 128):
+        pencils = [random_rational_pencil(rng, n), random_gf_pencil(rng, n, 7)]
+        pencils.append(random_gf_pencil(rng, n, 1_000_003))
+        for p in pencils:
+            c, _ = p.field.lift(p.c)
+            points = (1, 2, n - 1) if p.field == QQ else (1, p.field.p - 1)
+            for x0 in points:
+                # T(x0) transposed, lower bandwidth 2, as is_singular passes it
+                banded = [list(col) for col in zip(*_rows(c, x0, 0))]
+                assert _det_int(banded) == jacobi_det(c, x0), (n, p.field, x0)
+
+
+def test_is_singular_matches_jacobi_at_large_n():
+    # deg det T(x) <= n-2, so the n-1 points x0 = 1..n-1 decide it; over
+    # GF(101) they are distinct and nonzero
+    rng = random.Random(71)
+    gf = GF(101)
+    for n in (32, 48, 64):
+        cases = [random_rational_pencil(rng, n), geometric_pencil(Fraction(-2, 3), n)]
+        cases += [random_gf_pencil(rng, n, 101)]
+        cases += [build_pencil([gf.of(3) ** k for k in range(n + 1)], gf)]
+        for p in cases:
+            c, _ = p.field.lift(p.c)
+            vanish = all(p.field.of(jacobi_det(c, x0)) == p.field.zero for x0 in range(1, n))
+            assert is_singular(p) == vanish, (n, p.field)
+        assert [is_singular(p) for p in cases] == [False, True, False, True]
+
+
+def _sparse(rng, n, density=0.5):
+    return [
+        [rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)
+    ]
+
+
+def test_det_int_rules_match_laplace():
+    rng = random.Random(73)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        # a stale pivot after a swap: row 1 is idle at step 0 and zero at
+        # column 1, so at step 1 a row below is swapped up with its level,
+        # and row 1 moves down with its old one
+        a = _sparse(rng, n)
+        a[0][0] = rng.choice([-4, -3, -2, 2, 3, 4])
+        a[1][0] = a[1][1] = 0
+        a[2][0] = rng.choice([-3, -1, 1, 2, 5])
+        cases.append(a)
+        # a row that goes to zero mid-elimination: row 3 is a combination
+        # of rows 0..2, so it vanishes once they are pivot rows
+        a = _sparse(rng, n)
+        s = [rng.randint(-2, 2) for _ in range(3)]
+        a[3] = [sum(si * row[j] for si, row in zip(s, a)) for j in range(n)]
+        cases.append(a)
+        # the only zero shows at the last pivot: the last row combines all
+        # the others with nonzero weights
+        a = _sparse(rng, n, 0.7)
+        s = [rng.choice([-2, -1, 1, 3]) for _ in range(n - 1)]
+        a[-1] = [sum(si * row[j] for si, row in zip(s, a)) for j in range(n)]
+        cases.append(a)
+        cases.append(_sparse(rng, n, rng.choice([0.3, 0.6, 1.0])))
+    nonzero = 0
+    for a in cases:
+        want = _int_det(a)
+        assert _det_int([row[:] for row in a]) == want, a
+        nonzero += want != 0
+    assert nonzero > 150
+
+
+def test_det_int_stops_at_first_zero_row():
+    # row 1 = 2 * row 0 vanishes at step 0; the rows below are not touched
+    a = [[2, 1, 3, 1], [4, 2, 6, 2], [1, 5, 2, 7], [3, 1, 1, 4]]
+    rows = [row[:] for row in a]
+    assert _det_int(rows) == 0
+    assert rows[2:] == a[2:]
