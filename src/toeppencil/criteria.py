@@ -11,7 +11,9 @@ power drops: B is the nilpotent shift, so det(B Q^{-1}) = 0, the
 characteristic polynomial of the (n-1) x (n-1) matrix B Q^{-1} has no
 constant term, and (B Q^{-1})^(n-1) is a combination of the powers
 1..n-2 alone. The values come as bounded lazy streams, and each check
-reads its stream only up to the first violated condition.
+reads its stream only up to the first violated condition. check_SM runs
+on the minor map's ints B, m_r = B_r / a_0^r, dividing value k by
+a_0^(n+k+1); the public sm_condition_values(mv) divides by D^(k+2).
 
 Both tests must agree with the direct zero-polynomial test on det T(x);
 a disagreement is an implementation bug and raises ConsistencyAlarm.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .minors import MinorVector, principal_minors
+from .minors import MinorVector, _minor_ints
 from .pencil import PencilInstance, is_geometric, is_singular
 
 
@@ -90,8 +92,8 @@ def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
 
 def _sm_values(N: Sequence[int], kmax: int) -> Iterator[int]:
     """V_k(N) = (t_y P) X^k y for k = 0..kmax, on the plain ints N = (N_0, ..., N_n)
-    standing for the minors m_0..m_n; lazy, so a caller may stop at the first
-    nonzero value."""
+    standing for the minors m_0..m_n up to a scaling; lazy, so a caller may
+    stop at the first nonzero value."""
     size = len(N) - 3
     # 0-based, unsigned: X[a][b] = m_{a+1-b} for b <= a+1, y[a] = m_{a+2}
     X = [N[a + 1 :: -1][:size] for a in range(size)]
@@ -118,20 +120,24 @@ def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> Iterator
         yield mv.field.frac(v, D ** (k + 2))
 
 
-def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], MinorVector]:
-    """Minor condition, truncated at k = n-3; for n = 2 it is just m_2 = 0."""
-    mv = principal_minors(p)
-    m_n = mv.m[mv.n]
+def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], bool]:
+    """Minor condition, truncated at k = n-3 (for n = 2 just m_2 = 0), and
+    whether y = (m_2, ..., m_{n-1}) is zero. X[a][b] weighs a+1-b and y_a
+    weighs a+2, so V_k weighs n+k+1: V_k(m) = V_k(B) / a_0^(n+k+1)."""
+    B, a0 = _minor_ints(p)
+    n, frac = p.n, p.field.frac
+    m_n = frac(B[n], a0**n)
     # the k >= 0 stream is created only when m_n = 0
-    witness = (-1, m_n) if m_n else _first_violation(sm_condition_values(mv), 0)
-    return witness is None, witness, mv
+    witness = (-1, m_n) if m_n else _first_violation(
+        (frac(v, a0 ** (n + k + 1)) for k, v in enumerate(_sm_values(B, n - 3))), 0
+    )
+    return witness is None, witness, not any(map(p.field.of, B[2:n]))
 
 
 def evaluate_instance(p: PencilInstance) -> CriterionReport:
     singular = is_singular(p)
     s_holds, s_witness = check_S(p)
-    sm_holds, sm_witness, mv = check_SM(p)
-    y_is_zero = all(mv.m[r] == p.field.zero for r in range(2, mv.n))
+    sm_holds, sm_witness, y_is_zero = check_SM(p)
     report = CriterionReport(
         singular_det=singular,
         s_holds=s_holds,

@@ -53,13 +53,17 @@ def _reciprocal(a: Sequence[int], count: int) -> List[int]:
     return B
 
 
-def principal_minors(p: PencilInstance) -> MinorVector:
-    """m_r = B_r / a_0^r for the reciprocal of the lifted, alternating c;
-    B_r is homogeneous of degree r, so neither the lift nor c1 needs dividing out."""
+def _minor_ints(p: PencilInstance) -> Tuple[List[int], int]:
+    """(B, a_0) with m_r = B_r / a_0^r for the reciprocal B of the lifted, alternating
+    c; B_r is homogeneous of degree r, so neither the lift nor c1 needs dividing out."""
     c, _ = p.field.lift(p.c)
     a = [ci if k % 2 == 0 else -ci for k, ci in enumerate(c)]
-    frac, B = p.field.frac, _reciprocal(a, p.n + 1)
-    return MinorVector(field=p.field, m=tuple(frac(b, a[0] ** r) for r, b in enumerate(B)))
+    return _reciprocal(a, p.n + 1), a[0]
+
+
+def principal_minors(p: PencilInstance) -> MinorVector:
+    B, a0 = _minor_ints(p)
+    return MinorVector(field=p.field, m=tuple(p.field.frac(b, a0**r) for r, b in enumerate(B)))
 
 
 def _alternating_minors(mv: MinorVector) -> List:

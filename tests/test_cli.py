@@ -136,6 +136,11 @@ def test_verify_rational_scalars_roundtrip(capsys):
     assert doc["lambda"] == "2"
 
 
+def test_decimal_literal_is_exact(capsys):
+    # over QQ --c takes any exact Fraction literal: 1.5 is 3/2
+    assert run(capsys, ["verify", "--c", "1.5,2,3"]) == run(capsys, ["verify", "--c", "3/2,2,3"])
+
+
 def test_minors_output(capsys):
     code, out, _ = run(capsys, ["minors", "--c", "1,1,1,2", "--json"])
     assert code == 0

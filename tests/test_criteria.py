@@ -13,6 +13,7 @@ from toeppencil.criteria import (
     sm_condition_values,
 )
 from toeppencil.field import GF, QQ
+from toeppencil.hunt import HuntConfig, exhaustive_scan
 from toeppencil.kronecker import BlockPencil, analyze
 from toeppencil.linalg import Mat
 from toeppencil.minors import (
@@ -189,9 +190,10 @@ def test_routes_invariant_under_beta_scaling():
                 q = build_pencil([ci * beta**k for k, ci in enumerate(p.c)], fld)
                 assert is_singular(q) == is_singular(p)
                 (s_p, w_p), (s_q, w_q) = check_S(p), check_S(q)
-                (sm_p, v_p, mv_p), (sm_q, v_q, mv_q) = check_SM(p), check_SM(q)
-                assert (s_q, sm_q) == (s_p, sm_p)
+                (sm_p, v_p, y_p), (sm_q, v_q, y_q) = check_SM(p), check_SM(q)
+                assert (s_q, sm_q, y_q) == (s_p, sm_p, y_p)
                 assert (k_of(w_q), k_of(v_q)) == (k_of(w_p), k_of(v_p))
+                mv_p, mv_q = principal_minors(p), principal_minors(q)
                 assert mv_q.m == tuple(m * beta**r for r, m in enumerate(mv_p.m))
                 checked += 1
     assert checked == 3 * 7 * 14
@@ -278,6 +280,43 @@ def test_s_and_sm_values_match_field_formulas():
         assert holds == (expected is None) and witness == expected, p.c
 
 
+def _sm_by_minor_vector(p):
+    """check_SM's (holds, witness, y_is_zero) read off the MinorVector route."""
+    mv = principal_minors(p)
+    m_n = mv.m[p.n]
+    witness = (-1, m_n) if m_n else _first_nonzero(sm_condition_values(mv), p.field.zero, 0)
+    return witness is None, witness, all(m == p.field.zero for m in mv.m[2 : p.n])
+
+
+def test_check_sm_matches_the_minor_vector_route():
+    rng = random.Random(139)
+    cases = [random_rational_pencil(rng, n) for n in range(2, 13) for _ in range(8)]
+    for q in (2, 3, 5, 7, 11):
+        cases += [random_gf_pencil(rng, n, q) for n in range(2, 13) for _ in range(4)]
+    for lam, c1 in ((Fraction(2), Fraction(1)), (Fraction(-1, 3), Fraction(5, 2))):
+        cases += [geometric_pencil(lam, n, c1) for n in (2, 3, 6, 11)]
+    # m_n = 0 over QQ: the k >= 0 stream runs on large B
+    for n in range(16, 49, 4):
+        cs = [QQ.zero]
+        while QQ.zero in cs:
+            ms = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n - 1)]
+            cs = recover_c_from_minors(ms + [QQ.zero], QQ)
+        c1 = Fraction(rng.choice([-2, 3]), rng.choice([1, 5]))
+        cases.append(build_pencil([c1] + [c1 * ci for ci in cs]))
+    # the GF(7) counterexamples: SM holds with y != 0
+    gf7 = GF(7)
+    for n in (5, 6):
+        rep = exhaustive_scan(HuntConfig(n=n, field=gf7, mode="exhaustive", workers=1))
+        for t in rep.counterexamples:
+            cs = recover_c_from_minors([gf7.of(m) for m in t] + [gf7.zero], gf7)
+            cases.append(build_pencil([gf7.one] + cs, gf7))
+    outcomes = [check_SM(p) for p in cases]
+    for p, got in zip(cases, outcomes):
+        assert got == _sm_by_minor_vector(p), p.c
+    assert any(w is not None and w[0] >= 0 for _, w, _ in outcomes)
+    assert sum(holds and not y_zero for holds, _, y_zero in outcomes) == 30
+
+
 def _toeppencil_calls(fn, *args):
     """(module, code object) of every toeppencil function that fn(*args) enters."""
     seen = set()
@@ -323,9 +362,11 @@ def test_routes_stay_independent():
         assert s_condition_values.__code__ in codes
         assert not codes & (minors_route | sm_route | det_route)
         codes = {code for _, code in _toeppencil_calls(check_SM, p)}
-        assert principal_minors.__code__ in codes
+        assert _reciprocal.__code__ in codes
         m_n_is_zero = principal_minors(p).m[p.n] == p.field.zero
-        assert (sm_condition_values.__code__ in codes) == m_n_is_zero
+        assert (_sm_values.__code__ in codes) == m_n_is_zero
+        # the verdict reads the reciprocal's ints, never the MinorVector
+        assert not codes & _codes(principal_minors, sm_condition_values)
         assert not codes & (s_route | det_route | _codes(q_inverse_closed_form))
 
 
