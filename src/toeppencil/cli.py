@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from .criteria import ConsistencyAlarm, evaluate_instance
 from .field import NotPrimeError, PrimeField, QQ
-from .hunt import HuntConfig, HuntConfigError, exhaustive_scan, random_scan
+from .hunt import MAX_N, HuntConfig, HuntConfigError, exhaustive_scan, random_scan
 from .kronecker import BlockPencil, analyze
 from .minors import build_sm_objects, det_X, principal_minors
 from .pencil import PencilError, build_pencil
@@ -41,6 +41,8 @@ def _field_from_args(args):
 
 def _parse_c(args, fld) -> List:
     raw = args.c.split(",")
+    if len(raw) > MAX_N + 1:
+        raise InputError(f"{len(raw)} coefficients exceed the limit of {MAX_N + 1} (n <= {MAX_N})")
     if not all(s.strip() for s in raw):
         raise InputError(f"empty entry in coefficient list {args.c!r}")
     try:
@@ -123,6 +125,8 @@ def cmd_kernel(args) -> int:
 def cmd_hunt(args) -> int:
     if args.exhaustive == args.random:
         raise InputError("choose exactly one of --exhaustive / --random")
+    if args.n > MAX_N:
+        raise InputError(f"n = {args.n} exceeds the limit {MAX_N}")
     fld = _field_from_args(args)
     mode = "exhaustive" if args.exhaustive else "random"
     try:

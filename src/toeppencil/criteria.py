@@ -95,12 +95,12 @@ def _sm_values(N: Sequence[int], kmax: int) -> Iterator[int]:
     standing for the minors m_0..m_n up to a scaling; lazy, so a caller may
     stop at the first nonzero value."""
     size = len(N) - 3
-    # 0-based, unsigned: X[a][b] = m_{a+1-b} for b <= a+1, y[a] = m_{a+2}
-    X = [N[a + 1 :: -1][:size] for a in range(size)]
-    y = N[2 : size + 2]
+    y = N[2 : size + 2]  # 0-based, unsigned: y[a] = m_{a+2}
     yP = y[::-1]  # t_y P is y reversed
     z = y
     for k in range(kmax + 1):
+        if k == 1:  # V_0 needs no X; X[a][b] = m_{a+1-b} for b <= a+1
+            X = [N[a + 1 :: -1][:size] for a in range(size)]
         if k:
             z = [sum(map(mul, row, z)) for row in X]
         v = sum(map(mul, yP, z))
@@ -123,15 +123,20 @@ def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> Iterator
 def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], bool]:
     """Minor condition, truncated at k = n-3 (for n = 2 just m_2 = 0), and
     whether y = (m_2, ..., m_{n-1}) is zero. X[a][b] weighs a+1-b and y_a
-    weighs a+2, so V_k weighs n+k+1: V_k(m) = V_k(B) / a_0^(n+k+1)."""
+    weighs a+2, so V_k weighs n+k+1: V_k(m) = V_k(B) / a_0^(n+k+1). a_0 is a
+    unit, so the ints V_k(B) are tested in the field and only the witness is
+    divided."""
     B, a0 = _minor_ints(p)
-    n, frac = p.n, p.field.frac
-    m_n = frac(B[n], a0**n)
-    # the k >= 0 stream is created only when m_n = 0
-    witness = (-1, m_n) if m_n else _first_violation(
-        (frac(v, a0 ** (n + k + 1)) for k, v in enumerate(_sm_values(B, n - 3))), 0
-    )
-    return witness is None, witness, not any(map(p.field.of, B[2:n]))
+    n, fld = p.n, p.field
+    m_n = fld.frac(B[n], a0**n)
+    if m_n:
+        witness = (-1, m_n)
+    else:  # the k >= 0 stream is created only when m_n = 0
+        witness = _first_violation(map(fld.of, _sm_values(B, n - 3)), 0)
+        if witness:
+            k, v = witness
+            witness = (k, v / fld.of(a0 ** (n + k + 1)))
+    return witness is None, witness, not any(map(fld.of, B[2:n]))
 
 
 def evaluate_instance(p: PencilInstance) -> CriterionReport:

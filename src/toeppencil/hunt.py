@@ -18,8 +18,9 @@ a+2+k and V_k(beta*m) = beta^(n+k+1) V_k(m). A representative's verdict
 holds for its p-1 tuples; each cross-checked tuple is compared against it.
 
 Scans are deterministic regardless of worker count: the representatives
-are partitioned by m_2, per-shard reports merge by summation and list
-concatenation, and merged lists are sorted canonically.
+are partitioned by interleaved heads (m_2, or (m_2, m_3) for n >= 5),
+per-shard reports merge by summation and list concatenation, and merged
+lists are sorted canonically.
 Finite-field validity of the criteria is not assumed: every condition
 solution, plus a deterministic subsample of scanned instances, is
 re-verified through the full three-way criterion comparison, and any
@@ -32,6 +33,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import List, Optional, Tuple
 
 from .criteria import ConsistencyAlarm, _sm_values, evaluate_instance
@@ -51,6 +53,11 @@ def _crosscheck_selected(mtuple: Tuple[int, ...]) -> bool:
 # Largest exhaustive scan, in p^(n-1) tuples: about 15-20 min on one core at
 # the 80k-120k tuples/s of the cells (5,7) to (8,7) and (7,11).
 MAX_EXHAUSTIVE_TUPLES = 10**8
+
+# Largest n the CLI takes: at n = 256 a geometric verify or kernel takes about
+# 1 s and `hunt --random --trials 1` about 5 s (Python 3.11, one core of a
+# 2-core host), and the cost grows as n^3. Library calls take any n.
+MAX_N = 256
 
 
 class HuntConfigError(ValueError):
@@ -123,57 +130,86 @@ class HuntReport:
         }
 
 
-def _scan_shard(n: int, p: int, second_coords: Tuple[int, ...]) -> HuntReport:
-    """Scan the representatives m_1 = 1 whose m_2 lies in second_coords (for
-    n = 2, the one representative (1,)) and count each verdict for the
-    p-1 tuples of its orbit."""
+def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
+    """Scan the representatives m_1 = 1 whose leading coordinates lie in leads
+    (m_2 for n = 3 and 4, the pair (m_2, m_3) as m_2*p + m_3 for n >= 5; for
+    n = 2 the one representative (1,)) and count each verdict for the p-1
+    tuples of its orbit.
+
+    The walk takes each head (m_2, ..., m_{n-2}) once: its reciprocal
+    B_0..B_{n-2}, kept mod p, and its terms of the stride sums. Each leaf
+    m_{n-1} then continues B by B_{n-1} and B_n."""
     gf = PrimeField(p)
     report = HuntReport()
-    # (beta^r, (-beta)^r) mod p for r = 0..n: m_r -> beta^r m_r, c_{r+1} -> beta^r c_{r+1}
-    orbit = [
-        ([pow(b, r, p) for r in range(n + 1)], [pow(-b, r, p) for r in range(n + 1)])
-        for b in range(1, p)
-    ]
-    tails = product(second_coords, *[range(p)] * (n - 3)) if n > 2 else [()]
-    for tail in tails:
-        report.tuples_scanned += p  # the orbit and (0, *tail), never valid as c_2 = m_1
-        N = (1, 1, *tail, 0)  # m_0, m_1 = 1, m_2..m_{n-1}, m_n = 0
-        B = _reciprocal(N, n + 1)  # c_{k+1} = (-1)^k B_k
-        if not all(b % p for b in B):
+    # beta^r and (-beta)^r mod p for beta = 1..p-1: m_r -> beta^r m_r, c_{r+1} -> beta^r c_{r+1}
+    scale_m = [[pow(b, r, p) for b in range(1, p)] for r in range(n + 1)]
+    scale_c = [[pow(-b, r, p) for b in range(1, p)] for r in range(n + 1)]
+
+    def stride_row(r: int, v: int) -> List[int]:
+        """m_r = v's term r*(beta^r v mod p) of _crosscheck_selected's sum, per beta."""
+        return [r * (s * v % p) for s in scale_m[r]]
+
+    # the rows of the head coordinates m_2..m_{n-2}; m_1 = 1 needs one, and
+    # m_{n-1}'s row is built per representative
+    rows = {(r, v): stride_row(r, v) for r in range(2, n - 1) for v in range(p)}
+    rows[1, 1] = stride_row(1, 1)
+    if n < 4:  # no head; the leaf is m_2 for n = 3 and m_1 = 1 for n = 2
+        heads, leaves = [()], leads if n == 3 else (1,)
+    else:
+        firsts = [divmod(j, p) if n > 4 else (j,) for j in leads]
+        heads = (f + t for f in firsts for t in product(range(p), repeat=n - 3 - len(f)))
+        leaves = range(p)
+    for head in heads:
+        prefix = (1, 1, *head)[: n - 1]  # m_0..m_{n-2}
+        report.tuples_scanned += p * len(leaves)  # with (0, ...), never valid as c_2 = m_1
+        Bh = [b % p for b in _reciprocal(prefix, n - 1)]
+        if not all(Bh):
             continue
-        report.valid_instances += p - 1
-        sm_ok = not any(v % p for v in _sm_values(N, n - 3))
-        for scale_m, scale_c in orbit:
-            mtuple = tuple(scale_m[r] * N[r] % p for r in range(1, n))
-            if sm_ok or _crosscheck_selected(mtuple):
-                c = [s * b % p for s, b in zip(scale_c, B)]  # c_1 = 1, c_{k+1} = (-beta)^k B_k
+        head_sums = [0] * (p - 1)
+        for r, v in enumerate(prefix[1:], 1):
+            head_sums = list(map(add, head_sums, rows[r, v]))
+        for leaf in leaves:
+            N = (*prefix, leaf, 0)  # m_0, m_1 = 1, m_2..m_{n-1}, m_n = 0
+            B = _reciprocal(N, n + 1, Bh)  # c_{k+1} = (-1)^k B_k
+            if not (B[n - 1] % p and B[n] % p):
+                continue
+            report.valid_instances += p - 1
+            sm_ok = not any(v % p for v in _sm_values(N, n - 3))
+            if sm_ok:
+                report.sm_solutions += p - 1
+                checked = range(p - 1)
+            else:
+                sums = map(add, head_sums, stride_row(n - 1, leaf))
+                checked = [i for i, t in enumerate(sums) if t % _CROSSCHECK_STRIDE == 0]
+            for i in checked:  # beta = i + 1
+                mtuple = tuple(scale_m[r][i] * N[r] % p for r in range(1, n))
+                c = [s[i] * b % p for s, b in zip(scale_c, B)]  # c_{k+1} = (-beta)^k B_k
                 try:
                     rep = evaluate_instance(build_pencil(c, gf))
                     if rep.sm_holds != sm_ok:
                         report.equivalence_violations.append((mtuple, "sm-mismatch"))
                 except ConsistencyAlarm:
                     report.equivalence_violations.append((mtuple, "criterion-disagreement"))
-            if sm_ok and any(tail):  # y built from m_2..m_{n-1}
-                report.counterexamples.append(mtuple)
-        if sm_ok:
-            report.sm_solutions += p - 1
+                if sm_ok and any(N[2:n]):  # y built from m_2..m_{n-1}
+                    report.counterexamples.append(mtuple)
     return report
 
 
 def exhaustive_scan(cfg: HuntConfig) -> HuntReport:
     if cfg.mode != "exhaustive":
         raise HuntConfigError("config is not in exhaustive mode")
-    p = cfg.field.p
-    w = min(cfg.workers, p) if cfg.n > 2 else 1
-    chunks = [tuple(range(i, p, w)) for i in range(w)]
+    n, p = cfg.n, cfg.field.p
+    w = min(cfg.workers, p) if n > 2 else 1
+    # interleaved leads: m_2, or the pairs (m_2, m_3) once a head has two coordinates
+    chunks = [tuple(range(i, p * p if n > 4 else p, w)) for i in range(w)]
     if w == 1:
-        shards = [_scan_shard(cfg.n, p, chunks[0])]
+        shards = [_scan_shard(n, p, chunks[0])]
     else:
         from multiprocessing import get_context  # only parallel scans pay for the import
 
         ctx = get_context("fork")
         with ctx.Pool(w) as pool:
-            shards = pool.starmap(_scan_shard, [(cfg.n, p, ch) for ch in chunks])
+            shards = pool.starmap(_scan_shard, [(n, p, ch) for ch in chunks])
     out = HuntReport()
     for s in shards:
         out.merge(s)

@@ -43,12 +43,14 @@ class SMObjects:
     P: Mat  # anti-diagonal exchange matrix, same size as X
 
 
-def _reciprocal(a: Sequence[int], count: int) -> List[int]:
+def _reciprocal(a: Sequence[int], count: int, B: Sequence[int] = (1,)) -> List[int]:
     """B_0..B_{count-1} on plain ints, with B_r / a_0^(r+1) = [t^r] 1/A(t) for
-    A(t) = sum_k a_k t^k: B_0 = 1 and B_r = -sum_{k=1..r} a_k a_0^(k-1) B_{r-k}."""
+    A(t) = sum_k a_k t^k: B_0 = 1 and B_r = -sum_{k=1..r} a_k a_0^(k-1) B_{r-k}.
+    B_r reads only a_0..a_r, so a given prefix B_0..B_{j-1} is continued; a
+    prefix reduced mod p gives every further B_r mod p."""
     w = [a[k] * a[0] ** (k - 1) for k in range(1, count)]
-    B = [1]
-    for _ in range(1, count):
+    B = list(B)
+    for _ in range(len(B), count):
         B.append(-sum(map(mul, w, reversed(B))))
     return B
 

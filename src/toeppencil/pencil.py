@@ -61,12 +61,10 @@ def build_pencil(c: Sequence, field=None) -> PencilInstance:
 
 def _rows(c: Sequence, x, zero) -> List[list]:
     """The rows of T(x) = M0 + x*M1 for c = (c1, ..., c_{n+1}): entry (i, j),
-    0-based, is c_{i-j+2} when j <= i+1, x when j = i+2, else zero."""
+    0-based, is c_{i-j+2} when j <= i+1, x when j = i+2, else zero: row i is
+    c_{i+2}, ..., c_1, then x, then zeros, cut to n entries."""
     n = len(c) - 1
-    return [
-        [c[i - j + 1] if j <= i + 1 else x if j == i + 2 else zero for j in range(n)]
-        for i in range(n)
-    ]
+    return [[*c[i + 1 :: -1], x, *[zero] * (n - i - 3)][:n] for i in range(n)]
 
 
 def build_M0(p: PencilInstance) -> Mat:
@@ -155,14 +153,15 @@ def is_singular(p: PencilInstance) -> bool:
     Otherwise the interpolating integer polynomial decides; over GF(p) with
     p <= n-2 the points repeat mod p, so the values alone would not. Each
     value is ``_det_int`` of T(x0) transposed, which has lower bandwidth 2:
-    O(n^2) per point.
+    O(n^2) per point. T is Toeplitz, so its transpose is J T J (J the
+    exchange matrix): the rows in reverse order, each reversed.
     """
     c, _ = p.field.lift(p.c)
     n, fld, zero = p.n, p.field, p.field.zero
     values = []
     for x0 in range(n - 1):
-        d = _det_int([list(col) for col in zip(*_rows(c, x0, 0))])
-        if fld.of(d) != zero:
+        d = _det_int([r[::-1] for r in reversed(_rows(c, x0, 0))])
+        if fld.of(d):
             return False
         values.append(d)
     return all(fld.of(a) == zero for a in _newton_coefficients(values))

@@ -8,6 +8,7 @@ from toeppencil import cli
 from toeppencil.cli import main
 from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import PRIME_CHECK_BOUND
+from toeppencil.hunt import MAX_N
 
 VERIFY_KEYS = {
     "n", "c", "singular", "geometric", "lambda",
@@ -224,6 +225,25 @@ def test_hunt_exhaustive_size_bound_exit_2(capsys):
     assert err == (
         "error: exhaustive scan of 1000003^2 = 1000006000009 tuples exceeds the limit 100000000\n"
     )
+
+
+def test_size_gate_exit_2(capsys):
+    # refused before any work: the entries of the list are not even parsed
+    assert MAX_N == 256
+    for cmd in ("verify", "minors", "kernel"):
+        code, out, err = run(capsys, [cmd, "--c", ",".join(["x"] * 258)])
+        assert code == 2 and out == ""
+        assert err == "error: 258 coefficients exceed the limit of 257 (n <= 256)\n"
+    for mode in (["--random"], ["--prime", "2", "--exhaustive"]):
+        code, out, err = run(capsys, ["hunt", "--n", "257", *mode])
+        assert code == 2 and out == ""
+        assert err == "error: n = 257 exceeds the limit 256\n"
+    # n = MAX_N passes the gate
+    code, out, err = run(capsys, ["verify", "--c", ",".join(["1"] * 256 + ["2"]), "--json"])
+    assert code == 0 and err == "" and json.loads(out)["n"] == 256
+    code, out, err = run(capsys, ["hunt", "--n", "256", "--prime", "2", "--exhaustive"])
+    assert code == 2 and out == ""
+    assert err == "error: exhaustive scan of 2^255 tuples exceeds the limit 100000000\n"
 
 
 def test_empty_coefficient_entry_exit_2(capsys):

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import tracemalloc
 
 import pytest
 
@@ -150,13 +151,34 @@ def _record_pencils(monkeypatch, module):
     return seen
 
 
-@pytest.mark.parametrize("n,count", [(5, 86), (6, 414)])
-def test_orbit_scan_crosschecks_the_reference_pencils(monkeypatch, n, count):
+@pytest.mark.parametrize(
+    "n,p,count",
+    [
+        pytest.param(5, 7, 86, id="5-86"),
+        pytest.param(6, 7, 414, id="6-414"),
+        (6, 5, 51),
+        (5, 11, 557),
+    ],
+)
+def test_orbit_scan_crosschecks_the_reference_pencils(monkeypatch, n, p, count):
     got, want = _record_pencils(monkeypatch, hunt), _record_pencils(monkeypatch, oracles)
-    exhaustive_scan(HuntConfig(n=n, field=GF(7), mode="exhaustive"))
-    exhaustive_scan_reference(n, 7)
+    exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive"))
+    exhaustive_scan_reference(n, p)
     assert len(want) == count
     assert sorted(got) == sorted(want)
+
+
+def test_stride_rows_stay_bounded():
+    # one representative at n = 3 over GF(1009): a row per value of the last
+    # coordinate would hold p(p-1) stride terms, tens of MB
+    tracemalloc.start()
+    try:
+        r = hunt._scan_shard(3, 1009, (5,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.tuples_scanned == 1009
+    assert peak < 2 * 2**20
 
 
 def test_flipped_orbit_verdict_is_an_sm_mismatch(monkeypatch):

@@ -70,6 +70,21 @@ def test_m1_second_superdiagonal_n4():
             assert M1[i, j] == expected
 
 
+def test_rows_follow_the_entry_rule_and_are_persymmetric():
+    # T(x0) is Toeplitz, so J T J (the rows reversed, each reversed) is its transpose
+    rng = random.Random(149)
+    for n in range(2, 13):
+        for p in (random_rational_pencil(rng, n), random_gf_pencil(rng, n, 7)):
+            c = p.c
+            for x0 in (0, 1, 3):
+                T = _rows(c, x0, 0)
+                assert T == [
+                    [c[i - j + 1] if j <= i + 1 else x0 if j == i + 2 else 0 for j in range(n)]
+                    for i in range(n)
+                ]
+                assert [r[::-1] for r in reversed(T)] == [list(col) for col in zip(*T)]
+
+
 def test_partition_example():
     part = partition(qp(1, 2, 4, 8))
     assert part.Q == Mat(QQ, [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(1)]])
