@@ -1,0 +1,202 @@
+#!/usr/bin/env python3
+"""Mutation check of the three-way contract: each planted fault must fail tests.
+
+A mutant is a fixed (file, old text, new text, test node ids). For each one
+the script copies src/, tests/ and pyproject.toml into a temporary
+directory, replaces the old text there and runs pytest on the node ids;
+the mutant is killed when every node id has a failing test (a test
+function's id covers its parametrized cases). The checkout itself is never
+edited.
+
+Usage: python3 scripts/mutants.py [--check]
+
+--check only tests that every old text matches its file exactly once and
+that every node id names a test function, without running any mutant.
+Exit codes: 0 every mutant killed (or, with --check, every spec matches);
+2 an old text does not match exactly once, a node id names no test, or
+pytest could not run a mutant's tests; 4 a mutant survived.
+"""
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PKG = "src/toeppencil/"
+CRITERIA = "tests/test_criteria.py::"
+HUNT = "tests/test_hunt.py::"
+PENCIL = "tests/test_pencil.py::"
+
+# (name, file, old text, new text, test node ids that must fail)
+MUTANTS = [
+    (
+        "analyze calls is_singular",
+        PKG + "kronecker.py",
+        "        probe = [[x + d * y",
+        "        from .pencil import is_singular\n\n"
+        "        is_singular(PencilInstance(field, (field.one,) * 3))\n"
+        "        probe = [[x + d * y",
+        [CRITERIA + "test_kernel_stays_apart_from_the_verdicts"],
+    ),
+    (
+        "S stops at k = n-3",
+        PKG + "criteria.py",
+        "for k in range(1, size if kmax is None else kmax + 1):",
+        "for k in range(1, size - 1 if kmax is None else kmax + 1):",
+        [CRITERIA + "test_small_prime_census", CRITERIA + "test_equivalence_chain_gf"],
+    ),
+    (
+        "S drops the star value",
+        PKG + "criteria.py",
+        "    yield c[n] * pw[size] - sum(map(mul, w, u))\n",
+        "",
+        [CRITERIA + "test_s_fails_with_star_witness", CRITERIA + "test_evaluate_instance_reports"],
+    ),
+    (
+        "the SM sign alternation is dropped",
+        PKG + "minors.py",
+        "a = [ci if k % 2 == 0 else -ci for k, ci in enumerate(c)]",
+        "a = list(c)",
+        [CRITERIA + "test_sm_examples", "tests/test_minors.py::test_minor_examples"],
+    ),
+    (
+        "the SM core skips the m_n test",
+        PKG + "criteria.py",
+        "    if fld.of(B[n]):\n        return -1, B[n]\n",
+        "",
+        [CRITERIA + "test_sm_examples", CRITERIA + "test_routes_stay_independent"],
+    ),
+    (
+        "the SM witness divides by a_0^(n+k)",
+        PKG + "criteria.py",
+        "return fld.frac(v, c[0] ** (len(c) + k))",
+        "return fld.frac(v, c[0] ** (len(c) + k - 1))",
+        [
+            CRITERIA + "test_s_and_sm_values_match_field_formulas",
+            CRITERIA + "test_check_sm_matches_the_minor_vector_route",
+        ],
+    ),
+    (
+        "the entry's comparison leaves S out",
+        PKG + "criteria.py",
+        "if not (singular == s_holds == sm_holds):",
+        "if not (singular == sm_holds):",
+        [
+            HUNT + "test_planted_s_fault_alarms_on_exactly_the_sm_orbits",
+            HUNT + "test_planted_s_fault_alarms_on_exactly_the_singular_random_pencils",
+        ],
+    ),
+    (
+        "x sits one column right in _rows",
+        PKG + "pencil.py",
+        "x, *[zero] * (n - i - 3)][:n]",
+        "zero, x, *[zero] * (n - i - 4)][:n]",
+        [PENCIL + "test_rows_follow_the_entry_rule_and_are_persymmetric"],
+    ),
+    (
+        "_det_int divides a lagging row by prev",
+        PKG + "pencil.py",
+        "lv = level[i]",
+        "lv = prev",
+        [PENCIL + "test_det_int_rules_match_laplace", PENCIL + "test_is_singular_matches_polynomial_determinant"],
+    ),
+    (
+        "the geometric product is off by one index",
+        PKG + "pencil.py",
+        "c2 * c[k]) for k in",
+        "c2 * c[k - 1]) for k in",
+        [PENCIL + "test_is_geometric", PENCIL + "test_is_geometric_matches_the_division_loop"],
+    ),
+    (
+        "the hunt drops the head zero test",
+        PKG + "hunt.py",
+        "        if not all(Bh):\n            continue\n",
+        "",
+        [HUNT + "test_orbit_scan_matches_per_tuple_reference[5-7]", HUNT + "test_n4_solution_count_is_p_minus_1"],
+    ),
+    (
+        "the hunt drops the B_n validity test",
+        PKG + "hunt.py",
+        "if not (B[n - 1] % p and B[n] % p):",
+        "if not B[n - 1] % p:",
+        [HUNT + "test_orbit_scan_matches_per_tuple_reference[3-7]", HUNT + "test_n4_solution_count_is_p_minus_1"],
+    ),
+    (
+        "the hunt scales c by the m scale",
+        PKG + "hunt.py",
+        "zip(scale_c, B)",
+        "zip(scale_m, B)",
+        [HUNT + "test_orbit_scan_crosschecks_the_reference_pencils"],
+    ),
+]
+
+
+def spec_errors() -> list:
+    """Every mutant whose old text does not match once, or whose node id names no test."""
+    errors = []
+    for name, path, old, _, tests in MUTANTS:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            errors.append(f"{name}: old text matches {path} {count} times")
+        for node in tests:
+            file, _, func = node.partition("::")
+            text = (ROOT / file).read_text() if (ROOT / file).is_file() else None
+            func = func.split("[")[0]
+            if text is None or (func and not re.search(rf"^def {func}\(", text, re.M)):
+                errors.append(f"{name}: no test {node}")
+    return errors
+
+
+def killed(path: str, old: str, new: str, tests: list) -> bool:
+    """Whether every node id has a failing test on a copy with the edit;
+    raises RuntimeError when pytest does not run them."""
+    with tempfile.TemporaryDirectory(prefix="toeppencil-mutant-") as tmp:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(tmp) / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        target = Path(tmp) / path
+        target.write_text(target.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+            cwd=tmp, env=env, capture_output=True, text=True, timeout=600,
+        )
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(proc.stdout[-2000:] + proc.stderr[-2000:])
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    return all(any(f == t or f.startswith((t + "[", t + "::")) for f in failed) for t in tests)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true", help="only match the specs; run no mutant")
+    args = ap.parse_args()
+    errors = spec_errors()
+    for e in errors:
+        print(f"error: {e}", file=sys.stderr)
+    if errors:
+        return 2
+    if args.check:
+        print(f"{len(MUTANTS)} mutants match")
+        return 0
+    survived = 0
+    for name, path, old, new, tests in MUTANTS:
+        try:
+            ok = killed(path, old, new, tests)
+        except RuntimeError as e:
+            print(f"error: {name}: pytest did not run the tests\n{e}", file=sys.stderr)
+            return 2
+        survived += not ok
+        print(f"{'killed' if ok else 'SURVIVED'}  {name}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 4 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

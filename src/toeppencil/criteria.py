@@ -11,22 +11,26 @@ power drops: B is the nilpotent shift, so det(B Q^{-1}) = 0, the
 characteristic polynomial of the (n-1) x (n-1) matrix B Q^{-1} has no
 constant term, and (B Q^{-1})^(n-1) is a combination of the powers
 1..n-2 alone. The values come as bounded lazy streams, and each check
-reads its stream only up to the first violated condition. check_SM runs
-on the minor map's ints B, m_r = B_r / a_0^r, dividing value k by
-a_0^(n+k+1); the public sm_condition_values(mv) divides by D^(k+2).
+reads its stream only up to the first violated condition. SM runs on the
+minor map's ints B, m_r = B_r / a_0^r, dividing value k by a_0^(n+k+1);
+the public sm_condition_values(mv) divides by D^(k+2).
 
-Both tests must agree with the direct zero-polynomial test on det T(x);
-a disagreement is an implementation bug and raises ConsistencyAlarm.
+Each route has an int core on c lifted to plain ints: ``pencil._singular``,
+``_s_ints`` and ``_minor_ints`` + ``_sm_witness``. ``_verdicts`` runs the
+three on one lift; the public checks lift and call their own core, and
+witnesses become field values only in the reports. Both tests must agree
+with the direct zero-polynomial test on det T(x); a disagreement is an
+implementation bug and raises ConsistencyAlarm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .minors import MinorVector, _minor_ints
-from .pencil import PencilInstance, is_geometric, is_singular
+from .pencil import PencilInstance, _geometric, _singular
 
 
 class ConsistencyAlarm(RuntimeError):
@@ -44,21 +48,19 @@ class CriterionReport:
     geometric: Optional[object]  # common ratio, when the sequence is geometric
 
 
-def s_condition_values(p: PencilInstance, kmax: Optional[int] = None) -> Iterator:
-    """Lazily: star = c_{n+1} - w Q^{-1} v, then w Q^{-1} (B Q^{-1})^k v
-    for k = 1..kmax (default kmax = n-2).
+def _s_ints(c: Sequence[int], kmax: Optional[int] = None) -> Iterator[int]:
+    """The S route's int core: lazily, the numerators of the S values for c
+    lifted to L*c (see ``_s_value`` for their denominators).
 
-    Runs on plain ints. c is lifted to L*c (L = 1 over GF(p)); Q, v and w
-    scale by L and B does not, so star = star_L / L and
+    Q, v and w scale by L and B does not, so star = star_L / L and
     value_k = value_k,L * L^(k-1). Q is lower-triangular Toeplitz with
     diagonal c1, and Q^{-1} is applied by forward substitution on numerators:
     entry i of the running vector after k shifts by B has denominator
-    c1^(2k+1+i). Over GF(p) the rational results are reduced at the end,
-    where c1 is a unit.
+    c1^(2k+1+i). Every denominator is a unit, so a value is zero in the
+    field exactly when its numerator is.
     """
-    c, L = p.field.lift(p.c)
-    fld, n, size = p.field, p.n, p.n - 1
-    c1 = c[0]
+    n = len(c) - 1
+    size, c1 = n - 1, c[0]
     pw = [c1**i for i in range(size + 1)]
     # Q's subdiagonals c_{k+1} times c1^(k-1), for k = size-1 down to 1
     sub = [c[k] * pw[k - 1] for k in range(size - 1, 0, -1)]
@@ -73,21 +75,45 @@ def s_condition_values(p: PencilInstance, kmax: Optional[int] = None) -> Iterato
     v = c[1:n]
     w = [wi * pw[size - 1 - i] for i, wi in enumerate(reversed(v))]  # w.u is over c1^(2k+size)
     u = solve([vi * pw[i] for i, vi in enumerate(v)])
-    yield fld.frac(c[n] * pw[size] - sum(map(mul, w, u)), pw[size] * L)
+    yield c[n] * pw[size] - sum(map(mul, w, u))
     for k in range(1, size if kmax is None else kmax + 1):
         u = solve(u[1:] + [0])  # B shifts up by one
-        yield fld.frac(sum(map(mul, w, u)) * L ** (k - 1), c1 ** (2 * k + size))
+        yield sum(map(mul, w, u))
 
 
-def _first_violation(values: Iterable, start: int) -> Optional[Tuple[int, object]]:
-    """(k, value) of the first nonzero value, counting from start; reads no further."""
-    return next(((k, v) for k, v in enumerate(values, start) if v), None)
+def _s_value(k: int, num: int, c: Sequence[int], L: int, fld):
+    """S value k from its numerator: star_L / (c1^(n-1) L) for k = 0, else
+    value_k,L * L^(k-1) / c1^(2k+n-1)."""
+    size = len(c) - 2
+    if k == 0:
+        return fld.frac(num, c[0] ** size * L)
+    return fld.frac(num * L ** (k - 1), c[0] ** (2 * k + size))
+
+
+def s_condition_values(p: PencilInstance, kmax: Optional[int] = None) -> Iterator:
+    """Lazily: star = c_{n+1} - w Q^{-1} v, then w Q^{-1} (B Q^{-1})^k v
+    for k = 1..kmax (default kmax = n-2).
+
+    Runs on plain ints, ``_s_ints`` of c lifted to L*c (L = 1 over GF(p));
+    over GF(p) the rational results are reduced at the end, where c1 is a
+    unit.
+    """
+    c, L = p.field.lift(p.c)
+    for k, num in enumerate(_s_ints(c, kmax)):
+        yield _s_value(k, num, c, L, p.field)
+
+
+def _first_violation(values: Iterable[int], fld) -> Optional[Tuple[int, int]]:
+    """(k, value) of the first int value nonzero in the field, counting from 0;
+    reads no further."""
+    return next(((k, v) for k, v in enumerate(values) if fld.of(v)), None)
 
 
 def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
     """Power condition, truncated at k = n-2; witness is the first violation."""
-    witness = _first_violation(s_condition_values(p), 0)
-    return witness is None, witness
+    c, L = p.field.lift(p.c)
+    witness = _first_violation(_s_ints(c), p.field)
+    return witness is None, witness and (witness[0], _s_value(*witness, c, L, p.field))
 
 
 def _sm_values(N: Sequence[int], kmax: int) -> Iterator[int]:
@@ -120,40 +146,63 @@ def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> Iterator
         yield mv.field.frac(v, D ** (k + 2))
 
 
+def _sm_witness(B: Sequence[int], fld) -> Optional[Tuple[int, int]]:
+    """The SM route's int core on the minor map's ints B (m_r = B_r / a_0^r):
+    (k, V_k(B)) of the first violated condition, with k = -1 and V_{-1} = B_n
+    for m_n, or None. X[a][b] weighs a+1-b and y_a weighs a+2, so V_k weighs
+    n+k+1 (m_n weighs n, as k = -1 gives): V_k(m) = V_k(B) / a_0^(n+k+1).
+    a_0 is a unit, so the ints are tested in the field."""
+    n = len(B) - 1
+    if fld.of(B[n]):
+        return -1, B[n]
+    return _first_violation(_sm_values(B, n - 3), fld)  # drawn only when m_n = 0
+
+
+def _sm_value(k: int, v: int, c: Sequence[int], fld):
+    """SM value k from its int V_k(B): V_k(B) / a_0^(n+k+1), with a_0 = c1."""
+    return fld.frac(v, c[0] ** (len(c) + k))
+
+
 def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], bool]:
     """Minor condition, truncated at k = n-3 (for n = 2 just m_2 = 0), and
-    whether y = (m_2, ..., m_{n-1}) is zero. X[a][b] weighs a+1-b and y_a
-    weighs a+2, so V_k weighs n+k+1: V_k(m) = V_k(B) / a_0^(n+k+1). a_0 is a
-    unit, so the ints V_k(B) are tested in the field and only the witness is
-    divided."""
-    B, a0 = _minor_ints(p)
-    n, fld = p.n, p.field
-    m_n = fld.frac(B[n], a0**n)
-    if m_n:
-        witness = (-1, m_n)
-    else:  # the k >= 0 stream is created only when m_n = 0
-        witness = _first_violation(map(fld.of, _sm_values(B, n - 3)), 0)
-        if witness:
-            k, v = witness
-            witness = (k, v / fld.of(a0 ** (n + k + 1)))
-    return witness is None, witness, not any(map(fld.of, B[2:n]))
+    whether y = (m_2, ..., m_{n-1}) is zero."""
+    c, _ = p.field.lift(p.c)
+    B, _ = _minor_ints(c)
+    witness = _sm_witness(B, p.field)
+    w = witness and (witness[0], _sm_value(*witness, c, p.field))
+    return witness is None, w, not any(map(p.field.of, B[2:-1]))
+
+
+def _verdicts(
+    c: Sequence[int], L: int, fld
+) -> Tuple[bool, Optional[Tuple[int, int]], Optional[Tuple[int, int]], List[int]]:
+    """The three verdict routes on c lifted to L*c (L = 1 over GF(p)), each
+    on its own algebra: (singular, S witness, SM witness, B), with the
+    witnesses as the int pairs of ``_s_ints`` and ``_sm_witness`` and B the
+    minor map's ints. Raises ConsistencyAlarm when the routes disagree."""
+    singular = _singular(c, fld)
+    s_witness = _first_violation(_s_ints(c), fld)
+    B, _ = _minor_ints(c)
+    sm_witness = _sm_witness(B, fld)
+    s_holds, sm_holds = s_witness is None, sm_witness is None
+    if not (singular == s_holds == sm_holds):
+        shown = tuple(fld.frac(ci, L) for ci in c)
+        raise ConsistencyAlarm(
+            f"criteria disagree on c={shown}: det={singular} S={s_holds} SM={sm_holds}"
+        )
+    return singular, s_witness, sm_witness, B
 
 
 def evaluate_instance(p: PencilInstance) -> CriterionReport:
-    singular = is_singular(p)
-    s_holds, s_witness = check_S(p)
-    sm_holds, sm_witness, y_is_zero = check_SM(p)
-    report = CriterionReport(
+    fld = p.field
+    c, L = fld.lift(p.c)
+    singular, s_witness, sm_witness, B = _verdicts(c, L, fld)
+    return CriterionReport(
         singular_det=singular,
-        s_holds=s_holds,
-        sm_holds=sm_holds,
-        s_witness=s_witness,
-        sm_witness=sm_witness,
-        y_is_zero=y_is_zero,
-        geometric=is_geometric(p),
+        s_holds=s_witness is None,
+        sm_holds=sm_witness is None,
+        s_witness=s_witness and (s_witness[0], _s_value(*s_witness, c, L, fld)),
+        sm_witness=sm_witness and (sm_witness[0], _sm_value(*sm_witness, c, fld)),
+        y_is_zero=not any(map(fld.of, B[2:-1])),
+        geometric=_geometric(c, fld),
     )
-    if not (singular == s_holds == sm_holds):
-        raise ConsistencyAlarm(
-            f"criteria disagree on c={p.c}: det={singular} S={s_holds} SM={sm_holds}"
-        )
-    return report

@@ -36,22 +36,20 @@ from itertools import product
 from operator import add
 from typing import List, Optional, Tuple
 
-from .criteria import ConsistencyAlarm, _sm_values, evaluate_instance
+from .criteria import ConsistencyAlarm, _sm_values, _verdicts, evaluate_instance
 from .field import PrimeField, RationalField
 from .minors import _reciprocal
-from .pencil import build_pencil
+from .pencil import PencilError, build_pencil
 
 # Deterministic subsampling of full criterion cross-checks during exhaustive
-# scans: a pure function of the tuple, so shard boundaries cannot affect it.
+# scans: a valid tuple (m_1, ..., m_{n-1}) is cross-checked when
+# sum_r r*m_r = 0 mod the stride, a pure function of the tuple, so shard
+# boundaries cannot affect it.
 _CROSSCHECK_STRIDE = 17
 
-
-def _crosscheck_selected(mtuple: Tuple[int, ...]) -> bool:
-    return sum((i + 1) * v for i, v in enumerate(mtuple)) % _CROSSCHECK_STRIDE == 0
-
-
-# Largest exhaustive scan, in p^(n-1) tuples: about 15-20 min on one core at
-# the 80k-120k tuples/s of the cells (5,7) to (8,7) and (7,11).
+# Largest exhaustive scan, in p^(n-1) tuples: about 4.5-7 min on one core at
+# the 250k-370k tuples/s of the cells (6,7) to (8,7), (6,11) and (7,11)
+# (Python 3.11, one core of a 2-core host).
 MAX_EXHAUSTIVE_TUPLES = 10**8
 
 # Largest n the CLI takes: at n = 256 a geometric verify or kernel takes about
@@ -146,7 +144,7 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
     scale_c = [[pow(-b, r, p) for b in range(1, p)] for r in range(n + 1)]
 
     def stride_row(r: int, v: int) -> List[int]:
-        """m_r = v's term r*(beta^r v mod p) of _crosscheck_selected's sum, per beta."""
+        """m_r = v's term r*(beta^r v mod p) of the cross-check sum, per beta."""
         return [r * (s * v % p) for s in scale_m[r]]
 
     # the rows of the head coordinates m_2..m_{n-2}; m_1 = 1 needs one, and
@@ -184,9 +182,11 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
             for i in checked:  # beta = i + 1
                 mtuple = tuple(scale_m[r][i] * N[r] % p for r in range(1, n))
                 c = [s[i] * b % p for s, b in zip(scale_c, B)]  # c_{k+1} = (-beta)^k B_k
+                if not all(c):
+                    raise PencilError(f"coefficient c{c.index(0) + 1} is zero")
                 try:
-                    rep = evaluate_instance(build_pencil(c, gf))
-                    if rep.sm_holds != sm_ok:
+                    _, _, sm_witness, _ = _verdicts(c, 1, gf)
+                    if (sm_witness is None) != sm_ok:
                         report.equivalence_violations.append((mtuple, "sm-mismatch"))
                 except ConsistencyAlarm:
                     report.equivalence_violations.append((mtuple, "criterion-disagreement"))

@@ -55,16 +55,16 @@ def _reciprocal(a: Sequence[int], count: int, B: Sequence[int] = (1,)) -> List[i
     return B
 
 
-def _minor_ints(p: PencilInstance) -> Tuple[List[int], int]:
-    """(B, a_0) with m_r = B_r / a_0^r for the reciprocal B of the lifted, alternating
-    c; B_r is homogeneous of degree r, so neither the lift nor c1 needs dividing out."""
-    c, _ = p.field.lift(p.c)
+def _minor_ints(c: Sequence[int]) -> Tuple[List[int], int]:
+    """(B, a_0) with m_r = B_r / a_0^r for the reciprocal B of the alternating c,
+    lifted to plain ints; B_r is homogeneous of degree r, so neither the lift
+    nor c1 needs dividing out."""
     a = [ci if k % 2 == 0 else -ci for k, ci in enumerate(c)]
-    return _reciprocal(a, p.n + 1), a[0]
+    return _reciprocal(a, len(c)), a[0]
 
 
 def principal_minors(p: PencilInstance) -> MinorVector:
-    B, a0 = _minor_ints(p)
+    B, a0 = _minor_ints(p.field.lift(p.c)[0])
     return MinorVector(field=p.field, m=tuple(p.field.frac(b, a0**r) for r, b in enumerate(B)))
 
 

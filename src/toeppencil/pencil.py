@@ -142,6 +142,18 @@ def _newton_coefficients(values: Sequence[int]) -> List[int]:
     return out
 
 
+def _singular(c: Sequence[int], fld) -> bool:
+    """True iff det T(x) is the zero polynomial, for c lifted to plain ints
+    (L*c, L = 1 over GF(p)): the det route's int core, see ``is_singular``."""
+    values = []
+    for x0 in range(len(c) - 2):
+        d = _det_int([r[::-1] for r in reversed(_rows(c, x0, 0))])
+        if fld.of(d):
+            return False
+        values.append(d)
+    return not any(map(fld.of, _newton_coefficients(values)))
+
+
 def is_singular(p: PencilInstance) -> bool:
     """True iff det T(x) is the zero polynomial.
 
@@ -156,24 +168,21 @@ def is_singular(p: PencilInstance) -> bool:
     O(n^2) per point. T is Toeplitz, so its transpose is J T J (J the
     exchange matrix): the rows in reverse order, each reversed.
     """
-    c, _ = p.field.lift(p.c)
-    n, fld, zero = p.n, p.field, p.field.zero
-    values = []
-    for x0 in range(n - 1):
-        d = _det_int([r[::-1] for r in reversed(_rows(c, x0, 0))])
-        if fld.of(d):
-            return False
-        values.append(d)
-    return all(fld.of(a) == zero for a in _newton_coefficients(values))
+    return _singular(p.field.lift(p.c)[0], p.field)
+
+
+def _geometric(c: Sequence[int], fld) -> Optional[object]:
+    """The common ratio c_2 / c_1 if c_{k+1} c_1 = c_2 c_k in the field for
+    all k, else None, for c lifted to plain ints; the lift's scale cancels."""
+    c1, c2 = c[0], c[1]
+    if any(fld.of(c[k + 1] * c1 - c2 * c[k]) for k in range(1, len(c) - 1)):
+        return None
+    return fld.frac(c2, c1)
 
 
 def is_geometric(p: PencilInstance) -> Optional[object]:
     """The common ratio if c_{k+1} = ratio * c_k for all k, else None."""
-    lam = p.coeff(2) / p.coeff(1)
-    for k in range(1, p.n + 1):
-        if p.coeff(k + 1) != lam * p.coeff(k):
-            return None
-    return lam
+    return _geometric(p.field.lift(p.c)[0], p.field)
 
 
 def normalize_c1(p: PencilInstance) -> PencilInstance:

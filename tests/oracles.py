@@ -16,18 +16,36 @@ per-tuple scan it replaced, which recovers the coefficients and evaluates SM
 on field elements for every one of the p^(n-1) tuples. The kernel extraction
 on lifted ints, with its det-probe exit, is checked against the stacked search
 it replaced: ``Mat.kernel_basis`` of every C(d) and ``Fraction``/GF(p)
-matrix-vector products for the identity.
+matrix-vector products for the identity. The int geometric test is checked
+against the field-division loop it replaced, and the hunt's cross-check
+subsampling rule is defined here, apart from the scan that applies it.
 """
 
 from itertools import combinations, product
 
 from toeppencil.criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
 from toeppencil.field import PrimeField
-from toeppencil.hunt import _crosscheck_selected
+from toeppencil.hunt import _CROSSCHECK_STRIDE
 from toeppencil.kronecker import BlockPencil, KroneckerResult, build_C
 from toeppencil.linalg import Mat, Poly, mat_vec
 from toeppencil.minors import MinorVector, build_sm_objects, recover_c_from_minors
 from toeppencil.pencil import build_pencil, partition
+
+
+def _crosscheck_selected(mtuple) -> bool:
+    """The exhaustive hunt's subsampling rule: a valid tuple (m_1, ..., m_{n-1})
+    is cross-checked when sum_r r*m_r = 0 mod the stride."""
+    return sum((i + 1) * v for i, v in enumerate(mtuple)) % _CROSSCHECK_STRIDE == 0
+
+
+def geometric_ratio(p):
+    """The common ratio c_2 / c_1 if c_{k+1} = ratio * c_k for all k, else
+    None, by field division and multiplication."""
+    lam = p.coeff(2) / p.coeff(1)
+    for k in range(1, p.n + 1):
+        if p.coeff(k + 1) != lam * p.coeff(k):
+            return None
+    return lam
 
 
 def det_cofactor(M: Mat):

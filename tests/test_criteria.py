@@ -4,8 +4,15 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+from toeppencil import hunt
 from toeppencil.criteria import (
+    _minor_ints,
+    _s_ints,
+    _s_value,
+    _sm_value,
     _sm_values,
+    _sm_witness,
+    _verdicts,
     check_S,
     check_SM,
     evaluate_instance,
@@ -25,7 +32,7 @@ from toeppencil.minors import (
     q_inverse_closed_form,
     recover_c_from_minors,
 )
-from toeppencil.pencil import build_pencil, is_singular, normalize_c1, partition
+from toeppencil.pencil import _singular, build_pencil, is_singular, normalize_c1, partition
 
 from conftest import (
     geometric_pencil,
@@ -342,11 +349,11 @@ def test_routes_stay_independent():
     # the three verdicts are evidence only while no route reads another's work
     minors_route = _codes(
         principal_minors, recover_c_from_minors, build_sm_objects,
-        q_inverse_closed_form, q_inv_v_closed_form, det_X, _reciprocal,
+        q_inverse_closed_form, q_inv_v_closed_form, det_X, _reciprocal, _minor_ints,
     )
-    s_route = _codes(s_condition_values, check_S, partition)
-    sm_route = _codes(sm_condition_values, check_SM, _sm_values)
-    det_route = _codes(is_singular, Mat.det, Mat.inv)
+    s_route = _codes(s_condition_values, check_S, partition, _s_ints, _s_value)
+    sm_route = _codes(sm_condition_values, check_SM, _sm_values, _sm_witness, _sm_value)
+    det_route = _codes(is_singular, Mat.det, Mat.inv, _singular)
     cases = [
         random_rational_pencil(random.Random(127), 7),
         geometric_pencil(Fraction(3, 2), 6),
@@ -359,15 +366,24 @@ def test_routes_stay_independent():
         assert not modules & {"toeppencil.criteria", "toeppencil.minors", "toeppencil.linalg"}
         assert not {code for _, code in calls} & (minors_route | s_route | sm_route)
         codes = {code for _, code in _toeppencil_calls(check_S, p)}
-        assert s_condition_values.__code__ in codes
+        assert _s_ints.__code__ in codes
         assert not codes & (minors_route | sm_route | det_route)
         codes = {code for _, code in _toeppencil_calls(check_SM, p)}
-        assert _reciprocal.__code__ in codes
+        assert _codes(_reciprocal, _sm_witness) <= codes
         m_n_is_zero = principal_minors(p).m[p.n] == p.field.zero
         assert (_sm_values.__code__ in codes) == m_n_is_zero
         # the verdict reads the reciprocal's ints, never the MinorVector
         assert not codes & _codes(principal_minors, sm_condition_values)
         assert not codes & (s_route | det_route | _codes(q_inverse_closed_form))
+        # the hunt's one entry runs each route's own int core on one lift, and
+        # nothing of the kernel or the field-typed matrices
+        assert hunt._verdicts is _verdicts
+        c, L = p.field.lift(p.c)
+        calls = _toeppencil_calls(_verdicts, c, L, p.field)
+        codes = {code for _, code in calls}
+        assert _codes(_singular, _s_ints, _reciprocal, _sm_witness) <= codes
+        assert (_sm_values.__code__ in codes) == m_n_is_zero
+        assert not {module for module, _ in calls} & {"toeppencil.kronecker", "toeppencil.linalg"}
 
 
 def test_kernel_stays_apart_from_the_verdicts():

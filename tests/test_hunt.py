@@ -1,18 +1,19 @@
 import json
 import multiprocessing
 import tracemalloc
+from fractions import Fraction
+from itertools import chain, islice
 
 import pytest
 
 import oracles
-from oracles import exhaustive_scan_reference
-from toeppencil import hunt
+from oracles import _crosscheck_selected, exhaustive_scan_reference
+from toeppencil import criteria, hunt
 from toeppencil.criteria import evaluate_instance
 from toeppencil.field import GF, PrimeField, QQ
 from toeppencil.hunt import (
     HuntConfig,
     HuntConfigError,
-    _crosscheck_selected,
     exhaustive_scan,
     random_scan,
     verify_conjecture_smalln,
@@ -139,15 +140,16 @@ def test_orbit_scan_matches_per_tuple_reference(n, p):
         assert got.to_dict() == want
 
 
-def _record_pencils(monkeypatch, module):
-    """Record the coefficients of every pencil that module.evaluate_instance is called on."""
-    seen, real = [], module.evaluate_instance
+def _record_pencils(monkeypatch, module, name, residues):
+    """Record the coefficient residues of every call of module.name; residues
+    reads them off the call's arguments."""
+    seen, real = [], getattr(module, name)
 
-    def record(p):
-        seen.append(tuple(ci.val for ci in p.c))
-        return real(p)
+    def record(*args):
+        seen.append(residues(*args))
+        return real(*args)
 
-    monkeypatch.setattr(module, "evaluate_instance", record)
+    monkeypatch.setattr(module, name, record)
     return seen
 
 
@@ -161,7 +163,11 @@ def _record_pencils(monkeypatch, module):
     ],
 )
 def test_orbit_scan_crosschecks_the_reference_pencils(monkeypatch, n, p, count):
-    got, want = _record_pencils(monkeypatch, hunt), _record_pencils(monkeypatch, oracles)
+    # the scan hands its entry the residues c with scale 1; the reference builds pencils
+    got = _record_pencils(monkeypatch, hunt, "_verdicts", lambda c, L, fld: tuple(c))
+    want = _record_pencils(
+        monkeypatch, oracles, "evaluate_instance", lambda p: tuple(ci.val for ci in p.c)
+    )
     exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive"))
     exhaustive_scan_reference(n, p)
     assert len(want) == count
@@ -210,6 +216,50 @@ def test_flipped_orbit_verdict_is_an_sm_mismatch(monkeypatch):
         r = exhaustive_scan(cfg)
         assert r.equivalence_violations == sorted((t, "sm-mismatch") for t in checked)
         assert r.sm_solutions == base.sm_solutions + solutions
+
+
+def _plant_s_fault(monkeypatch):
+    """S's int core with a nonzero first value: S never holds, so each
+    singular pencil is a three-way disagreement and each regular one is not."""
+    real = criteria._s_ints
+    monkeypatch.setattr(
+        criteria, "_s_ints", lambda c, kmax=None: chain([1], islice(real(c, kmax), 1, None))
+    )
+
+
+def test_planted_s_fault_alarms_on_exactly_the_sm_orbits(monkeypatch):
+    cfg = HuntConfig(n=5, field=GF(7), mode="exhaustive")
+    base = exhaustive_scan(cfg)
+    # the SM solutions: the 18 counterexamples and the geometric (m_1, 0, 0, 0)
+    sm_tuples = base.counterexamples + [(m, 0, 0, 0) for m in range(1, 7)]
+    assert len(sm_tuples) == base.sm_solutions == 24
+    _plant_s_fault(monkeypatch)
+    for w in (1, 2):
+        r = exhaustive_scan(HuntConfig(n=5, field=GF(7), mode="exhaustive", workers=w))
+        assert r.equivalence_violations == sorted((t, "criterion-disagreement") for t in sm_tuples)
+        assert (r.sm_solutions, r.counterexamples) == (base.sm_solutions, base.counterexamples)
+
+
+def test_planted_s_fault_alarms_on_exactly_the_singular_random_pencils(monkeypatch):
+    cfg = HuntConfig(n=5, field=QQ, mode="random", trials=60, seed=1)
+    singular, real = [], hunt.evaluate_instance
+
+    def record(p):
+        rep = real(p)
+        if rep.singular_det:
+            singular.append(tuple(str(ci) for ci in p.c))
+        return rep
+
+    with monkeypatch.context() as m:
+        m.setattr(hunt, "evaluate_instance", record)
+        base = random_scan(cfg)
+    assert base.equivalence_violations == [] and len(singular) == base.sm_solutions
+    for lam in (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)):  # the injected ones
+        assert tuple(str(lam**k) for k in range(6)) in singular
+    _plant_s_fault(monkeypatch)
+    r = random_scan(cfg)
+    assert r.equivalence_violations == sorted((t, "criterion-disagreement") for t in singular)
+    assert (r.tuples_scanned, r.sm_solutions, r.counterexamples) == (base.tuples_scanned, 0, [])
 
 
 def test_random_scan_deterministic():

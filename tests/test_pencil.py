@@ -22,7 +22,7 @@ from toeppencil.pencil import (
 )
 
 from conftest import geometric_pencil, random_gf_pencil, random_rational_pencil
-from oracles import det_laplace, jacobi_det, pencil_det, poly_eval
+from oracles import det_laplace, geometric_ratio, jacobi_det, pencil_det, poly_eval
 
 
 def qp(*cs):
@@ -134,6 +134,39 @@ def test_is_geometric():
     assert is_geometric(qp(1, 2, 4, 8)) == 2
     assert is_geometric(qp(1, 1, 1, 2)) is None
     assert is_geometric(qp(3, 3, 3, 3, 3)) == 1
+
+
+def test_is_geometric_matches_the_division_loop():
+    # the int cross-multiplication against the c2/c1 loop on field elements:
+    # equal value, type and repr; over GF(3) the ratios 2 and -1 coincide
+    rng = random.Random(59)
+    cases = []
+    for n in range(2, 13):
+        for lam in (Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-3, 5), Fraction(1)):
+            c1 = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 4, 7]))  # c1 < 0 too
+            geo = [c1 * lam**k for k in range(n + 1)]
+            cases.append(build_pencil(geo))
+            for i in (2, n):  # off the sequence in one entry: c_3, or the last
+                cases.append(build_pencil(geo[:i] + [geo[i] * 3] + geo[i + 1 :]))
+        cases.append(random_rational_pencil(rng, n))
+        for p in (2, 3, 5, 7):
+            gf = GF(p)
+            for lam in (2, -1, *range(1, p)):
+                if lam % p:
+                    c1 = gf.of(rng.randrange(1, p))
+                    geo = [c1 * gf.of(lam) ** k for k in range(n + 1)]
+                    cases.append(build_pencil(geo, gf))
+                    if p > 2:
+                        cases.append(build_pencil(geo[:-1] + [geo[-1] * gf.of(-1)], gf))
+            cases.append(random_gf_pencil(rng, n, p))
+    geometric = 0
+    for p in cases:
+        got, want = is_geometric(p), geometric_ratio(p)
+        assert (got, type(got), repr(got)) == (want, type(want), repr(want)), p.c
+        geometric += got is not None
+    assert 0 < geometric < len(cases)
+    gf3 = GF(3)
+    assert is_geometric(build_pencil([1, 2, 1, 2], gf3)) == gf3.of(-1) == gf3.of(2)
 
 
 def test_normalize_c1():

@@ -65,3 +65,10 @@ def test_scripts_refuse_bad_primes_and_oversized_scans():
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_mutants_match_the_code():
+    # every planted fault's old text still matches once; the full run is a CI step
+    proc = run_script("mutants.py", "--check")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith(" mutants match\n")
