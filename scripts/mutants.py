@@ -106,6 +106,20 @@ MUTANTS = [
         [PENCIL + "test_det_int_rules_match_laplace", PENCIL + "test_is_singular_matches_polynomial_determinant"],
     ),
     (
+        "the top coefficient drops c_{n-1} c_{n+1}",
+        PKG + "pencil.py",
+        "return c[-2] ** 2 - c[-3] * c[-1]",
+        "return c[-2] ** 2",
+        [PENCIL + "test_top_coefficient_matches_laplace", PENCIL + "test_is_singular_matches_polynomial_determinant"],
+    ),
+    (
+        "the det route reads n-3 points",
+        PKG + "pencil.py",
+        "for x0 in range(max(len(c) - 3, 1)):",
+        "for x0 in range(max(len(c) - 4, 1)):",
+        [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p"],
+    ),
+    (
         "the geometric product is off by one index",
         PKG + "pencil.py",
         "c2 * c[k]) for k in",
@@ -122,8 +136,8 @@ MUTANTS = [
     (
         "the hunt drops the B_n validity test",
         PKG + "hunt.py",
-        "if not (B[n - 1] % p and B[n] % p):",
-        "if not B[n - 1] % p:",
+        "if not (b1 and b0):",
+        "if not b1:",
         [HUNT + "test_orbit_scan_matches_per_tuple_reference[3-7]", HUNT + "test_n4_solution_count_is_p_minus_1"],
     ),
     (

@@ -128,6 +128,23 @@ class HuntReport:
         }
 
 
+def _leaf_ends(prefix: Tuple[int, ...], Bh: List[int], leaves, p: int) -> List[Tuple[int, ...]]:
+    """(leaf, B_{n-1} mod p, B_n mod p) for each leaf m_{n-1}, where B is the
+    reciprocal of N = (*prefix, leaf, 0): prefix is m_0..m_{n-2}, Bh is
+    B_0..B_{n-2} mod p, and m_0 = m_1 = 1.
+
+    For n >= 3 both are affine in the leaf: it enters B_{n-1} only as
+    -leaf*B_0, and B_n as -leaf*B_1 = leaf and through -m_1 B_{n-1}, while
+    m_n = 0 adds nothing. With Z the reciprocal at leaf 0, B_{n-1} =
+    Z_{n-1} - leaf and B_n = Z_n + 2*leaf: one reciprocal per head. For
+    n = 2 the leaf is m_1 itself and B_2 = m_1^2."""
+    n = len(prefix) + 1
+    if n == 2:
+        return [(v, *(b % p for b in _reciprocal((*prefix, v, 0), 3, Bh)[1:])) for v in leaves]
+    z1, z0 = _reciprocal((*prefix, 0, 0), n + 1, Bh)[n - 1 :]
+    return [(v, (z1 - v) % p, (z0 + 2 * v) % p) for v in leaves]
+
+
 def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
     """Scan the representatives m_1 = 1 whose leading coordinates lie in leads
     (m_2 for n = 3 and 4, the pair (m_2, m_3) as m_2*p + m_3 for n >= 5; for
@@ -135,8 +152,10 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
     tuples of its orbit.
 
     The walk takes each head (m_2, ..., m_{n-2}) once: its reciprocal
-    B_0..B_{n-2}, kept mod p, and its terms of the stride sums. Each leaf
-    m_{n-1} then continues B by B_{n-1} and B_n."""
+    B_0..B_{n-2}, kept mod p, and its terms of the stride sums. B_{n-1} and
+    B_n are affine in the leaf m_{n-1} (``_leaf_ends``), so a leaf's
+    validity test is two residues, and N and B are built only for the
+    valid leaves."""
     gf = PrimeField(p)
     report = HuntReport()
     # beta^r and (-beta)^r mod p for beta = 1..p-1: m_r -> beta^r m_r, c_{r+1} -> beta^r c_{r+1}
@@ -166,11 +185,11 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
         head_sums = [0] * (p - 1)
         for r, v in enumerate(prefix[1:], 1):
             head_sums = list(map(add, head_sums, rows[r, v]))
-        for leaf in leaves:
-            N = (*prefix, leaf, 0)  # m_0, m_1 = 1, m_2..m_{n-1}, m_n = 0
-            B = _reciprocal(N, n + 1, Bh)  # c_{k+1} = (-1)^k B_k
-            if not (B[n - 1] % p and B[n] % p):
+        for leaf, b1, b0 in _leaf_ends(prefix, Bh, leaves, p):
+            if not (b1 and b0):
                 continue
+            N = (*prefix, leaf, 0)  # m_0, m_1 = 1, m_2..m_{n-1}, m_n = 0
+            B = (*Bh, b1, b0)  # c_{k+1} = (-1)^k B_k
             report.valid_instances += p - 1
             sm_ok = not any(v % p for v in _sm_values(N, n - 3))
             if sm_ok:
@@ -226,13 +245,10 @@ def _sample_nonzero(fld, rng: random.Random):
     return fld.of(rng.randrange(1, fld.p))
 
 
-def random_scan(cfg: HuntConfig) -> HuntReport:
-    """Seeded fuzz of the three-way criterion equivalence on random nonzero
-    coefficient lists, plus geometric ones for each nonzero ratio 1, 2, -1, 1/2."""
-    if cfg.mode != "random":
-        raise HuntConfigError("config is not in random mode")
+def _random_instances(cfg: HuntConfig) -> List[list]:
+    """The coefficient lists of a random scan: cfg.trials seeded random ones,
+    then the geometric ones for each nonzero ratio 1, 2, -1, 1/2."""
     rng = random.Random(cfg.seed or 0)  # random.Random(None) would seed from the clock
-    report = HuntReport()
     instances = []
     for _ in range(cfg.trials):
         instances.append([_sample_nonzero(cfg.field, rng) for _ in range(cfg.n + 1)])
@@ -242,20 +258,34 @@ def random_scan(cfg: HuntConfig) -> HuntReport:
         for _ in range(cfg.n):
             geo.append(geo[-1] * lam)
         instances.append(geo)
-    for c in instances:
+    return instances
+
+
+def random_scan(cfg: HuntConfig) -> HuntReport:
+    """Seeded fuzz of the three-way criterion equivalence on random nonzero
+    coefficient lists, plus geometric ones for each nonzero ratio 1, 2, -1, 1/2.
+    Each distinct list is evaluated once; the counts and lists are per trial."""
+    if cfg.mode != "random":
+        raise HuntConfigError("config is not in random mode")
+    report = HuntReport()
+    outcomes = {}  # tuple(c) -> (sm_holds, y_is_zero), or None on an alarm
+    for c in _random_instances(cfg):
         report.tuples_scanned += 1
         report.valid_instances += 1
-        try:
-            rep = evaluate_instance(build_pencil(c, cfg.field))
-        except ConsistencyAlarm:
-            report.equivalence_violations.append(
-                (tuple(str(ci) for ci in c), "criterion-disagreement")
-            )
-            continue
-        if rep.sm_holds:
+        key = tuple(c)
+        if key not in outcomes:
+            try:
+                rep = evaluate_instance(build_pencil(c, cfg.field))
+                outcomes[key] = rep.sm_holds, rep.y_is_zero
+            except ConsistencyAlarm:
+                outcomes[key] = None
+        outcome, shown = outcomes[key], tuple(str(ci) for ci in c)
+        if outcome is None:
+            report.equivalence_violations.append((shown, "criterion-disagreement"))
+        elif outcome[0]:
             report.sm_solutions += 1
-            if not rep.y_is_zero:
-                report.counterexamples.append(tuple(str(ci) for ci in c))
+            if not outcome[1]:
+                report.counterexamples.append(shown)
     return report.canonicalize()
 
 

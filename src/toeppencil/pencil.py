@@ -142,13 +142,22 @@ def _newton_coefficients(values: Sequence[int]) -> List[int]:
     return out
 
 
+def _top_coefficient(c: Sequence[int]) -> int:
+    """[x^(n-2)] det T(x) for c = (c1, ..., c_{n+1}). A term of x^(n-2) takes
+    every x, at (i, i+2) 0-based, so it sends rows n-2, n-1 to columns 0, 1:
+    the coefficient is the 2x2 minor there, with the sign of the shift by 2
+    mod n, which is even."""
+    return c[-2] ** 2 - c[-3] * c[-1]
+
+
 def _singular(c: Sequence[int], fld) -> bool:
     """True iff det T(x) is the zero polynomial, for c lifted to plain ints
     (L*c, L = 1 over GF(p)): the det route's int core, see ``is_singular``."""
     values = []
-    for x0 in range(len(c) - 2):
+    for x0 in range(max(len(c) - 3, 1)):  # x0 = 0..n-3, and 0 for n = 2
         d = _det_int([r[::-1] for r in reversed(_rows(c, x0, 0))])
-        if fld.of(d):
+        # det T'(0) first, then the O(1) top coefficient
+        if fld.of(d) or not values and fld.of(_top_coefficient(c)):
             return False
         values.append(d)
     return not any(map(fld.of, _newton_coefficients(values)))
@@ -159,14 +168,24 @@ def is_singular(p: PencilInstance) -> bool:
 
     Runs on plain ints. Lifting c to L*c (L = 1 over GF(p)) gives the integer
     pencil T'(x) = L*M0 + x*M1 with det T'(x) = L^n det T(x/L), and over GF(p)
-    det T(x) is det T'(x) with its coefficients reduced mod p. x sits in n-2
-    entries, so deg det T' <= n-2 and the values at x0 = 0..n-2 fix it: the
-    first value that is nonzero in the field proves the pencil regular.
-    Otherwise the interpolating integer polynomial decides; over GF(p) with
-    p <= n-2 the points repeat mod p, so the values alone would not. Each
-    value is ``_det_int`` of T(x0) transposed, which has lower bandwidth 2:
-    O(n^2) per point. T is Toeplitz, so its transpose is J T J (J the
-    exchange matrix): the rows in reverse order, each reversed.
+    det T(x) is det T'(x) with its coefficients reduced mod p. x sits in the
+    n-2 entries (i, i+2), so deg det T' <= n-2. Only the permutations that
+    take all of them reach x^(n-2), and they send rows n-2, n-1 to columns
+    0, 1: the top coefficient is the 2x2 minor c_n^2 - c_{n-1} c_{n+1} of
+    the lifted c (L^2 times that of c).
+
+    The first probe is x0 = 0, where det T'(0) is L^n det M0. A value that
+    is nonzero in the field proves the pencil regular, and so does a top
+    coefficient nonzero in the field, in O(1). Otherwise deg <= n-3 in the
+    field and the n-2 values at x0 = 0..n-3 fix it: the first one nonzero
+    in the field proves the pencil regular. If all vanish, the Newton
+    coefficients a_0..a_{n-3} of the integer polynomial through them
+    decide. This is exact over every GF(p), also p <= n-2, where the points
+    repeat mod p: a_k of det T' reads only the values at 0..k, and the top
+    one, a_{n-2}, is the top coefficient. Each value is ``_det_int`` of
+    T(x0) transposed, which has lower bandwidth 2: O(n^2) per point. T is
+    Toeplitz, so its transpose is J T J (J the exchange matrix): the rows in
+    reverse order, each reversed.
     """
     return _singular(p.field.lift(p.c)[0], p.field)
 

@@ -8,7 +8,8 @@ coefficient tuples (ring operations only, no division or elimination), and
 kernel vectors are checked by multiplying out (M0 + x*M1) f(x) on the same
 tuples. The minor-space scan is checked
 against a direct enumeration of coefficient space on plain ints mod p, which
-uses no toeppencil arithmetic at all. The S and SM values, which the
+uses no toeppencil arithmetic at all, and the random hunt against the loop
+that evaluates every trial, duplicates included. The S and SM values, which the
 library computes on plain ints, are checked against the field-typed matrix
 formulas they replaced: Gauss-Jordan ``Q.inv()`` and matrix-vector products
 over the field. The orbit-reduced integer hunt is checked against the
@@ -25,7 +26,7 @@ from itertools import combinations, product
 
 from toeppencil.criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
 from toeppencil.field import PrimeField
-from toeppencil.hunt import _CROSSCHECK_STRIDE
+from toeppencil.hunt import _CROSSCHECK_STRIDE, HuntReport, _random_instances
 from toeppencil.kronecker import BlockPencil, KroneckerResult, build_C
 from toeppencil.linalg import Mat, Poly, mat_vec
 from toeppencil.minors import MinorVector, build_sm_objects, recover_c_from_minors
@@ -332,6 +333,26 @@ def exhaustive_scan_reference(n: int, p: int) -> dict:
         "violations": [list(t) for t in sorted(violations)],
         "note": note if counterexamples else None,
     }
+
+
+def random_scan_reference(cfg) -> HuntReport:
+    """The random hunt's report with ``evaluate_instance`` called once per
+    trial, on the scan's own coefficient lists."""
+    report = HuntReport()
+    for c in _random_instances(cfg):
+        report.tuples_scanned += 1
+        report.valid_instances += 1
+        shown = tuple(str(ci) for ci in c)
+        try:
+            rep = evaluate_instance(build_pencil(c, cfg.field))
+        except ConsistencyAlarm:
+            report.equivalence_violations.append((shown, "criterion-disagreement"))
+            continue
+        if rep.sm_holds:
+            report.sm_solutions += 1
+            if not rep.y_is_zero:
+                report.counterexamples.append(shown)
+    return report.canonicalize()
 
 
 def analyze_reference(bp: BlockPencil) -> KroneckerResult:

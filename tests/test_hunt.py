@@ -2,12 +2,12 @@ import json
 import multiprocessing
 import tracemalloc
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, product
 
 import pytest
 
 import oracles
-from oracles import _crosscheck_selected, exhaustive_scan_reference
+from oracles import _crosscheck_selected, exhaustive_scan_reference, random_scan_reference
 from toeppencil import criteria, hunt
 from toeppencil.criteria import evaluate_instance
 from toeppencil.field import GF, PrimeField, QQ
@@ -18,7 +18,7 @@ from toeppencil.hunt import (
     random_scan,
     verify_conjecture_smalln,
 )
-from toeppencil.minors import recover_c_from_minors
+from toeppencil.minors import _reciprocal, recover_c_from_minors
 from toeppencil.pencil import build_pencil, is_geometric
 
 
@@ -260,6 +260,42 @@ def test_planted_s_fault_alarms_on_exactly_the_singular_random_pencils(monkeypat
     r = random_scan(cfg)
     assert r.equivalence_violations == sorted((t, "criterion-disagreement") for t in singular)
     assert (r.tuples_scanned, r.sm_solutions, r.counterexamples) == (base.tuples_scanned, 0, [])
+
+
+@pytest.mark.parametrize("n,p", [(3, 7), (4, 5), (5, 7), (6, 5)])
+def test_leaf_ends_match_the_reciprocal(n, p):
+    # B_{n-1}, B_n from the head's reciprocal at leaf 0, against the reciprocal
+    # of each whole N, for every head and leaf (zero residues in Bh included)
+    for head in product(range(p), repeat=n - 3):
+        prefix = (1, 1, *head)
+        Bh = [b % p for b in _reciprocal(prefix, n - 1)]
+        want = [
+            (leaf, *(b % p for b in _reciprocal((*prefix, leaf, 0), n + 1, Bh)[n - 1 :]))
+            for leaf in range(p)
+        ]
+        assert hunt._leaf_ends(prefix, Bh, range(p), p) == want, head
+
+
+@pytest.mark.parametrize(
+    "n,field,trials", [(4, GF(2), 50), (3, GF(3), 40), (2, GF(5), 120), (5, QQ, 20)]
+)
+def test_random_scan_evaluates_each_distinct_list_once(monkeypatch, n, field, trials):
+    cfg = HuntConfig(n=n, field=field, mode="random", trials=trials, seed=2)
+    instances = hunt._random_instances(cfg)
+    distinct = {tuple(c) for c in instances}
+    if field != QQ:
+        assert len(distinct) < trials
+    want = random_scan_reference(cfg)
+    calls, real = [], hunt.evaluate_instance
+    monkeypatch.setattr(hunt, "evaluate_instance", lambda p: calls.append(p.c) or real(p))
+    got = random_scan(cfg)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.tuples_scanned == len(instances)
+    # over GF(2) the 50 trials and the 2 ratios are one list, all ones
+    assert len(calls) == len(distinct) and set(calls) == distinct
+    # a planted alarm is listed once per trial, not once per distinct list
+    _plant_s_fault(monkeypatch)
+    assert random_scan(cfg).to_dict() == random_scan_reference(cfg).to_dict()
 
 
 def test_random_scan_deterministic():

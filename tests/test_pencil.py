@@ -12,6 +12,7 @@ from toeppencil.pencil import (
     PencilError,
     _det_int,
     _rows,
+    _top_coefficient,
     build_M0,
     build_M1,
     build_pencil,
@@ -237,6 +238,44 @@ def test_is_singular_matches_polynomial_determinant():
                 if det and all(poly_eval(det, gf.of(x0), gf) == 0 for x0 in range(q)):
                     regular_vanishing += 1
     assert regular_vanishing > 0
+
+
+def test_top_coefficient_matches_laplace():
+    # [x^(n-2)] det T'(x) of the lifted pencil is L^2 [x^(n-2)] det T(x), sign included
+    rng = random.Random(47)
+    for fld in (QQ, GF(2), GF(3), GF(7)):
+        for n in range(2, 11):
+            for _ in range(4):
+                if fld == QQ:
+                    p = random_rational_pencil(rng, n)
+                else:
+                    p = random_gf_pencil(rng, n, fld.p)
+                det = pencil_det(p)
+                top = det[n - 2] if len(det) == n - 1 else fld.zero
+                c, L = fld.lift(p.c)
+                assert fld.of(_top_coefficient(c)) == fld.of(L) ** 2 * top, (fld, p.c)
+
+
+def test_is_singular_when_the_top_coefficient_vanishes_mod_p():
+    # lifted residues whose top coefficient is a nonzero multiple of p: the
+    # det route reads x0 = 0..n-3, which repeat mod p for p <= n-2, and the
+    # Newton coefficients decide
+    rng = random.Random(53)
+    tails = [(3, tail) for n in range(4, 10) for tail in product((1, 2), repeat=n)]
+    tails += [(5, [rng.randrange(1, 5) for _ in range(n)]) for n in (7, 8) for _ in range(600)]
+    cases = []
+    for q, tail in tails:
+        top = _top_coefficient((1, *tail))
+        if top and top % q == 0:
+            cases.append(build_pencil([1, *tail], GF(q)))
+    singular = reached_newton = 0
+    for p in cases:
+        det = pencil_det(p)
+        assert is_singular(p) == (det == ()), (p.field, p.c)
+        points = [poly_eval(det, p.field.of(x0), p.field) for x0 in range(p.n - 2)]
+        singular += det == ()
+        reached_newton += bool(det) and not any(points)  # regular, every point zero
+    assert len(cases) > 300 and singular > 0 and reached_newton > 0
 
 
 def _int_det(grid):
