@@ -31,6 +31,8 @@ PKG = "src/toeppencil/"
 CRITERIA = "tests/test_criteria.py::"
 HUNT = "tests/test_hunt.py::"
 PENCIL = "tests/test_pencil.py::"
+NULL_VECTOR = "tests/test_linalg.py::test_null_vector_is_the_first_kernel_basis_vector"
+STACKED = "tests/test_kronecker.py::test_analyze_matches_stacked_reference"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
@@ -42,6 +44,27 @@ MUTANTS = [
         "        is_singular(PencilInstance(field, (field.one,) * 3))\n"
         "        probe = [[x + d * y",
         [CRITERIA + "test_kernel_stays_apart_from_the_verdicts"],
+    ),
+    (
+        "the null vector skips the rows above the pivot",
+        PKG + "linalg.py",
+        "        for i in range(m):\n            row = a[i]\n",
+        "        for i in range(c + 1, m):\n            row = a[i]\n",
+        [NULL_VECTOR, STACKED],
+    ),
+    (
+        "a row above keeps its pivot entry over GF(p)",
+        PKG + "linalg.py",
+        "row[i] = piv * row[i] % p",
+        "pass",
+        [NULL_VECTOR, STACKED],
+    ),
+    (
+        "a row above keeps its pivot entry over QQ",
+        PKG + "linalg.py",
+        "row[i] = piv * row[i] // lv",
+        "pass",
+        [NULL_VECTOR, STACKED],
     ),
     (
         "S stops at k = n-3",

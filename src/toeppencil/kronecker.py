@@ -7,9 +7,11 @@ dependent columns exactly when a nonzero vector polynomial f(x) of degree
 index; a singular n x n pencil always has one below n, so the search is
 bounded. A regular pencil usually leaves before any stacked matrix is built:
 a nonzero det T(x0) at one of the probe points x0 = 0..n-1 proves it regular
-after one n x n determinant. Inputs are general square pencils: the
-machinery does not need the nonzero-coefficient hypothesis of the Toeplitz
-construction.
+after one n x n determinant. A stacked matrix is reduced only up to its
+first dependent column, whose null vector (a 1 there, 0 right of it) is the
+kernel returned; over GF(p) the reduction runs on residues. Inputs are
+general square pencils: the machinery does not need the nonzero-coefficient
+hypothesis of the Toeplitz construction.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Optional
 
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
-from .linalg import Mat, Poly, ShapeError, _eliminate, _kernel_vectors
+from .linalg import Mat, Poly, ShapeError, _null_vector
 from .pencil import PencilInstance, _det_int, build_M0, build_M1
 
 
@@ -84,9 +86,12 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     on them. For d = 0, 1, ..., n-1: a nonzero det T(d) (T(d) = A0 + d*A1,
     by the det route's ``_det_int`` on its transpose, which for a Toeplitz
     pencil has lower bandwidth 2) proves the pencil regular. Otherwise
-    C(d) is reduced by ``linalg``'s int core; the first d with a
-    rank-deficient C(d) is minimal, because the first n*d columns of C(d)
-    are those of C(d-1) padded with zero rows, so they stay independent.
+    ``linalg._null_vector`` reduces C(d) up to its first column without a
+    pivot and returns that column's null vector, the first vector of
+    ``kernel_basis``. The first d with a rank-deficient C(d) is minimal,
+    because the first n*d columns of C(d) are those of C(d-1) padded with
+    zero rows, so they stay independent; the free column thus lies in block
+    column d, and f has degree d.
     "Regular" is thus returned only with a proof: a nonzero value of det T,
     or full column rank of every C(d), d < n (a singular n x n pencil has
     its minimal index below n). A det that vanishes at every probe, such as
@@ -102,8 +107,7 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
         probe = [[x + d * y for x, y in zip(c0, c1)] for c0, c1 in zip(zip(*A0), zip(*A1))]
         if field.of(_det_int(probe)):
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
-        a, pivots, _ = _eliminate(_stack(A0, A1, 0, d), field)
-        vec = next(_kernel_vectors(a, pivots, (d + 1) * n, field), None)
+        vec = _null_vector(_stack(A0, A1, 0, d), field)
         if vec is not None:
             break
     else:

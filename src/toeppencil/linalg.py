@@ -4,8 +4,10 @@ A ``Mat`` holds entries of one exact field (rationals or GF(p)). The
 determinant, rank, kernel and inverse all lift the entries to Python ints and
 run one fraction-free (Bareiss) Gauss-Jordan reduction, ``_eliminate``, on
 them; values become field elements again only at the return. The kernel
-extraction runs the same int core on rows it lifts itself. ``Poly`` is the
-container in which it returns a vector polynomial.
+extraction needs one null vector of rows it lifts itself, and
+``_null_vector`` reduces them only up to the first column without a pivot,
+over GF(p) on residues. ``Poly`` is the container in which it returns a
+vector polynomial.
 
 All objects are immutable after construction and all operations are pure.
 """
@@ -13,6 +15,8 @@ All objects are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
+
+from .field import PrimeField
 
 
 class ShapeError(ValueError):
@@ -179,6 +183,57 @@ def _kernel_vectors(a: List[Sequence[int]], pivots: List[int], cols: int, fld) -
         for r, c in enumerate(pivots):
             v[c] = fld.frac(-a[r][f], a[r][c])
         yield tuple(v)
+
+
+def _null_vector(a: List[List[int]], fld) -> Optional[Tuple]:
+    """The first vector of ``kernel_basis`` for the int rows ``a`` lifted
+    from ``fld`` (over GF(p) the residues in [0, p); the rows are
+    overwritten): 1 at the first column f without a pivot, -a[r][f] / a[r][r]
+    at every column r < f, 0 right of f; None at full column rank.
+
+    Gauss-Jordan stops at f, so when column c is reduced every column left
+    of it is a pivot column: row r holds its pivot at column r, and a row
+    below row c is zero left of c. A row with a nonzero in column c is live
+    only right of c and, above row c, at its own pivot; every entry skipped
+    is zero in both rows, and column c itself is never read again. Pivots
+    right of f would scale each row by a unit and keep column f zero below
+    row f, so the vector is ``_kernel_vectors``'s. Over QQ the update is
+    ``_eliminate``'s Bareiss rule with its levels; over GF(p) it is reduced
+    mod p and the levels are dropped, since a row scaled by a unit keeps its
+    ratios."""
+    p = fld.p if isinstance(fld, PrimeField) else 0
+    m = len(a)
+    cols = len(a[0]) if a else 0
+    level = [1] * m
+    prev = 1
+    for c in range(cols):
+        pr = next((i for i in range(c, m) if a[i][c]), None)
+        if pr is None:
+            head = [fld.frac(-a[r][c], a[r][r]) for r in range(c)]
+            return tuple(head + [fld.one] + [fld.zero] * (cols - c - 1))
+        if pr != c:
+            a[c], a[pr], level[c], level[pr] = a[pr], a[c], level[pr], level[c]
+        top = a[c]
+        if not p and level[c] != prev:
+            top[c:] = [x * prev // level[c] for x in top[c:]]
+        piv = top[c]
+        tail = top[c + 1 :]
+        for i in range(m):
+            row = a[i]
+            f = row[c]
+            if f and i != c:
+                if p:
+                    row[c + 1 :] = [(piv * x - f * y) % p for x, y in zip(row[c + 1 :], tail)]
+                    if i < c:
+                        row[i] = piv * row[i] % p
+                else:
+                    lv = level[i]
+                    row[c + 1 :] = [(piv * x - f * y) // lv for x, y in zip(row[c + 1 :], tail)]
+                    if i < c:
+                        row[i] = piv * row[i] // lv
+                    level[i] = piv
+        level[c] = prev = piv
+    return None
 
 
 def mat_vec(M: Mat, v: Sequence) -> Tuple:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toeppencil.field import GF, QQ
-from toeppencil.linalg import Mat, Poly, ShapeError, SingularMatrixError, mat_vec
+from toeppencil.linalg import Mat, Poly, ShapeError, SingularMatrixError, _null_vector, mat_vec
 from toeppencil.pencil import build_M0, build_M1
 from oracles import det_cofactor, det_laplace, pencil_det, poly_eval, rank_by_minors
 
@@ -162,6 +162,49 @@ def test_pivot_is_chosen_by_field_zero_not_integer_zero():
     assert S.det() == gf.zero and S.rank() == 1
     with pytest.raises(SingularMatrixError):
         S.inv()
+
+
+def _rows_free_at(rng, field, r, k, f):
+    """r x k int rows lifted from ``field``: column f is a random combination
+    of columns 0..f-1 (zero for f = 0, or when every weight is 0), so column f
+    has no pivot unless the columns left of it are dependent already; half
+    the time a column right of f is zero as well."""
+    p = getattr(field, "p", None)
+
+    def entry():
+        return rng.randint(-3, 3) if p is None else rng.randrange(p)
+
+    rows = [[entry() for _ in range(k)] for _ in range(r)]
+    if f < k:
+        w = [entry() for _ in range(f)]
+        for row in rows:
+            row[f] = sum(wj * x for wj, x in zip(w, row))
+            if p is not None:
+                row[f] %= p
+    if f + 1 < k and rng.random() < 0.5:
+        j = rng.randrange(f + 1, k)
+        for row in rows:
+            row[j] = 0
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5), GF(7)], ids=str)
+def test_null_vector_is_the_first_kernel_basis_vector(field):
+    # tall, square and wide shapes, with the first free column at every
+    # position up to the rank bound, and None (full column rank) on tall ones
+    rng = random.Random(23)
+    for r, k in [(1, 1), (1, 4), (3, 6), (4, 4), (5, 3), (9, 4), (12, 7)]:
+        seen = set()
+        for f in range(min(r, k) + 1):
+            for _ in range(6):
+                rows = _rows_free_at(rng, field, r, k, f)
+                M = Mat(field, [[field.of(x) for x in row] for row in rows])
+                basis = M.kernel_basis()
+                vec = _null_vector([list(row) for row in rows], field)
+                assert vec == (basis[0] if basis else None)
+                assert (vec is None) == (M.rank() == k)
+                seen.add(k if vec is None else max(j for j, e in enumerate(vec) if e != field.zero))
+        assert seen == set(range(min(r, k) + 1)), (r, k)
 
 
 def test_poly_canonical_form():
