@@ -88,6 +88,16 @@ MUTANTS = [
         [CRITERIA + "test_sm_examples", "tests/test_minors.py::test_minor_examples"],
     ),
     (
+        "det_X divides by D^(size-1)",
+        PKG + "minors.py",
+        "D**size)",
+        "D ** (size - 1))",
+        [
+            "tests/test_minors.py::test_det_x_property",
+            "tests/test_acceptance.py::test_criterion_03_det_x",
+        ],
+    ),
+    (
         "the SM core skips the m_n test",
         PKG + "criteria.py",
         "    if fld.of(B[n]):\n        return -1, B[n]\n",

@@ -8,17 +8,15 @@ over small prime fields.
 """
 
 from .field import QQ, PrimeField, FieldMismatchError, GF
-from .linalg import Mat, Poly, ShapeError, SingularMatrixError
+from .linalg import Mat, Poly, ShapeError
 from .pencil import (
     PencilInstance,
     PencilError,
     build_pencil,
     build_M0,
     build_M1,
-    partition,
     is_singular,
     is_geometric,
-    normalize_c1,
 )
 from .minors import (
     MinorVector,
@@ -31,5 +29,5 @@ from .minors import (
     recover_c_from_minors,
 )
 from .criteria import CriterionReport, ConsistencyAlarm, check_S, check_SM, evaluate_instance
-from .kronecker import BlockPencil, KroneckerResult, analyze, build_C
+from .kronecker import BlockPencil, KroneckerResult, analyze
 from .hunt import HuntConfig, HuntReport, exhaustive_scan, random_scan, verify_conjecture_smalln

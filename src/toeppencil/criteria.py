@@ -1,6 +1,6 @@
 """The two singularity tests and the aggregated verdict.
 
-Power condition (on the partition blocks): w Q^{-1} v = c_{n+1} together
+Power condition (on the blocks of M0, M1): w Q^{-1} v = c_{n+1} together
 with w Q^{-1} (B Q^{-1})^k v = 0 for all k >= 1. Minor condition (on the
 principal minors only): m_n = 0 together with (t_y P) X^k y = 0 for all
 k >= 0. The infinite quantifiers are truncated at k <= n-2 and k <= n-3

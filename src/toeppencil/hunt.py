@@ -57,6 +57,11 @@ MAX_EXHAUSTIVE_TUPLES = 10**8
 # 2-core host), and the cost grows as n^3. Library calls take any n.
 MAX_N = 256
 
+# Most worker processes an exhaustive scan forks (it forks min(workers, p)).
+# Past the core count more of them add only start-up time and memory, and an
+# unbounded value would fork thousands of interpreters on a large p.
+MAX_WORKERS = 64
+
 
 class HuntConfigError(ValueError):
     pass
@@ -94,6 +99,8 @@ class HuntConfig:
             raise HuntConfigError("workers must be >= 1")
         if self.mode == "random" and self.workers != 1:
             raise HuntConfigError("random scans run in one process; workers must be 1")
+        if self.workers > MAX_WORKERS:
+            raise HuntConfigError(f"workers = {self.workers} exceeds the limit {MAX_WORKERS}")
 
 
 @dataclass

@@ -70,14 +70,6 @@ def _stack(m0, m1, z, d: int) -> list:
     return rows
 
 
-def build_C(bp: BlockPencil, d: int) -> Mat:
-    """The ((d+2)*n) x ((d+1)*n) stacked matrix; block column j holds the
-    coefficient slot of x^j in a candidate kernel polynomial."""
-    if d < 0:
-        raise ValueError("block depth must be nonnegative")
-    return Mat(bp.M0.field, _stack(bp.M0.data, bp.M1.data, bp.M0.field.zero, d))
-
-
 def analyze(bp: BlockPencil) -> KroneckerResult:
     """The minimal index d and a degree-d nonzero f(x) with
     (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil.
@@ -87,11 +79,11 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     by the det route's ``_det_int`` on its transpose, which for a Toeplitz
     pencil has lower bandwidth 2) proves the pencil regular. Otherwise
     ``linalg._null_vector`` reduces C(d) up to its first column without a
-    pivot and returns that column's null vector, the first vector of
-    ``kernel_basis``. The first d with a rank-deficient C(d) is minimal,
-    because the first n*d columns of C(d) are those of C(d-1) padded with
-    zero rows, so they stay independent; the free column thus lies in block
-    column d, and f has degree d.
+    pivot and returns that column's null vector (1 there, 0 right of it).
+    The first d with a rank-deficient C(d) is minimal, because the first
+    n*d columns of C(d) are those of C(d-1) padded with zero rows, so they
+    stay independent; the free column thus lies in block column d, and f
+    has degree d.
     "Regular" is thus returned only with a proof: a nonzero value of det T,
     or full column rank of every C(d), d < n (a singular n x n pencil has
     its minimal index below n). A det that vanishes at every probe, such as

@@ -19,7 +19,7 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from .linalg import Mat
-from .pencil import PencilInstance
+from .pencil import PencilInstance, _det_int
 
 
 class DimensionError(ValueError):
@@ -97,10 +97,17 @@ def build_sm_objects(mv: MinorVector) -> SMObjects:
 
 
 def det_X(mv: MinorVector):
-    """det X; equals (-1)^n c_{n-1} of the normalized instance, nonzero."""
+    """det X; equals (-1)^n c_{n-1} of the normalized instance, nonzero.
+
+    X's entries are lifted to ints over one scale D and ``pencil._det_int``
+    eliminates X transposed: X is lower Hessenberg, so its transpose has
+    lower bandwidth 1, an O(n^2) elimination."""
     if mv.n < 3:
         raise DimensionError("det X needs n >= 3")
-    return build_sm_objects(mv).X.det()
+    X = build_sm_objects(mv).X
+    flat, D = mv.field.lift([e for row in X.data for e in row])
+    size = X.rows
+    return mv.field.frac(_det_int([flat[j::size] for j in range(size)]), D**size)
 
 
 def recover_c_from_minors(ms: Sequence, field) -> List:

@@ -3,9 +3,10 @@ pencil T(x) = M0 + x*M1 defined by nonzero coefficients c1..c_{n+1}.
 
 M0 carries c2 on the main diagonal, c1 on the first superdiagonal and the
 longer c-tail below; M1 has ones on the second superdiagonal only (and is
-the 2x2 zero matrix for n=2). The partition splits M0 into the invertible
-lower-triangular Toeplitz block Q, the column v = (c2..cn), the row
-w = reversed v, and the shift block B.
+the 2x2 zero matrix for n=2). The power and minor conditions are stated on
+the blocks M0 = [[v, Q], [c_{n+1}, w]] and M1 = [[0, B], [0, 0]]: Q is
+lower-triangular Toeplitz with c1 on its diagonal, v = (c2..cn), w is v
+reversed and B is the shift. No block is built: each route reads them off c.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ class PencilInstance:
     def coeff(self, k: int):
         """c_k, 1-based as in the defining display."""
         return self.c[k - 1]
-
-
-@dataclass(frozen=True)
-class PencilPartition:
-    Q: Mat
-    v: Tuple
-    w: Tuple
-    B: Mat
 
 
 def build_pencil(c: Sequence, field=None) -> PencilInstance:
@@ -78,29 +71,20 @@ def build_M1(p: PencilInstance) -> Mat:
     return Mat(p.field, _rows((z,) * len(p.c), p.field.one, z))
 
 
-def partition(p: PencilInstance) -> PencilPartition:
-    """The blocks read off M0 = [[v, Q], [c_{n+1}, w]] and M1 = [[0, B], [0, 0]]."""
-    n = p.n
-    M0 = build_M0(p)
-    return PencilPartition(
-        Q=M0.drop_row_col(n - 1, 0),
-        v=tuple(row[0] for row in M0.data[: n - 1]),
-        w=M0.data[n - 1][1:],
-        B=build_M1(p).drop_row_col(n - 1, 0),
-    )
-
-
 def _det_int(a: List[List[int]]) -> int:
     """Determinant of a square plain-int matrix (rows are overwritten) by
     fraction-free (Bareiss) elimination; every division is exact.
 
-    A row with a zero in the pivot column is not touched: it keeps the
-    pivot it was last updated with, level[i], and is its Bareiss row times
-    level[i]/prev. Its next update, (akk*x - aik*y) // level[i], is exact by
-    Sylvester's identity (``_eliminate``'s rule), and a pivot row whose
-    level is behind is first brought up to date. A matrix with lower
-    bandwidth w, such as T(x0) transposed (w = 2), thus costs O(w n^2). An
-    updated row that vanishes right of the pivot column proves det = 0."""
+    Sylvester's identity: after the steps at the pivots 0..k-1, a Bareiss
+    entry (i, j) is the minor of rows 0..k-1, i and columns 0..k-1, j, so
+    (akk*x - aik*y) is divisible by the previous pivot. A row with a zero
+    in the pivot column is not touched: it keeps the pivot it was last
+    updated with, level[i], and is its Bareiss row times level[i]/prev.
+    Its next update, (akk*x - aik*y) // level[i], is therefore exact, and
+    a pivot row whose level is behind is first brought up to date. A matrix
+    with lower bandwidth w, such as T(x0) transposed (w = 2), thus costs
+    O(w n^2). An updated row that vanishes right of the pivot column proves
+    det = 0."""
     n = len(a)
     level = [1] * n
     sign, prev = 1, 1
@@ -202,10 +186,3 @@ def _geometric(c: Sequence[int], fld) -> Optional[object]:
 def is_geometric(p: PencilInstance) -> Optional[object]:
     """The common ratio if c_{k+1} = ratio * c_k for all k, else None."""
     return _geometric(p.field.lift(p.c)[0], p.field)
-
-
-def normalize_c1(p: PencilInstance) -> PencilInstance:
-    """Divide every coefficient by c1; singularity is preserved (each
-    determinant coefficient is homogeneous in the c's)."""
-    inv = p.field.one / p.coeff(1)
-    return PencilInstance(p.field, tuple(ci * inv for ci in p.c))

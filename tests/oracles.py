@@ -11,26 +11,208 @@ against a direct enumeration of coefficient space on plain ints mod p, which
 uses no toeppencil arithmetic at all, and the random hunt against the loop
 that evaluates every trial, duplicates included. The S and SM values, which the
 library computes on plain ints, are checked against the field-typed matrix
-formulas they replaced: Gauss-Jordan ``Q.inv()`` and matrix-vector products
+formulas they replaced: Gauss-Jordan ``inv(Q)`` and matrix-vector products
 over the field. The orbit-reduced integer hunt is checked against the
 per-tuple scan it replaced, which recovers the coefficients and evaluates SM
 on field elements for every one of the p^(n-1) tuples. The kernel extraction
 on lifted ints, with its det-probe exit, is checked against the stacked search
-it replaced: ``Mat.kernel_basis`` of every C(d) and ``Fraction``/GF(p)
+it replaced: ``kernel_basis`` of every ``build_C`` and ``Fraction``/GF(p)
 matrix-vector products for the identity. The int geometric test is checked
 against the field-division loop it replaced, and the hunt's cross-check
 subsampling rule is defined here, apart from the scan that applies it.
+
+``det``, ``rank``, ``kernel_basis`` and ``inv`` share one fraction-free
+Gauss-Jordan reduction, ``_eliminate``, on the entries lifted to ints: the
+library's determinants run on ``pencil._det_int`` and its null vector on
+``linalg._null_vector``, so this reduction is apart from both. The tests
+hold it to the cofactor oracles above.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Iterator, List, Sequence, Tuple
 
 from toeppencil.criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
 from toeppencil.field import PrimeField
 from toeppencil.hunt import _CROSSCHECK_STRIDE, HuntReport, _random_instances
-from toeppencil.kronecker import BlockPencil, KroneckerResult, build_C
-from toeppencil.linalg import Mat, Poly, mat_vec
+from toeppencil.kronecker import BlockPencil, KroneckerResult, _stack
+from toeppencil.linalg import Mat, Poly, ShapeError
 from toeppencil.minors import MinorVector, build_sm_objects, recover_c_from_minors
-from toeppencil.pencil import build_pencil, partition
+from toeppencil.pencil import PencilInstance, build_M0, build_M1, build_pencil
+
+
+class SingularMatrixError(ValueError):
+    """Raised when inverting a singular matrix."""
+
+
+def identity(field, n: int) -> Mat:
+    z, o = field.zero, field.one
+    return Mat(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+
+
+def zeros(field, r: int, c: int) -> Mat:
+    z = field.zero
+    return Mat(field, [[z] * c for _ in range(r)])
+
+
+def matmul(A: Mat, B: Mat) -> Mat:
+    if A.cols != B.rows:
+        raise ShapeError("product shape mismatch")
+    z = A.field.zero
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            s = z
+            for k in range(A.cols):
+                s = s + A.data[i][k] * B.data[k][j]
+            row.append(s)
+        out.append(row)
+    return Mat(A.field, out)
+
+
+def transpose(M: Mat) -> Mat:
+    return Mat(M.field, [[M.data[i][j] for i in range(M.rows)] for j in range(M.cols)])
+
+
+def mat_vec(M: Mat, v: Sequence) -> Tuple:
+    if M.cols != len(v):
+        raise ShapeError("matrix-vector shape mismatch")
+    z = M.field.zero
+    out = []
+    for i in range(M.rows):
+        s = z
+        for j in range(M.cols):
+            s = s + M.data[i][j] * v[j]
+        out.append(s)
+    return tuple(out)
+
+
+def _lift(M: Mat) -> Tuple[List[List[int]], int]:
+    """The rows as plain ints over one common scale L, and L."""
+    flat, L = M.field.lift([e for row in M.data for e in row])
+    return [flat[i * M.cols : (i + 1) * M.cols] for i in range(M.rows)], L
+
+
+def det(M: Mat):
+    """Exact determinant: sign * last pivot / L^n of the reduction."""
+    if M.rows != M.cols:
+        raise ShapeError("determinant of non-square matrix")
+    a, L = _lift(M)
+    a, pivots, sign = _eliminate(a, M.field)
+    if len(pivots) < M.rows:
+        return M.field.zero
+    return M.field.frac(sign * a[-1][-1] if a else 1, L**M.rows)
+
+
+def rank(M: Mat) -> int:
+    return len(_eliminate(_lift(M)[0], M.field)[1])
+
+
+def kernel_basis(M: Mat) -> List[Tuple]:
+    """Basis of the right null space, one vector per free column f (ascending):
+    1 at f, 0 at the other free columns; empty list iff full column rank."""
+    a, pivots, _ = _eliminate(_lift(M)[0], M.field)
+    return list(_kernel_vectors(a, pivots, M.cols, M.field))
+
+
+def inv(M: Mat) -> Mat:
+    """Inverse from the reduction of [A | I]: A is invertible exactly when
+    the pivots are the first n columns."""
+    if M.rows != M.cols:
+        raise ShapeError("inverse of non-square matrix")
+    n, fld = M.rows, M.field
+    aug = Mat(fld, [r + e for r, e in zip(M.data, identity(fld, n).data)])
+    a, pivots, _ = _eliminate(_lift(aug)[0], fld)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return Mat(fld, [[fld.frac(e, row[r]) for e in row[n:]] for r, row in enumerate(a)])
+
+
+def _eliminate(a: List[Sequence[int]], fld) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free Gauss-Jordan on int rows, lifted from ``fld``: (rows,
+    pivot cols, swap sign). The list ``a`` is reordered in place; its rows
+    are replaced, never written. The pivot is the first entry nonzero in the
+    field; a row with f != 0 in its column becomes (piv*x - f*y) // level,
+    exact by Sylvester's identity (Bareiss). Rows with f = 0 are left alone,
+    so row i is its Bareiss row times level[i]/prev: a[r][j] / a[r][c] on
+    pivot row r is the reduced echelon form, and the last pivot row holds
+    the last pivot."""
+    m = len(a)
+    level = [1] * m
+    pivots: List[int] = []
+    sign, prev, r = 1, 1, 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(r, m) if fld.of(a[i][c])), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[r], a[pr], level[r], level[pr] = a[pr], a[r], level[pr], level[r]
+            sign = -sign
+        if level[r] != prev:
+            a[r] = [x * prev // level[r] for x in a[r]]
+        top = a[r]
+        piv = top[c]
+        for i in range(m):
+            f = a[i][c]
+            if f and i != r:
+                a[i] = [(piv * x - f * y) // level[i] for x, y in zip(a[i], top)]
+                level[i] = piv
+        level[r] = prev = piv
+        pivots.append(c)
+        r += 1
+    return a, pivots, sign
+
+
+def _kernel_vectors(a: List[Sequence[int]], pivots: List[int], cols: int, fld) -> Iterator[Tuple]:
+    """The null-space basis read off a reduction by ``_eliminate``, one field
+    vector per free column f (ascending): 1 at f, -a[r][f] / a[r][c] at the
+    pivot c of row r, 0 at the other free columns."""
+    z, o = fld.zero, fld.one
+    pivot_set = set(pivots)
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [z] * cols
+        v[f] = o
+        for r, c in enumerate(pivots):
+            v[c] = fld.frac(-a[r][f], a[r][c])
+        yield tuple(v)
+
+
+@dataclass(frozen=True)
+class PencilPartition:
+    Q: Mat
+    v: Tuple
+    w: Tuple
+    B: Mat
+
+
+def partition(p: PencilInstance) -> PencilPartition:
+    """The blocks read off M0 = [[v, Q], [c_{n+1}, w]] and M1 = [[0, B], [0, 0]]."""
+    n = p.n
+    M0 = build_M0(p)
+    return PencilPartition(
+        Q=M0.drop_row_col(n - 1, 0),
+        v=tuple(row[0] for row in M0.data[: n - 1]),
+        w=M0.data[n - 1][1:],
+        B=build_M1(p).drop_row_col(n - 1, 0),
+    )
+
+
+def normalize_c1(p: PencilInstance) -> PencilInstance:
+    """Divide every coefficient by c1; singularity is preserved (each
+    determinant coefficient is homogeneous in the c's)."""
+    scale = p.field.one / p.coeff(1)
+    return PencilInstance(p.field, tuple(ci * scale for ci in p.c))
+
+
+def build_C(bp: BlockPencil, d: int) -> Mat:
+    """The ((d+2)*n) x ((d+1)*n) stacked matrix; block column j holds the
+    coefficient slot of x^j in a candidate kernel polynomial."""
+    if d < 0:
+        raise ValueError("block depth must be nonnegative")
+    return Mat(bp.M0.field, _stack(bp.M0.data, bp.M1.data, bp.M0.field.zero, d))
 
 
 def _crosscheck_selected(mtuple) -> bool:
@@ -194,7 +376,7 @@ def s_values_field(p, kmax: int):
     """star = c_{n+1} - w Q^{-1} v and w Q^{-1} (B Q^{-1})^k v, k = 1..kmax,
     from the partition blocks with Q inverted over the field."""
     part = partition(p)
-    Qinv = part.Q.inv()
+    Qinv = inv(part.Q)
     s = mat_vec(Qinv, part.v)
     star = p.coeff(p.n + 1) - _dot(part.w, s, p.field)
     values = []
@@ -364,7 +546,7 @@ def analyze_reference(bp: BlockPencil) -> KroneckerResult:
     n = bp.n
     field = bp.M0.field
     for d in range(n):
-        basis = build_C(bp, d).kernel_basis()
+        basis = kernel_basis(build_C(bp, d))
         if basis:
             break
     else:

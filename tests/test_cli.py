@@ -227,6 +227,19 @@ def test_hunt_exhaustive_size_bound_exit_2(capsys):
     )
 
 
+def test_hunt_workers_bound_exit_2(capsys, monkeypatch):
+    # 9973^2 tuples are within the size bound; the worker bound refuses the
+    # config before a scan, which would fork min(workers, p) processes, starts
+    def no_scan(cfg):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(cli, "exhaustive_scan", no_scan)
+    argv = ["hunt", "--n", "3", "--prime", "9973", "--exhaustive", "--workers", "65"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: workers = 65 exceeds the limit 64\n"
+
+
 def test_size_gate_exit_2(capsys):
     # refused before any work: the entries of the list are not even parsed
     assert MAX_N == 256

@@ -37,6 +37,9 @@ def test_config_validation():
     for workers in (2, 4):  # random scans never shard
         with pytest.raises(HuntConfigError):
             HuntConfig(n=4, field=QQ, mode="random", trials=5, workers=workers)
+    with pytest.raises(HuntConfigError, match="^workers = 65 exceeds the limit 64$"):
+        HuntConfig(n=4, field=GF(5), mode="exhaustive", workers=65)
+    HuntConfig(n=4, field=GF(5), mode="exhaustive", workers=64)  # builds the config only
     for extra in (
         {"trials": 7}, {"seed": 9}, {"trials": 7, "seed": 9}, {"trials": 0}, {"seed": 0},
     ):

@@ -4,9 +4,24 @@ from fractions import Fraction
 import pytest
 
 from toeppencil.field import GF, QQ
-from toeppencil.linalg import Mat, Poly, ShapeError, SingularMatrixError, _null_vector, mat_vec
+from toeppencil.linalg import Mat, Poly, ShapeError, _null_vector
 from toeppencil.pencil import build_M0, build_M1
-from oracles import det_cofactor, det_laplace, pencil_det, poly_eval, rank_by_minors
+from oracles import (
+    SingularMatrixError,
+    det,
+    det_cofactor,
+    det_laplace,
+    identity,
+    inv,
+    kernel_basis,
+    mat_vec,
+    matmul,
+    pencil_det,
+    poly_eval,
+    rank,
+    rank_by_minors,
+    zeros,
+)
 
 from conftest import random_gf_pencil, random_rational, random_rational_pencil
 
@@ -16,9 +31,9 @@ def qmat(rows):
 
 
 def test_det_examples():
-    assert qmat([[2, 1], [4, 2]]).det() == 0
-    assert qmat([[1, 1, 0], [1, 1, 1], [2, 1, 1]]).det() == 1
-    assert Mat.identity(QQ, 4).det() == 1
+    assert det(qmat([[2, 1], [4, 2]])) == 0
+    assert det(qmat([[1, 1, 0], [1, 1, 1], [2, 1, 1]])) == 1
+    assert det(identity(QQ, 4)) == 1
 
 
 def test_det_cofactor_oracle_confirms_example():
@@ -27,7 +42,7 @@ def test_det_cofactor_oracle_confirms_example():
 
 def test_det_non_square_raises():
     with pytest.raises(ShapeError):
-        qmat([[1, 2, 3], [4, 5, 6]]).det()
+        det(qmat([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_det_matches_cofactor_randomized():
@@ -35,7 +50,7 @@ def test_det_matches_cofactor_randomized():
     for size in range(1, 6):
         for _ in range(30):
             M = Mat(QQ, [[random_rational(rng) for _ in range(size)] for _ in range(size)])
-            assert M.det() == det_cofactor(M)
+            assert det(M) == det_cofactor(M)
 
 
 def test_det_matches_cofactor_over_gf():
@@ -44,23 +59,23 @@ def test_det_matches_cofactor_over_gf():
     for size in range(1, 6):
         for _ in range(20):
             M = Mat(gf, [[gf.of(rng.randrange(5)) for _ in range(size)] for _ in range(size)])
-            assert M.det() == det_cofactor(M)
+            assert det(M) == det_cofactor(M)
 
 
 def test_rank_examples():
-    assert Mat.zeros(QQ, 3, 2).rank() == 0
-    assert qmat([[2, 1], [4, 2]]).rank() == 1
+    assert rank(zeros(QQ, 3, 2)) == 0
+    assert rank(qmat([[2, 1], [4, 2]])) == 1
     for n in (1, 3, 5):
-        assert Mat.identity(QQ, n).rank() == n
+        assert rank(identity(QQ, n)) == n
 
 
 def test_kernel_examples():
-    basis = qmat([[2, 1], [4, 2]]).kernel_basis()
+    basis = kernel_basis(qmat([[2, 1], [4, 2]]))
     assert len(basis) == 1
     (v,) = basis
     assert 2 * v[0] + 1 * v[1] == 0 and v != (0, 0)
-    assert Mat.identity(QQ, 3).kernel_basis() == []
-    assert len(Mat.zeros(QQ, 2, 3).kernel_basis()) == 3
+    assert kernel_basis(identity(QQ, 3)) == []
+    assert len(kernel_basis(zeros(QQ, 2, 3))) == 3
 
 
 def test_rank_nullity_randomized():
@@ -69,28 +84,28 @@ def test_rank_nullity_randomized():
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         M = Mat(QQ, [[random_rational(rng) for _ in range(c)] for _ in range(r)])
-        assert M.rank() + len(M.kernel_basis()) == c
-        for v in M.kernel_basis():
+        assert rank(M) + len(kernel_basis(M)) == c
+        for v in kernel_basis(M):
             assert all(e == 0 for e in mat_vec(M, v))
 
 
 def test_inverse_examples():
-    assert qmat([[1, 0], [2, 1]]).inv() == qmat([[1, 0], [-2, 1]])
-    assert Mat.identity(QQ, 3).inv() == Mat.identity(QQ, 3)
+    assert inv(qmat([[1, 0], [2, 1]])) == qmat([[1, 0], [-2, 1]])
+    assert inv(identity(QQ, 3)) == identity(QQ, 3)
     with pytest.raises(SingularMatrixError):
-        qmat([[2, 1], [4, 2]]).inv()
+        inv(qmat([[2, 1], [4, 2]]))
     gf = GF(7)
 
     def gmat(rows):
         return Mat(gf, [[gf.of(e) for e in r] for r in rows])
 
-    assert gmat([[1, 0], [2, 1]]).inv() == gmat([[1, 0], [5, 1]])
-    assert gmat([[3, 1], [0, 2]]).inv() == gmat([[5, 1], [0, 4]])
-    assert Mat.identity(gf, 3).inv() == Mat.identity(gf, 3)
+    assert inv(gmat([[1, 0], [2, 1]])) == gmat([[1, 0], [5, 1]])
+    assert inv(gmat([[3, 1], [0, 2]])) == gmat([[5, 1], [0, 4]])
+    assert inv(identity(gf, 3)) == identity(gf, 3)
     with pytest.raises(SingularMatrixError):
-        gmat([[2, 1], [4, 2]]).inv()
+        inv(gmat([[2, 1], [4, 2]]))
     with pytest.raises(SingularMatrixError):
-        gmat([[1, 2, 3], [0, 1, 4], [1, 3, 0]]).inv()  # row 3 = row 1 + row 2 mod 7
+        inv(gmat([[1, 2, 3], [0, 1, 4], [1, 3, 0]]))  # row 3 = row 1 + row 2 mod 7
 
 
 def test_inverse_two_sided_randomized():
@@ -101,13 +116,13 @@ def test_inverse_two_sided_randomized():
         while done < 25:
             size = rng.randint(1, 5)
             M = Mat(field, [[entry(rng) for _ in range(size)] for _ in range(size)])
-            if M.det() == 0:
+            if det(M) == 0:
                 with pytest.raises(SingularMatrixError):
-                    M.inv()
+                    inv(M)
                 continue
-            Minv = M.inv()
-            I = Mat.identity(field, size)
-            assert Minv * M == I and M * Minv == I
+            Minv = inv(M)
+            I = identity(field, size)
+            assert matmul(Minv, M) == I and matmul(M, Minv) == I
             done += 1
 
 
@@ -136,9 +151,9 @@ def test_kernel_basis_is_unit_on_free_columns():
     for field, entry in fields:
         for _ in range(80):
             M = _random_matrix(rng, field, entry)
-            basis = M.kernel_basis()
-            rank = rank_by_minors(M)
-            assert M.rank() == rank and len(basis) == M.cols - rank
+            basis = kernel_basis(M)
+            true_rank = rank_by_minors(M)
+            assert rank(M) == true_rank and len(basis) == M.cols - true_rank
             free = [max(j for j, e in enumerate(v) if e != field.zero) for v in basis]
             assert free == sorted(set(free))
             for v, f in zip(basis, free):
@@ -154,14 +169,14 @@ def test_pivot_is_chosen_by_field_zero_not_integer_zero():
 
     # after the first step the second column holds 5: zero mod 5, not as an int
     M = gmat([[2, 1, 0], [1, 3, 1]])
-    assert M.rank() == 2
-    (v,) = M.kernel_basis()
+    assert rank(M) == 2
+    (v,) = kernel_basis(M)
     assert v == (gf.of(2), gf.one, gf.zero) and mat_vec(M, v) == (gf.zero, gf.zero)
     # integer determinant -5
     S = gmat([[1, 2], [3, 1]])
-    assert S.det() == gf.zero and S.rank() == 1
+    assert det(S) == gf.zero and rank(S) == 1
     with pytest.raises(SingularMatrixError):
-        S.inv()
+        inv(S)
 
 
 def _rows_free_at(rng, field, r, k, f):
@@ -199,10 +214,10 @@ def test_null_vector_is_the_first_kernel_basis_vector(field):
             for _ in range(6):
                 rows = _rows_free_at(rng, field, r, k, f)
                 M = Mat(field, [[field.of(x) for x in row] for row in rows])
-                basis = M.kernel_basis()
+                basis = kernel_basis(M)
                 vec = _null_vector([list(row) for row in rows], field)
                 assert vec == (basis[0] if basis else None)
-                assert (vec is None) == (M.rank() == k)
+                assert (vec is None) == (rank(M) == k)
                 seen.add(k if vec is None else max(j for j, e in enumerate(vec) if e != field.zero))
         assert seen == set(range(min(r, k) + 1)), (r, k)
 
@@ -217,7 +232,7 @@ def test_poly_canonical_form():
 
 def test_polymat_det_matches_cofactor():
     # det_laplace on grids of polynomials, evaluated at random points, equals
-    # Mat.det and the cofactor expansion of the evaluated grid
+    # the Gauss-Jordan det and the cofactor expansion of the evaluated grid
     rng = random.Random(13)
     gf = GF(5)
     for field, entry in ((QQ, random_rational), (gf, lambda r: gf.of(r.randrange(5)))):
@@ -231,12 +246,12 @@ def test_polymat_det_matches_cofactor():
                 for _ in range(3):
                     x0 = entry(rng)
                     at = Mat(field, [[poly_eval(e, x0, field) for e in row] for row in grid])
-                    assert poly_eval(d, x0, field) == at.det() == det_cofactor(at)
+                    assert poly_eval(d, x0, field) == det(at) == det_cofactor(at)
 
 
 def test_polymat_det_evaluation_commutes():
-    # pencil_det evaluated at x0 equals Mat.det of T(x0) = M0 + x0*M1, built
-    # entry by entry
+    # pencil_det evaluated at x0 equals the Gauss-Jordan det of
+    # T(x0) = M0 + x0*M1, built entry by entry
     rng = random.Random(17)
     for n in range(2, 7):
         for p in (random_rational_pencil(rng, n), random_gf_pencil(rng, n, 5)):
@@ -244,4 +259,4 @@ def test_polymat_det_evaluation_commutes():
             d = pencil_det(p)
             for x0 in (field.of(rng.randint(-4, 4)) for _ in range(3)):
                 at = Mat(field, [[M0[i, j] + x0 * M1[i, j] for j in range(n)] for i in range(n)])
-                assert poly_eval(d, x0, field) == at.det()
+                assert poly_eval(d, x0, field) == det(at)

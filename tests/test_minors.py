@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from toeppencil.field import GF, QQ
-from toeppencil.linalg import Mat, mat_vec
+from toeppencil.linalg import Mat
 from toeppencil.minors import (
     DimensionError,
     MinorVector,
@@ -16,10 +16,20 @@ from toeppencil.minors import (
     q_inverse_closed_form,
     recover_c_from_minors,
 )
-from toeppencil.pencil import PencilInstance, build_M0, build_pencil, normalize_c1, partition
-from oracles import det_cofactor, solve_cramer
+from toeppencil.pencil import PencilInstance, build_M0, build_pencil
+from oracles import (
+    det_cofactor,
+    identity,
+    inv,
+    mat_vec,
+    matmul,
+    normalize_c1,
+    partition,
+    solve_cramer,
+    transpose,
+)
 
-from conftest import geometric_pencil, random_rational, random_rational_pencil
+from conftest import geometric_pencil, random_gf_pencil, random_rational, random_rational_pencil
 
 
 def qp(*cs):
@@ -114,8 +124,8 @@ def test_q_inverse_matches_generic_inverse():
             mv = principal_minors(p)
             Q = partition(p).Q
             closed = q_inverse_closed_form(mv)
-            assert closed * Q == Mat.identity(QQ, n - 1)
-            assert closed == Q.inv()
+            assert matmul(closed, Q) == identity(QQ, n - 1)
+            assert closed == inv(Q)
 
 
 def test_q_inv_v_closed_form_matches_cramer_solve():
@@ -172,7 +182,7 @@ def test_x_is_qinv_minus_first_row_last_col():
     for n in range(3, 10):
         p = normalize_c1(random_rational_pencil(rng, n))
         part = partition(p)
-        qinv = part.Q.inv()
+        qinv = inv(part.Q)
         sm = build_sm_objects(principal_minors(p))
         assert sm.X == qinv.drop_row_col(0, n - 2)
         assert sm.y == mat_vec(qinv, part.v)[1:]
@@ -180,13 +190,17 @@ def test_x_is_qinv_minus_first_row_last_col():
 
 def test_det_x_property():
     rng = random.Random(67)
-    for n in range(3, 13):
-        for _ in range(8):
-            p = normalize_c1(random_rational_pencil(rng, n))
-            mv = principal_minors(p)
-            sign = 1 if n % 2 == 0 else -1
-            assert det_X(mv) == sign * p.coeff(n - 1)
-            assert det_X(mv) != 0
+    pencils = [random_rational_pencil(rng, n) for n in range(3, 13) for _ in range(8)]
+    # over GF(p) the lift's scale is 1; GF(2) and GF(3) include p <= n-2
+    pencils += [
+        random_gf_pencil(rng, n, q) for q in (2, 3, 7) for n in range(3, 11) for _ in range(4)
+    ]
+    for p in map(normalize_c1, pencils):
+        n = p.n
+        mv = principal_minors(p)
+        sign = 1 if n % 2 == 0 else -1
+        assert det_X(mv) == sign * p.coeff(n - 1)
+        assert det_X(mv) != 0
 
 
 def test_det_x_n3_example():
@@ -207,9 +221,9 @@ def test_px_powers_symmetric():
         sm = build_sm_objects(principal_minors(p))
         acc = sm.X
         for _ in range(3):
-            prod = sm.P * acc
-            assert prod == prod.transpose()
-            acc = acc * sm.X
+            prod = matmul(sm.P, acc)
+            assert prod == transpose(prod)
+            acc = matmul(acc, sm.X)
 
 
 def test_recover_c_examples():
