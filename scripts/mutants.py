@@ -30,20 +30,35 @@ ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/toeppencil/"
 CRITERIA = "tests/test_criteria.py::"
 HUNT = "tests/test_hunt.py::"
+KRONECKER = "tests/test_kronecker.py::"
 PENCIL = "tests/test_pencil.py::"
 NULL_VECTOR = "tests/test_linalg.py::test_null_vector_is_the_first_kernel_basis_vector"
-STACKED = "tests/test_kronecker.py::test_analyze_matches_stacked_reference"
+STACKED = KRONECKER + "test_analyze_matches_stacked_reference"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
     (
         "analyze calls is_singular",
         PKG + "kronecker.py",
-        "        probe = [[x + d * y",
-        "        from .pencil import is_singular\n\n"
-        "        is_singular(PencilInstance(field, (field.one,) * 3))\n"
-        "        probe = [[x + d * y",
+        "    for d, a in enumerate(",
+        "    from .pencil import is_singular\n\n"
+        "    is_singular(PencilInstance(field, (field.one,) * 3))\n"
+        "    for d, a in enumerate(",
         [CRITERIA + "test_kernel_stays_apart_from_the_verdicts"],
+    ),
+    (
+        "the kernel tests det T(d), not its Newton coefficient",
+        PKG + "kronecker.py",
+        "enumerate(_newton_coefficients(dets))",
+        "enumerate(dets)",
+        [KRONECKER + "test_regular_pencil_det_vanishing_at_probes"],
+    ),
+    (
+        "the kernel returns regular when no C(d) has a null vector",
+        PKG + "kronecker.py",
+        '            raise ConsistencyAlarm("det T(x) is zero, yet no C(d) with d < n has a null vector")',
+        "            return KroneckerResult(minimal_index_d=None, kernel_poly=None)",
+        [KRONECKER + "test_zero_det_without_a_null_vector_alarms"],
     ),
     (
         "the null vector skips the rows above the pivot",
@@ -148,8 +163,8 @@ MUTANTS = [
     (
         "the det route reads n-3 points",
         PKG + "pencil.py",
-        "for x0 in range(max(len(c) - 3, 1)):",
-        "for x0 in range(max(len(c) - 4, 1)):",
+        "for x0 in range(max(len(c) - 3, 1))",
+        "for x0 in range(max(len(c) - 4, 1))",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p"],
     ),
     (

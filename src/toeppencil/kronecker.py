@@ -5,13 +5,13 @@ the first block subdiagonal (d+1 block columns, d+2 block rows) has linearly
 dependent columns exactly when a nonzero vector polynomial f(x) of degree
 <= d satisfies (M0 + x*M1) f(x) = 0. The smallest such d is the minimal
 index; a singular n x n pencil always has one below n, so the search is
-bounded. A regular pencil usually leaves before any stacked matrix is built:
-a nonzero det T(x0) at one of the probe points x0 = 0..n-1 proves it regular
-after one n x n determinant. A stacked matrix is reduced only up to its
-first dependent column, whose null vector (a 1 there, 0 right of it) is the
-kernel returned; over GF(p) the reduction runs on residues. Inputs are
-general square pencils: the machinery does not need the nonzero-coefficient
-hypothesis of the Toeplitz construction.
+bounded. "Regular" has one certificate, the det route's: a Newton
+coefficient a_d of det T(x) at 0..n nonzero in the field, read before C(d)
+is built; a regular pencil usually leaves after one n x n determinant. A
+stacked matrix is reduced only up to its first dependent column, whose null
+vector (a 1 there, 0 right of it) is the kernel returned; over GF(p) the
+reduction runs on residues. Inputs are general square pencils: the machinery
+does not need the nonzero-coefficient hypothesis of the Toeplitz construction.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import List, Optional
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
 from .linalg import Mat, Poly, ShapeError, _null_vector
-from .pencil import PencilInstance, _det_int, build_M0, build_M1
+from .pencil import PencilInstance, _det_int, _newton_coefficients, build_M0, build_M1
 
 
 @dataclass(frozen=True)
@@ -75,35 +75,35 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil.
 
     M0 and M1 are lifted to ints over one common scale, and every step runs
-    on them. For d = 0, 1, ..., n-1: a nonzero det T(d) (T(d) = A0 + d*A1,
-    by the det route's ``_det_int`` on its transpose, which for a Toeplitz
-    pencil has lower bandwidth 2) proves the pencil regular. Otherwise
-    ``linalg._null_vector`` reduces C(d) up to its first column without a
-    pivot and returns that column's null vector (1 there, 0 right of it).
-    The first d with a rank-deficient C(d) is minimal, because the first
-    n*d columns of C(d) are those of C(d-1) padded with zero rows, so they
-    stay independent; the free column thus lies in block column d, and f
-    has degree d.
-    "Regular" is thus returned only with a proof: a nonzero value of det T,
-    or full column rank of every C(d), d < n (a singular n x n pencil has
-    its minimal index below n). A det that vanishes at every probe, such as
-    x(x-1)...(x-n+1) or, over GF(p) with p <= n, x^p - x, falls through to
-    that stacked search.
+    on them. The values det T(d), d = 0..n (T(d) = A0 + d*A1, by the det
+    route's ``_det_int`` on its transpose, lower bandwidth 2 for a Toeplitz
+    pencil), feed the det route's Newton stream. det T has degree <= n, so
+    it is zero in the field iff a_0..a_n are, also over GF(p) with p <= n,
+    where the points repeat. A nonzero a_d proves the pencil regular before
+    C(d) is built. Otherwise, for d < n, ``linalg._null_vector`` reduces
+    C(d) up to its first column without a pivot and returns that column's
+    null vector (1 there, 0 right of it). The first d with a rank-deficient
+    C(d) is minimal, because the first n*d columns of C(d) are those of
+    C(d-1) padded with zero rows, so they stay independent; the free column
+    thus lies in block column d, and f has degree d. A zero det T without a
+    null vector below n raises ``ConsistencyAlarm``: a singular n x n
+    pencil has its minimal index below n.
     Both the identity and the degree are re-verified exactly before returning."""
     n = bp.n
     field = bp.M0.field
     flat, _ = field.lift([e for M in (bp.M0, bp.M1) for row in M.data for e in row])
     A0 = [flat[i * n : (i + 1) * n] for i in range(n)]
     A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
-    for d in range(n):
-        probe = [[x + d * y for x, y in zip(c0, c1)] for c0, c1 in zip(zip(*A0), zip(*A1))]
-        if field.of(_det_int(probe)):
+    cols = list(zip(zip(*A0), zip(*A1)))  # column j of A0 and of A1: row j of T(d) transposed
+    dets = (_det_int([[x + d * y for x, y in zip(*col)] for col in cols]) for d in range(n + 1))
+    for d, a in enumerate(_newton_coefficients(dets)):
+        if field.of(a):
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
+        if d == n:
+            raise ConsistencyAlarm("det T(x) is zero, yet no C(d) with d < n has a null vector")
         vec = _null_vector(_stack(A0, A1, 0, d), field)
         if vec is not None:
             break
-    else:
-        return KroneckerResult(minimal_index_d=None, kernel_poly=None)
     # the coefficient of x^k in (M0 + x*M1) f(x) is M0 f_k + M1 f_{k-1}
     # (f_{-1} = f_{d+1} = 0); checked on the lifted rows, apart from C(d)
     ints = field.lift(vec)[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import QQ, FieldMismatchError
 from .linalg import Mat
@@ -84,7 +84,7 @@ def _det_int(a: List[List[int]]) -> int:
     a pivot row whose level is behind is first brought up to date. A matrix
     with lower bandwidth w, such as T(x0) transposed (w = 2), thus costs
     O(w n^2). An updated row that vanishes right of the pivot column proves
-    det = 0."""
+    det = 0. The empty matrix has det 1."""
     n = len(a)
     level = [1] * n
     sign, prev = 1, 1
@@ -110,20 +110,23 @@ def _det_int(a: List[List[int]]) -> int:
                 ri[k + 1 :] = tail
                 level[i] = akk
         prev = akk
-    return sign * (a[-1][-1] * prev // level[-1])
+    return sign * (a[-1][-1] * prev // level[-1]) if a else 1
 
 
-def _newton_coefficients(values: Sequence[int]) -> List[int]:
-    """a_0, a_1, ... with P(x) = sum_k a_k x(x-1)...(x-k+1), where P is the
-    polynomial of degree < len(values) with P(x0) = values[x0]. The k-th
-    forward difference at 0 is k! a_k, so a_k is an integer whenever P has
-    integer coefficients, and P is zero mod p exactly when every a_k is (the
-    falling factorials are monic, so they stay a basis mod p)."""
-    out = []
-    for k in range(len(values)):
-        out.append(values[0] // factorial(k))
-        values = [b - a for a, b in zip(values, values[1:])]
-    return out
+def _newton_coefficients(values: Iterable[int]) -> Iterator[int]:
+    """The lazy stream a_0, a_1, ... with P(x) = sum_k a_k x(x-1)...(x-k+1)
+    for values = P(0), P(1), ... of an integer polynomial P: a_k is yielded
+    right after P(k) is read. One difference diagonal is kept (diag[j] is
+    the j-th forward difference at k-j), so P(k) costs O(k). The k-th
+    forward difference at 0 is k! a_k, so a_k is an integer, and P is zero
+    mod p exactly when every a_k is (the falling factorials are monic, so
+    they stay a basis mod p); k! a_k itself is 0 mod p for every k >= p."""
+    diag = []
+    for k, v in enumerate(values):
+        for j, prev in enumerate(diag):
+            diag[j], v = v, v - prev
+        diag.append(v)
+        yield v // factorial(k)
 
 
 def _top_coefficient(c: Sequence[int]) -> int:
@@ -137,14 +140,12 @@ def _top_coefficient(c: Sequence[int]) -> int:
 def _singular(c: Sequence[int], fld) -> bool:
     """True iff det T(x) is the zero polynomial, for c lifted to plain ints
     (L*c, L = 1 over GF(p)): the det route's int core, see ``is_singular``."""
-    values = []
-    for x0 in range(max(len(c) - 3, 1)):  # x0 = 0..n-3, and 0 for n = 2
-        d = _det_int([r[::-1] for r in reversed(_rows(c, x0, 0))])
-        # det T'(0) first, then the O(1) top coefficient
-        if fld.of(d) or not values and fld.of(_top_coefficient(c)):
-            return False
-        values.append(d)
-    return not any(map(fld.of, _newton_coefficients(values)))
+    # det T'(x0) for x0 = 0..n-3, and 0 for n = 2, on T'(x0) transposed
+    a = _newton_coefficients(
+        _det_int([r[::-1] for r in reversed(_rows(c, x0, 0))]) for x0 in range(max(len(c) - 3, 1))
+    )
+    # a_0 = det T'(0) first, then the O(1) top coefficient, then a_1..a_{n-3}
+    return not (fld.of(next(a)) or fld.of(_top_coefficient(c)) or any(map(fld.of, a)))
 
 
 def is_singular(p: PencilInstance) -> bool:
@@ -158,16 +159,15 @@ def is_singular(p: PencilInstance) -> bool:
     0, 1: the top coefficient is the 2x2 minor c_n^2 - c_{n-1} c_{n+1} of
     the lifted c (L^2 times that of c).
 
-    The first probe is x0 = 0, where det T'(0) is L^n det M0. A value that
-    is nonzero in the field proves the pencil regular, and so does a top
-    coefficient nonzero in the field, in O(1). Otherwise deg <= n-3 in the
-    field and the n-2 values at x0 = 0..n-3 fix it: the first one nonzero
-    in the field proves the pencil regular. If all vanish, the Newton
-    coefficients a_0..a_{n-3} of the integer polynomial through them
-    decide. This is exact over every GF(p), also p <= n-2, where the points
-    repeat mod p: a_k of det T' reads only the values at 0..k, and the top
-    one, a_{n-2}, is the top coefficient. Each value is ``_det_int`` of
-    T(x0) transposed, which has lower bandwidth 2: O(n^2) per point. T is
+    The certificate is the lazy stream of Newton coefficients a_k of det T'
+    at x0 = 0, 1, ...: the first one nonzero in the field proves the pencil
+    regular. a_0 = det T'(0) = L^n det M0 is read first, then the top one,
+    a_{n-2}, which is the top coefficient, in O(1), then a_1..a_{n-3}, each
+    after one more value. This is exact over every GF(p), also p <= n-2,
+    where the points repeat mod p: a_k reads only the values at 0..k. As
+    P(d) = sum_{k<=d} a_k d(d-1)...(d-k+1), no more values are read than
+    by a scan for a nonzero value. Each value is ``_det_int`` of T(x0)
+    transposed, which has lower bandwidth 2: O(n^2) per point. T is
     Toeplitz, so its transpose is J T J (J the exchange matrix): the rows in
     reverse order, each reversed.
     """

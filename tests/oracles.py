@@ -18,7 +18,8 @@ on field elements for every one of the p^(n-1) tuples. The kernel extraction
 on lifted ints, with its det-probe exit, is checked against the stacked search
 it replaced: ``kernel_basis`` of every ``build_C`` and ``Fraction``/GF(p)
 matrix-vector products for the identity. The int geometric test is checked
-against the field-division loop it replaced, and the hunt's cross-check
+against the field-division loop it replaced, the lazy Newton stream against
+the list version it replaced, and the hunt's cross-check
 subsampling rule is defined here, apart from the scan that applies it.
 
 ``det``, ``rank``, ``kernel_basis`` and ``inv`` share one fraction-free
@@ -30,6 +31,7 @@ hold it to the cofactor oracles above.
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import factorial
 from typing import Iterator, List, Sequence, Tuple
 
 from toeppencil.criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
@@ -353,6 +355,17 @@ def jacobi_det(c, x0: int) -> int:
     if rem:
         raise ArithmeticError(f"Jacobi's identity left a remainder at x0 = {x0}")
     return det
+
+
+def newton_coefficients(values: Sequence[int]) -> List[int]:
+    """a_0, a_1, ... with P(x) = sum_k a_k x(x-1)...(x-k+1), where P is the
+    polynomial of degree < len(values) with P(x0) = values[x0]: the k-th
+    forward difference at 0 is k! a_k."""
+    out = []
+    for k in range(len(values)):
+        out.append(values[0] // factorial(k))
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
 
 
 def pencil_residual(M0: Mat, M1: Mat, f):

@@ -32,7 +32,7 @@ from toeppencil.minors import (
     q_inverse_closed_form,
     recover_c_from_minors,
 )
-from toeppencil.pencil import _det_int, _singular, build_pencil, is_singular
+from toeppencil.pencil import _det_int, _newton_coefficients, _singular, build_pencil, is_singular
 
 from conftest import (
     geometric_pencil,
@@ -354,7 +354,7 @@ def test_routes_stay_independent():
     )
     s_route = _codes(s_condition_values, check_S, oracles.partition, _s_ints, _s_value)
     sm_route = _codes(sm_condition_values, check_SM, _sm_values, _sm_witness, _sm_value)
-    det_route = _codes(is_singular, oracles.det, oracles.inv, _singular, _det_int)
+    det_route = _codes(is_singular, oracles.det, oracles.inv, _singular, _det_int, _newton_coefficients)
     cases = [
         random_rational_pencil(random.Random(127), 7),
         geometric_pencil(Fraction(3, 2), 6),

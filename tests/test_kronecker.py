@@ -17,6 +17,7 @@ from oracles import (
     analyze_reference,
     build_C,
     identity,
+    jacobi_det,
     kernel_basis,
     nongeometric_singular_minor_tuples,
     pencil_residual,
@@ -214,6 +215,12 @@ def _differential_cells():
     for n in range(2, 6):
         for tail in product((1, 2), repeat=n):
             yield f"GF(3) {tail}", BlockPencil.from_pencil(build_pencil([1, *tail], gf3))
+    # det T vanishes on all of GF(3) and 3 <= n-2, so the points repeat mod 3:
+    # the singular ones and the regular ones that only the Newton stream tells
+    for n in range(6, 9):
+        for tail in product((1, 2), repeat=n):
+            if all(jacobi_det((1, *tail), x0) % 3 == 0 for x0 in (1, 2, 3)):
+                yield f"GF(3) vanishing {tail}", BlockPencil.from_pencil(build_pencil([1, *tail], gf3))
     gf7 = GF(7)
     for n in (5, 6):
         for mt in nongeometric_singular_minor_tuples(n, 7):
@@ -253,17 +260,19 @@ def _diag(field, roots, n):
     return BlockPencil(mat(d0), mat(d1))
 
 
-# det T(x) vanishes at the probe points x = 0..k-1 and not at x = k, so the
-# probes up to k-1 fail and the stacked C(0..k-1) (full column rank) are
-# built before T(k) proves regularity; at k = n only the stacked search does
+# k is the index of the first Newton coefficient of det T(x) at 0, 1, ...
+# that is nonzero in the field, so the stacked C(0..k-1) (full column rank)
+# are built before a_k proves regularity. The GF(3) pencil's det vanishes on
+# all of GF(3); at the points 0..11 only the stacked search would tell.
 @pytest.mark.parametrize(
     "bp, k",
     [
         *((_diag(QQ, range(n), n), n) for n in range(1, 6)),
         (_diag(GF(2), [0, 1], 2), 2),
         (_diag(QQ, [0, 1], 4), 2),
+        (BlockPencil.from_pencil(build_pencil([1, 2, 1, 1, 2, 1, 1, 2, 1, 2, 2, 2, 2], GF(3))), 4),
     ],
-    ids=[*(f"qq-diag-n{n}" for n in range(1, 6)), "gf2-x-x1", "qq-x-x1-1-1"],
+    ids=[*(f"qq-diag-n{n}" for n in range(1, 6)), "gf2-x-x1", "qq-x-x1-1-1", "gf3-n12"],
 )
 def test_regular_pencil_det_vanishing_at_probes(monkeypatch, bp, k):
     built = []
@@ -287,4 +296,17 @@ def test_regular_pencil_exits_before_any_stacked_matrix(monkeypatch):
     p = random_rational_pencil(random.Random(151), 12)
     assert not is_singular(p)
     res = analyze(BlockPencil.from_pencil(p))
+    assert (res.minimal_index_d, res.kernel_poly) == (None, None)
+
+
+def test_zero_det_without_a_null_vector_alarms(monkeypatch):
+    # det T of the geometric pencil is zero, so a stacked search that finds no
+    # null vector below n contradicts the minimal index bound
+    monkeypatch.setattr(kronecker, "_null_vector", lambda a, fld: None)
+    with pytest.raises(ConsistencyAlarm, match="no C\\(d\\) with d < n has a null vector"):
+        analyze(BlockPencil.from_pencil(qp(1, 2, 4, 8)))
+
+
+def test_empty_pencil_is_regular():
+    res = analyze(BlockPencil(Mat(QQ, []), Mat(QQ, [])))
     assert (res.minimal_index_d, res.kernel_poly) == (None, None)

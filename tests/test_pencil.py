@@ -11,6 +11,7 @@ from toeppencil.minors import recover_c_from_minors
 from toeppencil.pencil import (
     PencilError,
     _det_int,
+    _newton_coefficients,
     _rows,
     _top_coefficient,
     build_M0,
@@ -26,6 +27,7 @@ from oracles import (
     det_laplace,
     geometric_ratio,
     jacobi_det,
+    newton_coefficients,
     normalize_c1,
     partition,
     pencil_det,
@@ -284,6 +286,26 @@ def test_is_singular_when_the_top_coefficient_vanishes_mod_p():
         singular += det == ()
         reached_newton += bool(det) and not any(points)  # regular, every point zero
     assert len(cases) > 300 and singular > 0 and reached_newton > 0
+
+
+def test_newton_stream_matches_the_list_version():
+    rng = random.Random(67)
+    for n in range(12):
+        for _ in range(20):
+            values = [rng.randint(-10**6, 10**6) for _ in range(n)]
+            assert list(_newton_coefficients(iter(values))) == newton_coefficients(values), values
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_newton_stream_reads_no_value_past_its_caller(k):
+    values = random.Random(71 + k).sample(range(-99, 99), 8)
+
+    def reads():
+        yield from values[: k + 1]
+        raise AssertionError(f"value {k + 1} read for a_{k}")
+
+    a = _newton_coefficients(reads())
+    assert [next(a) for _ in range(k + 1)] == newton_coefficients(values)[: k + 1]
 
 
 def _int_det(grid):
