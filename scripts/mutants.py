@@ -42,7 +42,7 @@ MUTANTS = [
         PKG + "kronecker.py",
         "    for d, a in enumerate(",
         "    from .pencil import is_singular\n\n"
-        "    is_singular(PencilInstance(field, (field.one,) * 3))\n"
+        "    is_singular(PencilInstance(fld, (fld.one,) * 3))\n"
         "    for d, a in enumerate(",
         [CRITERIA + "test_kernel_stays_apart_from_the_verdicts"],
     ),
@@ -59,6 +59,28 @@ MUTANTS = [
         '            raise ConsistencyAlarm("det T(x) is zero, yet no C(d) with d < n has a null vector")',
         "            return KroneckerResult(minimal_index_d=None, kernel_poly=None)",
         [KRONECKER + "test_zero_det_without_a_null_vector_alarms"],
+    ),
+    (
+        "the kernel skips its top-coefficient exit",
+        PKG + "kronecker.py",
+        "        if fld.of(_top_coefficient(c)):\n"
+        "            return KroneckerResult(minimal_index_d=None, kernel_poly=None)\n",
+        "",
+        [KRONECKER + "test_regular_pencil_exits_before_any_stacked_matrix"],
+    ),
+    (
+        "the kernel's exit tests the top coefficient over Z, not the field",
+        PKG + "kronecker.py",
+        "if fld.of(_top_coefficient(c)):",
+        "if _top_coefficient(c):",
+        [STACKED],
+    ),
+    (
+        "the c path's x-part drops the lift scale L",
+        PKG + "kronecker.py",
+        "_rows((0,) * (n + 1), L, 0)",
+        "_rows((0,) * (n + 1), 1, 0)",
+        [KRONECKER + "test_c_path_rows_equal_the_matrix_lift"],
     ),
     (
         "the null vector skips the rows above the pivot",

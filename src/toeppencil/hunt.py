@@ -52,9 +52,12 @@ _CROSSCHECK_STRIDE = 17
 # (Python 3.11, one core of a 2-core host).
 MAX_EXHAUSTIVE_TUPLES = 10**8
 
-# Largest n the CLI takes: at n = 256 a geometric verify or kernel takes about
+# Largest n the CLI takes: over QQ at n = 256 a geometric verify takes about
 # 1 s and `hunt --random --trials 1` about 5 s (Python 3.11, one core of a
-# 2-core host), and the cost grows as n^3. Library calls take any n.
+# 2-core host), and the cost grows as n^3. Over GF(p) the det route costs
+# more: a geometric GF(7) verify at n = 256 takes about 26 s, and
+# `hunt --n 256 --prime 7 --random --trials 1` about 77 s. Library calls
+# take any n.
 MAX_N = 256
 
 # Most worker processes an exhaustive scan forks (it forks min(workers, p)).

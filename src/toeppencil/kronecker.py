@@ -5,31 +5,38 @@ the first block subdiagonal (d+1 block columns, d+2 block rows) has linearly
 dependent columns exactly when a nonzero vector polynomial f(x) of degree
 <= d satisfies (M0 + x*M1) f(x) = 0. The smallest such d is the minimal
 index; a singular n x n pencil always has one below n, so the search is
-bounded. "Regular" has one certificate, the det route's: a Newton
-coefficient a_d of det T(x) at 0..n nonzero in the field, read before C(d)
-is built; a regular pencil usually leaves after one n x n determinant. A
-stacked matrix is reduced only up to its first dependent column, whose null
-vector (a 1 there, 0 right of it) is the kernel returned; over GF(p) the
-reduction runs on residues. Inputs are general square pencils: the machinery
-does not need the nonzero-coefficient hypothesis of the Toeplitz construction.
+bounded. A Toeplitz pencil from ``BlockPencil.from_pencil`` keeps its c:
+only the n+1 coefficients are lifted to ints, its int rows come from c,
+and the det route's O(1) top coefficient c_n^2 - c_{n-1} c_{n+1} of det T,
+nonzero in the field, proves it regular before any row or determinant is
+built. A general pencil lifts its 2n^2 matrix entries. Otherwise "regular"
+has the det route's one certificate: a Newton coefficient a_d of det T(x)
+at 0..n nonzero in the field, read before C(d) is built. A stacked matrix
+is reduced only up to its first dependent column, whose null vector (a 1
+there, 0 right of it) is the kernel returned; over GF(p) the reduction runs
+on residues. Inputs are general square pencils: the machinery does not need
+the nonzero-coefficient hypothesis of the Toeplitz construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
 from .linalg import Mat, Poly, ShapeError, _null_vector
-from .pencil import PencilInstance, _det_int, _newton_coefficients, build_M0, build_M1
+from .pencil import PencilInstance, _det_int, _newton_coefficients, _rows, _top_coefficient, build_M0, build_M1
 
 
 @dataclass(frozen=True)
 class BlockPencil:
     M0: Mat
     M1: Mat
+    # the Toeplitz coefficients M0 and M1 were built from; set only by
+    # from_pencil, so a c never disagrees with the matrices, and not compared
+    c: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M0.rows != self.M0.cols or self.M1.rows != self.M1.cols:
@@ -45,7 +52,9 @@ class BlockPencil:
 
     @classmethod
     def from_pencil(cls, p: PencilInstance) -> "BlockPencil":
-        return cls(build_M0(p), build_M1(p))
+        bp = cls(build_M0(p), build_M1(p))
+        object.__setattr__(bp, "c", p.c)
+        return bp
 
 
 @dataclass(frozen=True)
@@ -74,45 +83,63 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     """The minimal index d and a degree-d nonzero f(x) with
     (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil.
 
-    M0 and M1 are lifted to ints over one common scale, and every step runs
-    on them. The values det T(d), d = 0..n (T(d) = A0 + d*A1, by the det
-    route's ``_det_int`` on its transpose, lower bandwidth 2 for a Toeplitz
-    pencil), feed the det route's Newton stream. det T has degree <= n, so
-    it is zero in the field iff a_0..a_n are, also over GF(p) with p <= n,
-    where the points repeat. A nonzero a_d proves the pencil regular before
-    C(d) is built. Otherwise, for d < n, ``linalg._null_vector`` reduces
-    C(d) up to its first column without a pivot and returns that column's
-    null vector (1 there, 0 right of it). The first d with a rank-deficient
-    C(d) is minimal, because the first n*d columns of C(d) are those of
-    C(d-1) padded with zero rows, so they stay independent; the free column
-    thus lies in block column d, and f has degree d. A zero det T without a
-    null vector below n raises ``ConsistencyAlarm``: a singular n x n
-    pencil has its minimal index below n.
-    Both the identity and the degree are re-verified exactly before returning."""
+    A pencil from ``BlockPencil.from_pencil`` keeps its c: only the n+1
+    coefficients are lifted (L*c, L = 1 over GF(p)), and the int rows are
+    those of T'(x) = L*M0 + x*M1, the same ints as the lift of M0 and M1
+    over their common scale L. Before any row is built, the det route's
+    O(1) top coefficient c_n^2 - c_{n-1} c_{n+1} of det T is read; nonzero
+    in the field, it proves the pencil regular. A general pencil lifts its
+    2n^2 entries over one common scale. Both then run ``_analyze``."""
     n = bp.n
-    field = bp.M0.field
-    flat, _ = field.lift([e for M in (bp.M0, bp.M1) for row in M.data for e in row])
+    fld = bp.M0.field
+    if bp.c is not None:
+        c, L = fld.lift(bp.c)
+        if fld.of(_top_coefficient(c)):
+            return KroneckerResult(minimal_index_d=None, kernel_poly=None)
+        return _analyze(_rows(c, 0, 0), _rows((0,) * (n + 1), L, 0), fld)
+    flat, _ = fld.lift([e for M in (bp.M0, bp.M1) for row in M.data for e in row])
     A0 = [flat[i * n : (i + 1) * n] for i in range(n)]
     A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
+    return _analyze(A0, A1, fld)
+
+
+def _analyze(A0: List[List[int]], A1: List[List[int]], fld) -> KroneckerResult:
+    """``analyze`` on the int rows A0, A1 of L*M0 and L*M1 lifted from
+    ``fld``; every step runs on them. The values det T(d), d = 0..n
+    (T(d) = A0 + d*A1, by the det route's ``_det_int`` on its transpose,
+    lower bandwidth 2 for a Toeplitz pencil), feed the det route's Newton
+    stream. det T has degree <= n, so it is zero in the field iff a_0..a_n
+    are, also over GF(p) with p <= n, where the points repeat. A nonzero
+    a_d proves the pencil regular before C(d) is built. Otherwise, for
+    d < n, ``linalg._null_vector`` reduces C(d) up to its first column
+    without a pivot and returns that column's null vector (1 there, 0 right
+    of it). The first d with a rank-deficient C(d) is minimal, because the
+    first n*d columns of C(d) are those of C(d-1) padded with zero rows, so
+    they stay independent; the free column thus lies in block column d, and
+    f has degree d. A zero det T without a null vector below n raises
+    ``ConsistencyAlarm``: a singular n x n pencil has its minimal index
+    below n. Both the identity and the degree are re-verified exactly
+    before returning."""
+    n = len(A0)
     cols = list(zip(zip(*A0), zip(*A1)))  # column j of A0 and of A1: row j of T(d) transposed
     dets = (_det_int([[x + d * y for x, y in zip(*col)] for col in cols]) for d in range(n + 1))
     for d, a in enumerate(_newton_coefficients(dets)):
-        if field.of(a):
+        if fld.of(a):
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
         if d == n:
             raise ConsistencyAlarm("det T(x) is zero, yet no C(d) with d < n has a null vector")
-        vec = _null_vector(_stack(A0, A1, 0, d), field)
+        vec = _null_vector(_stack(A0, A1, 0, d), fld)
         if vec is not None:
             break
     # the coefficient of x^k in (M0 + x*M1) f(x) is M0 f_k + M1 f_{k-1}
     # (f_{-1} = f_{d+1} = 0); checked on the lifted rows, apart from C(d)
-    ints = field.lift(vec)[0]
+    ints = fld.lift(vec)[0]
     zero = [0] * n
     fk = [zero] + [ints[k * n : (k + 1) * n] for k in range(d + 1)] + [zero]
     for lo, hi in zip(fk[1:], fk):
-        if any(field.of(sum(map(mul, r0, lo)) + sum(map(mul, r1, hi))) for r0, r1 in zip(A0, A1)):
+        if any(fld.of(sum(map(mul, r0, lo)) + sum(map(mul, r1, hi))) for r0, r1 in zip(A0, A1)):
             raise ConsistencyAlarm("kernel vector fails the pencil identity")
-    f = [Poly(field, vec[i :: n]) for i in range(n)]
+    f = [Poly(fld, vec[i :: n]) for i in range(n)]
     degrees = [fi.degree for fi in f if not fi.is_zero]
     if not degrees or max(degrees) != d:
         raise ConsistencyAlarm("kernel vector degree disagrees with minimal index")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,7 @@ from toeppencil.field import GF, QQ, FieldMismatchError
 from toeppencil.kronecker import BlockPencil, analyze
 from toeppencil.linalg import Mat
 from toeppencil.minors import recover_c_from_minors
-from toeppencil.pencil import build_pencil, is_singular
+from toeppencil.pencil import _top_coefficient, build_M0, build_M1, build_pencil, is_singular
 
 from conftest import geometric_pencil, random_rational_pencil
 from oracles import (
@@ -221,6 +222,9 @@ def _differential_cells():
         for tail in product((1, 2), repeat=n):
             if all(jacobi_det((1, *tail), x0) % 3 == 0 for x0 in (1, 2, 3)):
                 yield f"GF(3) vanishing {tail}", BlockPencil.from_pencil(build_pencil([1, *tail], gf3))
+    gf2 = GF(2)
+    for n in range(2, 9):
+        yield f"GF(2) ones n={n}", BlockPencil.from_pencil(build_pencil([gf2.one] * (n + 1), gf2))
     gf7 = GF(7)
     for n in (5, 6):
         for mt in nongeometric_singular_minor_tuples(n, 7):
@@ -236,16 +240,45 @@ def _differential_cells():
 
 
 def test_analyze_matches_stacked_reference():
-    singular = regular = 0
+    singular = regular = from_c = 0
     for label, bp in _differential_cells():
         res = analyze(bp)
         assert res == analyze_reference(bp), label
+        if bp.c is not None:
+            # the c path against the lift of the 2n^2 matrix entries
+            assert analyze(BlockPencil(bp.M0, bp.M1)) == res, label
+            from_c += 1
         if res.minimal_index_d is None:
             regular += 1
         else:
             singular += 1
     # both branches are exercised, the probe exit and the stacked kernel
-    assert singular > 50 and regular > 50
+    assert singular > 50 and regular > 50 and from_c > 100
+
+
+def _recorded_rows(monkeypatch, bp):
+    """The int rows that ``analyze`` hands to its int core for ``bp``."""
+    seen = []
+    monkeypatch.setattr(kronecker, "_analyze", lambda A0, A1, fld: seen.append((A0, A1, fld)))
+    analyze(bp)
+    return seen[0]
+
+
+def test_c_path_rows_equal_the_matrix_lift(monkeypatch):
+    # every pencil falls through the top-coefficient exit, so the rows of the
+    # c path are read even for regular pencils; over QQ every known singular
+    # pencil has d = 0, so only this pins the scale L of the x-part
+    monkeypatch.setattr(kronecker, "_top_coefficient", lambda c: 0)
+    rng = random.Random(157)
+    pencils = [random_rational_pencil(rng, n) for n in range(2, 9) for _ in range(3)]
+    pencils += [geometric_pencil(Fraction(3, 2), n, Fraction(1, 3)) for n in (2, 4, 7)]
+    pencils += [build_pencil([GF(7).of(k) for k in (1, 1, 6, 4, 4, 1, 2)], GF(7))]
+    scaled = 0
+    for p in pencils:
+        scaled += p.field == QQ and p.field.lift(p.c)[1] > 1
+        from_c = _recorded_rows(monkeypatch, BlockPencil.from_pencil(p))
+        assert from_c == _recorded_rows(monkeypatch, BlockPencil(build_M0(p), build_M1(p))), p.c
+    assert scaled > 15
 
 
 def _diag(field, roots, n):
@@ -289,14 +322,62 @@ def test_regular_pencil_det_vanishing_at_probes(monkeypatch, bp, k):
 
 
 def test_regular_pencil_exits_before_any_stacked_matrix(monkeypatch):
+    # a top coefficient c_n^2 - c_{n-1} c_{n+1} of det T nonzero in the field
+    # proves the pencil regular before any determinant or stacked matrix
     def refuse(*args):
-        raise AssertionError("stacked matrix built for a regular pencil")
+        raise AssertionError("determinant or stacked matrix built for a regular pencil")
 
     monkeypatch.setattr(kronecker, "_stack", refuse)
-    p = random_rational_pencil(random.Random(151), 12)
-    assert not is_singular(p)
+    monkeypatch.setattr(kronecker, "_det_int", refuse)
+    rng = random.Random(151)
+    gf3, gf7 = GF(3), GF(7)
+    pencils = [random_rational_pencil(rng, n) for n in (2, 3, 12, 40)]
+    # det T of the GF(3) pencil vanishes on all of GF(3); its top coefficient is 2 mod 3
+    gf3_c = "1,1,1,1,2,1,1,2,2,2,1,2,2,2,1,2,2,1,2,1,1,2,2,1,1,1,2,1,1,1,1,1,2"
+    pencils += [
+        build_pencil([gf7.of(k) for k in (1, 1, 5, 4, 1, 3)], gf7),
+        build_pencil([gf3.parse(k) for k in gf3_c.split(",")], gf3),
+    ]
+    for p in pencils:
+        assert p.field.of(_top_coefficient(p.field.lift(p.c)[0]))
+        assert not is_singular(p)
+        res = analyze(BlockPencil.from_pencil(p))
+        assert (res.minimal_index_d, res.kernel_poly) == (None, None)
+
+
+# regular pencils whose top coefficient is 0 read det T at 0 for their
+# certificate a_0; the GF(3) n = 12 pencil of the probe test reads 0..4
+@pytest.mark.parametrize("c", [(1, 1, 2, 4), (1, 3, 3, 3, 3)], ids=["qq-1-1-2-4", "qq-1-3-3-3-3"])
+def test_zero_top_coefficient_reaches_the_newton_stream(monkeypatch, c):
+    p = qp(*c)
+    assert _top_coefficient(c) == 0 and not is_singular(p)
+    read = []
+    det_int = kronecker._det_int
+
+    def counting_det_int(a):
+        read.append(len(a))
+        return det_int(a)
+
+    monkeypatch.setattr(kronecker, "_det_int", counting_det_int)
     res = analyze(BlockPencil.from_pencil(p))
     assert (res.minimal_index_d, res.kernel_poly) == (None, None)
+    assert read == [p.n]
+
+
+def test_block_pencil_keeps_c_out_of_equality_and_the_constructor():
+    p = qp(1, 2, 4, 8)
+    bp = BlockPencil.from_pencil(p)
+    general = BlockPencil(build_M0(p), build_M1(p))
+    assert bp.c == p.c and general.c is None
+    assert bp == general and hash(bp) == hash(general) and repr(bp) == repr(general)
+    # no public way gives a BlockPencil a c that its matrices do not come from
+    with pytest.raises(TypeError):
+        BlockPencil(bp.M0, bp.M1, p.c)
+    with pytest.raises(TypeError):
+        BlockPencil(bp.M0, bp.M1, c=p.c)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bp.c = qp(1, 1, 1, 2).c
+    assert dataclasses.replace(bp, M0=identity(QQ, 3)).c is None
 
 
 def test_zero_det_without_a_null_vector_alarms(monkeypatch):
