@@ -190,6 +190,13 @@ MUTANTS = [
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p"],
     ),
     (
+        "the det route reads a_0 before the top coefficient",
+        PKG + "pencil.py",
+        "return not (fld.of(_top_coefficient(c)) or any(map(fld.of, a)))",
+        "return not (fld.of(next(a)) or fld.of(_top_coefficient(c)) or any(map(fld.of, a)))",
+        [PENCIL + "test_nonzero_top_coefficient_reads_no_determinant"],
+    ),
+    (
         "the geometric product is off by one index",
         PKG + "pencil.py",
         "c2 * c[k]) for k in",

@@ -47,9 +47,9 @@ from .pencil import PencilError, build_pencil
 # boundaries cannot affect it.
 _CROSSCHECK_STRIDE = 17
 
-# Largest exhaustive scan, in p^(n-1) tuples: about 4.5-7 min on one core at
-# the 250k-370k tuples/s of the cells (6,7) to (8,7), (6,11) and (7,11)
-# (Python 3.11, one core of a 2-core host).
+# Largest exhaustive scan, in p^(n-1) tuples: about 3-4 min on one core at
+# the 450k-520k tuples/s of the cells (6,7) to (8,7), (6,11) and (7,11)
+# (medians of 3 runs; Python 3.11, one core of a 2-core host).
 MAX_EXHAUSTIVE_TUPLES = 10**8
 
 # Largest n the CLI takes: over QQ at n = 256 a geometric verify takes about

@@ -144,8 +144,8 @@ def _singular(c: Sequence[int], fld) -> bool:
     a = _newton_coefficients(
         _det_int([r[::-1] for r in reversed(_rows(c, x0, 0))]) for x0 in range(max(len(c) - 3, 1))
     )
-    # a_0 = det T'(0) first, then the O(1) top coefficient, then a_1..a_{n-3}
-    return not (fld.of(next(a)) or fld.of(_top_coefficient(c)) or any(map(fld.of, a)))
+    # the O(1) top coefficient first, then a_0 = det T'(0), a_1..a_{n-3}
+    return not (fld.of(_top_coefficient(c)) or any(map(fld.of, a)))
 
 
 def is_singular(p: PencilInstance) -> bool:
@@ -161,15 +161,17 @@ def is_singular(p: PencilInstance) -> bool:
 
     The certificate is the lazy stream of Newton coefficients a_k of det T'
     at x0 = 0, 1, ...: the first one nonzero in the field proves the pencil
-    regular. a_0 = det T'(0) = L^n det M0 is read first, then the top one,
-    a_{n-2}, which is the top coefficient, in O(1), then a_1..a_{n-3}, each
-    after one more value. This is exact over every GF(p), also p <= n-2,
-    where the points repeat mod p: a_k reads only the values at 0..k. As
-    P(d) = sum_{k<=d} a_k d(d-1)...(d-k+1), no more values are read than
-    by a scan for a nonzero value. Each value is ``_det_int`` of T(x0)
-    transposed, which has lower bandwidth 2: O(n^2) per point. T is
-    Toeplitz, so its transpose is J T J (J the exchange matrix): the rows in
-    reverse order, each reversed.
+    regular. The top one, a_{n-2}, is the top coefficient, so it is read
+    first, in O(1) and before any determinant. Only when it is zero in the
+    field are a_0 = det T'(0) = L^n det M0, then a_1..a_{n-3} read, each
+    after one more value. The verdict is that every a_k is zero in the
+    field, so the order changes only the cost. This is exact over every
+    GF(p), also p <= n-2, where the points repeat mod p: a_k reads only the
+    values at 0..k. As P(d) = sum_{k<=d} a_k d(d-1)...(d-k+1), no more
+    values are read than by a scan for a nonzero value. Each value is
+    ``_det_int`` of T(x0) transposed, which has lower bandwidth 2: O(n^2)
+    per point. T is Toeplitz, so its transpose is J T J (J the exchange
+    matrix): the rows in reverse order, each reversed.
     """
     return _singular(p.field.lift(p.c)[0], p.field)
 

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from toeppencil import pencil
+from toeppencil.criteria import evaluate_instance
 from toeppencil.field import GF, QQ, FieldMismatchError
 from toeppencil.hunt import HuntConfig, exhaustive_scan
 from toeppencil.linalg import Mat
@@ -286,6 +288,48 @@ def test_is_singular_when_the_top_coefficient_vanishes_mod_p():
         singular += det == ()
         reached_newton += bool(det) and not any(points)  # regular, every point zero
     assert len(cases) > 300 and singular > 0 and reached_newton > 0
+
+
+def _counting_det_int(monkeypatch):
+    """Patch the det route's determinant to record the size of each call."""
+    read = []
+    det_int = pencil._det_int
+
+    def counting(a):
+        read.append(len(a))
+        return det_int(a)
+
+    monkeypatch.setattr(pencil, "_det_int", counting)
+    return read
+
+
+@pytest.mark.parametrize("n", [2, 3, 12])
+@pytest.mark.parametrize("fld", [QQ, GF(7), GF(3)], ids=["QQ", "GF7", "GF3"])
+def test_nonzero_top_coefficient_reads_no_determinant(monkeypatch, fld, n):
+    # c_n^2 - c_{n-1} c_{n+1} nonzero in the field proves the pencil regular
+    # before any det T(x0); GF(3) at n = 12 has p <= n-2
+    rng = random.Random(157 + n)
+    while True:
+        p = random_rational_pencil(rng, n) if fld == QQ else random_gf_pencil(rng, n, fld.p)
+        if fld.of(_top_coefficient(fld.lift(p.c)[0])):
+            break
+    read = _counting_det_int(monkeypatch)
+    assert not is_singular(p)
+    assert not evaluate_instance(p).singular_det
+    assert read == []
+
+
+# a zero top coefficient: the stream reads det T(0), whose a_0 is nonzero,
+# and stops (at n = 3, det T is the constant a_0)
+@pytest.mark.parametrize("c", [(1, 1, 2, 4), (1, 3, 3, 3, 3)], ids=["qq-1-1-2-4", "qq-1-3-3-3-3"])
+def test_zero_top_coefficient_reads_det_t_at_0(monkeypatch, c):
+    p = qp(*c)
+    assert _top_coefficient(c) == 0
+    read = _counting_det_int(monkeypatch)
+    assert not is_singular(p)
+    assert read == [p.n]
+    assert not evaluate_instance(p).singular_det
+    assert read == [p.n] * 2
 
 
 def test_newton_stream_matches_the_list_version():
