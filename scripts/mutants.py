@@ -34,6 +34,7 @@ KRONECKER = "tests/test_kronecker.py::"
 PENCIL = "tests/test_pencil.py::"
 NULL_VECTOR = "tests/test_linalg.py::test_null_vector_is_the_first_kernel_basis_vector"
 STACKED = KRONECKER + "test_analyze_matches_stacked_reference"
+RESIDUE = CRITERIA + "test_residue_routes_match_the_int_routes"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
@@ -113,7 +114,7 @@ MUTANTS = [
     (
         "S drops the star value",
         PKG + "criteria.py",
-        "    yield c[n] * pw[size] - sum(map(mul, w, u))\n",
+        "    yield star % p if p else star\n",
         "",
         [CRITERIA + "test_s_fails_with_star_witness", CRITERIA + "test_evaluate_instance_reports"],
     ),
@@ -137,7 +138,7 @@ MUTANTS = [
     (
         "the SM core skips the m_n test",
         PKG + "criteria.py",
-        "    if fld.of(B[n]):\n        return -1, B[n]\n",
+        "    if (B[n] % p if p else fld.of(B[n])):\n        return -1, B[n]\n",
         "",
         [CRITERIA + "test_sm_examples", CRITERIA + "test_routes_stay_independent"],
     ),
@@ -185,15 +186,15 @@ MUTANTS = [
     (
         "the det route reads n-3 points",
         PKG + "pencil.py",
-        "for x0 in range(max(len(c) - 3, 1))",
-        "for x0 in range(max(len(c) - 4, 1))",
+        "for x0 in range(max(n - 2, 1))",
+        "for x0 in range(max(n - 3, 1))",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p"],
     ),
     (
         "the det route reads a_0 before the top coefficient",
         PKG + "pencil.py",
-        "return not (fld.of(_top_coefficient(c)) or any(map(fld.of, a)))",
-        "return not (fld.of(next(a)) or fld.of(_top_coefficient(c)) or any(map(fld.of, a)))",
+        "    top = _top_coefficient(c)\n",
+        "    top = _top_coefficient(c)\n    _det_int([r[::-1] for r in reversed(_rows(c, 0, 0))])\n",
         [PENCIL + "test_nonzero_top_coefficient_reads_no_determinant"],
     ),
     (
@@ -213,9 +214,58 @@ MUTANTS = [
     (
         "the hunt drops the B_n validity test",
         PKG + "hunt.py",
-        "if not (b1 and b0):",
-        "if not b1:",
+        "bad = {z1, -z0 * pow(2, -1, p) % p}",
+        "bad = {z1}",
         [HUNT + "test_orbit_scan_matches_per_tuple_reference[3-7]", HUNT + "test_n4_solution_count_is_p_minus_1"],
+    ),
+    (
+        "the residue det runs for p <= n-2",
+        PKG + "pencil.py",
+        "q = p if p > n - 2 else 0",
+        "q = p",
+        [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p", RESIDUE],
+    ),
+    (
+        "the residue Newton stream multiplies by k! mod p",
+        PKG + "pencil.py",
+        "v * pow(factorial(k), -1, p) % p",
+        "v * factorial(k) % p",
+        [PENCIL + "test_residue_newton_stream_matches_the_int_stream"],
+    ),
+    (
+        "the residue det keeps the pivot row's multiple unreduced by its inverse",
+        PKG + "pencil.py",
+        "f = aik * inv % p",
+        "f = aik % p",
+        [PENCIL + "test_residue_det_matches_the_int_det", RESIDUE],
+    ),
+    (
+        "the hunt's V_0 root has the wrong sign",
+        PKG + "hunt.py",
+        "slope = 2 * prefix[2] if n % 2 else -2 * prefix[2]",
+        "slope = -2 * prefix[2] if n % 2 else 2 * prefix[2]",
+        [HUNT + "test_orbit_scan_matches_per_tuple_reference[5-7]"],
+    ),
+    (
+        "the valid-leaf count ignores the B_n root",
+        PKG + "hunt.py",
+        "(len(leaves) - len(bad & leaves))",
+        "(len(leaves) - 1)",
+        [HUNT + "test_orbit_scan_matches_per_tuple_reference[5-7]"],
+    ),
+    (
+        "the GF(2) leaves ignore a vanishing B_n",
+        PKG + "hunt.py",
+        "bad = {z1} if z0 else {0, 1}",
+        "bad = {z1}",
+        [HUNT + "test_leaf_ends_match_the_reciprocal[5-2]"],
+    ),
+    (
+        "the stride listing ignores gcd(n-1, stride)",
+        PKG + "hunt.py",
+        "g = gcd(n - 1, _CROSSCHECK_STRIDE)",
+        "g = 1",
+        [HUNT + "test_stride_listing_matches_the_reference_at_every_stride"],
     ),
     (
         "the hunt scales c by the m scale",

@@ -16,11 +16,13 @@ minor map's ints B, m_r = B_r / a_0^r, dividing value k by a_0^(n+k+1);
 the public sm_condition_values(mv) divides by D^(k+2).
 
 Each route has an int core on c lifted to plain ints: ``pencil._singular``,
-``_s_ints`` and ``_minor_ints`` + ``_sm_witness``. ``_verdicts`` runs the
-three on one lift; the public checks lift and call their own core, and
-witnesses become field values only in the reports. Both tests must agree
-with the direct zero-polynomial test on det T(x); a disagreement is an
-implementation bug and raises ConsistencyAlarm.
+``_s_ints`` and ``_minor_ints`` + ``_sm_witness``. Over GF(p) each takes
+the modulus p (the field's characteristic, 0 over QQ) and runs on residues;
+the det route does so only for p > n-2 (see ``pencil.is_singular``).
+``_verdicts`` runs the three on one lift; the public checks lift and call
+their own core, and witnesses become field values only in the reports.
+Both tests must agree with the direct zero-polynomial test on det T(x); a
+disagreement is an implementation bug and raises ConsistencyAlarm.
 """
 
 from __future__ import annotations
@@ -48,20 +50,21 @@ class CriterionReport:
     geometric: Optional[object]  # common ratio, when the sequence is geometric
 
 
-def _s_ints(c: Sequence[int], kmax: Optional[int] = None) -> Iterator[int]:
+def _s_ints(c: Sequence[int], p: int = 0, kmax: Optional[int] = None) -> Iterator[int]:
     """The S route's int core: lazily, the numerators of the S values for c
-    lifted to L*c (see ``_s_value`` for their denominators).
+    lifted to L*c (see ``_s_value`` for their denominators), or for a prime
+    p > 0 those numerators mod p, every step reduced.
 
     Q, v and w scale by L and B does not, so star = star_L / L and
     value_k = value_k,L * L^(k-1). Q is lower-triangular Toeplitz with
     diagonal c1, and Q^{-1} is applied by forward substitution on numerators:
     entry i of the running vector after k shifts by B has denominator
     c1^(2k+1+i). Every denominator is a unit, so a value is zero in the
-    field exactly when its numerator is.
+    field exactly when its numerator is, also mod p.
     """
     n = len(c) - 1
     size, c1 = n - 1, c[0]
-    pw = [c1**i for i in range(size + 1)]
+    pw = [pow(c1, i, p or None) for i in range(size + 1)]
     # Q's subdiagonals c_{k+1} times c1^(k-1), for k = size-1 down to 1
     sub = [c[k] * pw[k - 1] for k in range(size - 1, 0, -1)]
 
@@ -69,16 +72,19 @@ def _s_ints(c: Sequence[int], kmax: Optional[int] = None) -> Iterator[int]:
         """Numerators of Q^{-1} b: entry i over c1^(f+1+i) when b's is over c1^(f+i)."""
         s = []
         for i, bi in enumerate(b):
-            s.append(bi - sum(map(mul, sub[size - 1 - i :], s)))
+            si = bi - sum(map(mul, sub[size - 1 - i :], s))
+            s.append(si % p if p else si)
         return s
 
     v = c[1:n]
     w = [wi * pw[size - 1 - i] for i, wi in enumerate(reversed(v))]  # w.u is over c1^(2k+size)
     u = solve([vi * pw[i] for i, vi in enumerate(v)])
-    yield c[n] * pw[size] - sum(map(mul, w, u))
+    star = c[n] * pw[size] - sum(map(mul, w, u))
+    yield star % p if p else star
     for k in range(1, size if kmax is None else kmax + 1):
         u = solve(u[1:] + [0])  # B shifts up by one
-        yield sum(map(mul, w, u))
+        value = sum(map(mul, w, u))
+        yield value % p if p else value
 
 
 def _s_value(k: int, num: int, c: Sequence[int], L: int, fld):
@@ -95,43 +101,47 @@ def s_condition_values(p: PencilInstance, kmax: Optional[int] = None) -> Iterato
     for k = 1..kmax (default kmax = n-2).
 
     Runs on plain ints, ``_s_ints`` of c lifted to L*c (L = 1 over GF(p));
-    over GF(p) the rational results are reduced at the end, where c1 is a
-    unit.
+    over GF(p) on residues, where c1 is a unit.
     """
     c, L = p.field.lift(p.c)
-    for k, num in enumerate(_s_ints(c, kmax)):
+    for k, num in enumerate(_s_ints(c, p.field.characteristic, kmax)):
         yield _s_value(k, num, c, L, p.field)
 
 
 def _first_violation(values: Iterable[int], fld) -> Optional[Tuple[int, int]]:
-    """(k, value) of the first int value nonzero in the field, counting from 0;
-    reads no further."""
-    return next(((k, v) for k, v in enumerate(values) if fld.of(v)), None)
+    """(k, value) of the first int value nonzero in the field (over GF(p)
+    tested mod p), counting from 0; reads no further."""
+    p = fld.characteristic
+    return next(((k, v) for k, v in enumerate(values) if (v % p if p else fld.of(v))), None)
 
 
 def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
     """Power condition, truncated at k = n-2; witness is the first violation."""
     c, L = p.field.lift(p.c)
-    witness = _first_violation(_s_ints(c), p.field)
+    witness = _first_violation(_s_ints(c, p.field.characteristic), p.field)
     return witness is None, witness and (witness[0], _s_value(*witness, c, L, p.field))
 
 
-def _sm_values(N: Sequence[int], kmax: int) -> Iterator[int]:
-    """V_k(N) = (t_y P) X^k y for k = 0..kmax, on the plain ints N = (N_0, ..., N_n)
-    standing for the minors m_0..m_n up to a scaling; lazy, so a caller may
-    stop at the first nonzero value."""
+def _sm_values(N: Sequence[int], p: int = 0, kmax: Optional[int] = None) -> Iterator[int]:
+    """V_k(N) = (t_y P) X^k y for k = 0..kmax (default n-3), on the plain ints
+    N = (N_0, ..., N_n) standing for the minors m_0..m_n up to a scaling, or
+    mod p for a prime p > 0; lazy, so a caller may stop at the first nonzero
+    value."""
     size = len(N) - 3
     y = N[2 : size + 2]  # 0-based, unsigned: y[a] = m_{a+2}
     yP = y[::-1]  # t_y P is y reversed
     z = y
-    for k in range(kmax + 1):
+    for k in range(size if kmax is None else kmax + 1):
         if k == 1:  # V_0 needs no X; X[a][b] = m_{a+1-b} for b <= a+1
             X = [N[a + 1 :: -1][:size] for a in range(size)]
         if k:
             z = [sum(map(mul, row, z)) for row in X]
+            if p:
+                z = [e % p for e in z]
         v = sum(map(mul, yP, z))
         # the signs (-1)^(a+b+1) of X and (-1)^(a+1) of y leave (-1)^(k+size+1)
-        yield v if (k + size) % 2 else -v
+        v = v if (k + size) % 2 else -v
+        yield v % p if p else v
 
 
 def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> Iterator:
@@ -142,7 +152,7 @@ def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> Iterator
     homogeneous of degree k+2 in them and equals V_k(N) / D^(k+2).
     """
     N, D = mv.field.lift(mv.m)
-    for k, v in enumerate(_sm_values(N, mv.n - 3 if kmax is None else kmax)):
+    for k, v in enumerate(_sm_values(N, mv.field.characteristic, kmax)):
         yield mv.field.frac(v, D ** (k + 2))
 
 
@@ -151,11 +161,12 @@ def _sm_witness(B: Sequence[int], fld) -> Optional[Tuple[int, int]]:
     (k, V_k(B)) of the first violated condition, with k = -1 and V_{-1} = B_n
     for m_n, or None. X[a][b] weighs a+1-b and y_a weighs a+2, so V_k weighs
     n+k+1 (m_n weighs n, as k = -1 gives): V_k(m) = V_k(B) / a_0^(n+k+1).
-    a_0 is a unit, so the ints are tested in the field."""
+    a_0 is a unit, so the ints are tested in the field (over GF(p) mod p)."""
     n = len(B) - 1
-    if fld.of(B[n]):
+    p = fld.characteristic
+    if (B[n] % p if p else fld.of(B[n])):
         return -1, B[n]
-    return _first_violation(_sm_values(B, n - 3), fld)  # drawn only when m_n = 0
+    return _first_violation(_sm_values(B, p), fld)  # drawn only when m_n = 0
 
 
 def _sm_value(k: int, v: int, c: Sequence[int], fld):
@@ -167,7 +178,7 @@ def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], boo
     """Minor condition, truncated at k = n-3 (for n = 2 just m_2 = 0), and
     whether y = (m_2, ..., m_{n-1}) is zero."""
     c, _ = p.field.lift(p.c)
-    B, _ = _minor_ints(c)
+    B, _ = _minor_ints(c, p.field.characteristic)
     witness = _sm_witness(B, p.field)
     w = witness and (witness[0], _sm_value(*witness, c, p.field))
     return witness is None, w, not any(map(p.field.of, B[2:-1]))
@@ -180,9 +191,10 @@ def _verdicts(
     on its own algebra: (singular, S witness, SM witness, B), with the
     witnesses as the int pairs of ``_s_ints`` and ``_sm_witness`` and B the
     minor map's ints. Raises ConsistencyAlarm when the routes disagree."""
+    p = fld.characteristic
     singular = _singular(c, fld)
-    s_witness = _first_violation(_s_ints(c), fld)
-    B, _ = _minor_ints(c)
+    s_witness = _first_violation(_s_ints(c, p), fld)
+    B, _ = _minor_ints(c, p)
     sm_witness = _sm_witness(B, fld)
     s_holds, sm_holds = s_witness is None, sm_witness is None
     if not (singular == s_holds == sm_holds):

@@ -142,6 +142,7 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
+    characteristic = 0
 
     def of(self, x) -> Fraction:
         return Fraction(x)
@@ -176,7 +177,7 @@ class PrimeField:
     def __init__(self, p: int):
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.zero = GFElement(0, p)
         self.one = GFElement(1, p)
 

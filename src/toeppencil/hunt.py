@@ -17,6 +17,13 @@ entry (a, b) has weight a+1-b and y_a weight a+2, so (X^k y)_a has weight
 a+2+k and V_k(beta*m) = beta^(n+k+1) V_k(m). A representative's verdict
 holds for its p-1 tuples; each cross-checked tuple is compared against it.
 
+The representatives are walked by head (m_2..m_{n-2}), and for n >= 4 a
+head costs O(1) in its leaf m_{n-1}: validity excludes the roots of two
+affine forms, V_0 is affine in the leaf, so at most one leaf (or, where
+its slope 2*m_2 vanishes mod p, every leaf or none) can solve SM, and the
+subsampled tuples are listed per beta rather than found by testing every
+leaf. The cross-checks run the three verdict routes on residues mod p.
+
 Scans are deterministic regardless of worker count: the representatives
 are partitioned by interleaved heads (m_2, or (m_2, m_3) for n >= 5),
 per-shard reports merge by summation and list concatenation, and merged
@@ -33,8 +40,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from operator import add
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from .criteria import ConsistencyAlarm, _sm_values, _verdicts, evaluate_instance
 from .field import PrimeField, RationalField
@@ -47,17 +55,19 @@ from .pencil import PencilError, build_pencil
 # boundaries cannot affect it.
 _CROSSCHECK_STRIDE = 17
 
-# Largest exhaustive scan, in p^(n-1) tuples: about 3-4 min on one core at
-# the 450k-520k tuples/s of the cells (6,7) to (8,7), (6,11) and (7,11)
-# (medians of 3 runs; Python 3.11, one core of a 2-core host).
+# Largest exhaustive scan, in p^(n-1) tuples: about 2-3 min on one core at
+# the 540k-890k tuples/s of the cells (6,7) to (8,7), (6,11) and (7,11)
+# (medians of 6-60 runs; Python 3.11, one core of a 2-core host).
 MAX_EXHAUSTIVE_TUPLES = 10**8
 
 # Largest n the CLI takes: over QQ at n = 256 a geometric verify takes about
 # 1 s and `hunt --random --trials 1` about 5 s (Python 3.11, one core of a
-# 2-core host), and the cost grows as n^3. Over GF(p) the det route costs
-# more: a geometric GF(7) verify at n = 256 takes about 26 s, and
-# `hunt --n 256 --prime 7 --random --trials 1` about 77 s. Library calls
-# take any n.
+# 2-core host), and the cost grows as n^3. Over GF(p) with p > n-2 every
+# route runs on residues: a geometric GF(257) verify at n = 256 takes under
+# 1 s, and `hunt --n 256 --prime 257 --random --trials 1` about 2.5 s. For
+# p <= n-2 the det route keeps its ints: a geometric GF(7) verify at
+# n = 256 takes about 26 s, and `hunt --n 256 --prime 7 --random --trials 1`
+# about 72 s. Library calls take any n.
 MAX_N = 256
 
 # Most worker processes an exhaustive scan forks (it forks min(workers, p)).
@@ -138,21 +148,27 @@ class HuntReport:
         }
 
 
-def _leaf_ends(prefix: Tuple[int, ...], Bh: List[int], leaves, p: int) -> List[Tuple[int, ...]]:
-    """(leaf, B_{n-1} mod p, B_n mod p) for each leaf m_{n-1}, where B is the
-    reciprocal of N = (*prefix, leaf, 0): prefix is m_0..m_{n-2}, Bh is
-    B_0..B_{n-2} mod p, and m_0 = m_1 = 1.
+def _leaf_ends(Z: List[int], p: int) -> Tuple[Callable, Set[int]]:
+    """(ends, bad) for the leaf m_{n-1} of N = (m_0, ..., m_{n-2}, leaf, 0),
+    m_0 = m_1 = 1, from Z = B_0..B_n mod p, the reciprocal of N at leaf 0:
+    ends(leaf) is (B_{n-1}, B_n) mod p at the leaf, and bad the set of leaves
+    at which one of them is 0 mod p. B_0..B_{n-2} do not read the leaf.
 
     For n >= 3 both are affine in the leaf: it enters B_{n-1} only as
     -leaf*B_0, and B_n as -leaf*B_1 = leaf and through -m_1 B_{n-1}, while
-    m_n = 0 adds nothing. With Z the reciprocal at leaf 0, B_{n-1} =
-    Z_{n-1} - leaf and B_n = Z_n + 2*leaf: one reciprocal per head. For
-    n = 2 the leaf is m_1 itself and B_2 = m_1^2."""
-    n = len(prefix) + 1
+    m_n = 0 adds nothing. So B_{n-1} = Z_{n-1} - leaf and B_n = Z_n +
+    2*leaf: one reciprocal per head, and one root each, except over GF(2),
+    where B_n is Z_n at every leaf. For n = 2 the leaf is m_1 itself,
+    B_1 = -m_1 and B_2 = m_1^2."""
+    n = len(Z) - 1
     if n == 2:
-        return [(v, *(b % p for b in _reciprocal((*prefix, v, 0), 3, Bh)[1:])) for v in leaves]
-    z1, z0 = _reciprocal((*prefix, 0, 0), n + 1, Bh)[n - 1 :]
-    return [(v, (z1 - v) % p, (z0 + 2 * v) % p) for v in leaves]
+        return lambda v: (-v % p, v * v % p), {0}
+    z1, z0 = Z[n - 1 :]
+    if p == 2:
+        bad = {z1} if z0 else {0, 1}
+    else:
+        bad = {z1, -z0 * pow(2, -1, p) % p}
+    return lambda v: ((z1 - v) % p, (z0 + 2 * v) % p), bad
 
 
 def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
@@ -162,65 +178,102 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
     tuples of its orbit.
 
     The walk takes each head (m_2, ..., m_{n-2}) once: its reciprocal
-    B_0..B_{n-2}, kept mod p, and its terms of the stride sums. B_{n-1} and
-    B_n are affine in the leaf m_{n-1} (``_leaf_ends``), so a leaf's
-    validity test is two residues, and N and B are built only for the
-    valid leaves."""
+    B_0..B_n at leaf 0, mod p, and its terms of the stride sums. B_{n-1}
+    and B_n are affine in the leaf m_{n-1} (``_leaf_ends``), so the valid
+    leaves are counted, not visited. For n >= 4, V_0 = ±(2*m_2*leaf + terms of the
+    head): one evaluation at leaf 0 and the slope give the one leaf that can
+    solve SM, and only that leaf, when valid, reads V_1..V_{n-3}; a slope of
+    0 mod p leaves no candidate or all of them. For n < 4 every leaf is a
+    candidate. The stride sum of the tuple beta*N is the head's sum plus
+    (n-1)*u with u = beta^(n-1)*leaf mod p, so for each beta the selected u,
+    and from them the leaves, are listed directly; where the stride divides
+    n-1, a beta whose head sum is 0 mod the stride selects every leaf. N, B
+    and the tuple are built only for the leaves and betas that are checked
+    or recorded."""
     gf = PrimeField(p)
     report = HuntReport()
     # beta^r and (-beta)^r mod p for beta = 1..p-1: m_r -> beta^r m_r, c_{r+1} -> beta^r c_{r+1}
     scale_m = [[pow(b, r, p) for b in range(1, p)] for r in range(n + 1)]
     scale_c = [[pow(-b, r, p) for b in range(1, p)] for r in range(n + 1)]
+    unscale = [pow(s, -1, p) for s in scale_m[n - 1]]  # the leaf of u, per beta
+    # (n-1)*u = -h mod the stride, for the head sum h: with g = gcd(n-1, stride)
+    # it needs g | h, and then fixes u mod stride/g (every u where g = stride)
+    g = gcd(n - 1, _CROSSCHECK_STRIDE)
+    step = _CROSSCHECK_STRIDE // g
+    inv = pow((n - 1) // g, -1, step)
 
     def stride_row(r: int, v: int) -> List[int]:
         """m_r = v's term r*(beta^r v mod p) of the cross-check sum, per beta."""
         return [r * (s * v % p) for s in scale_m[r]]
 
-    # the rows of the head coordinates m_2..m_{n-2}; m_1 = 1 needs one, and
-    # m_{n-1}'s row is built per representative
+    def mtuple(N: Tuple[int, ...], i: int) -> Tuple[int, ...]:
+        return tuple(scale_m[r][i] * N[r] % p for r in range(1, n))
+
+    def check(N: Tuple[int, ...], B: Tuple[int, ...], i: int, sm_ok: bool) -> None:
+        """The three-way check of the tuple beta*N, beta = i + 1, against the
+        orbit's verdict sm_ok."""
+        c = [s[i] * b % p for s, b in zip(scale_c, B)]  # c_{k+1} = (-beta)^k B_k
+        if not all(c):
+            raise PencilError(f"coefficient c{c.index(0) + 1} is zero")
+        try:
+            _, _, sm_witness, _ = _verdicts(c, 1, gf)
+            if (sm_witness is None) == sm_ok:
+                return
+            reason = "sm-mismatch"
+        except ConsistencyAlarm:
+            reason = "criterion-disagreement"
+        report.equivalence_violations.append((mtuple(N, i), reason))
+
+    # the rows of the head coordinates m_2..m_{n-2}; m_1 = 1 needs one
     rows = {(r, v): stride_row(r, v) for r in range(2, n - 1) for v in range(p)}
     rows[1, 1] = stride_row(1, 1)
     if n < 4:  # no head; the leaf is m_2 for n = 3 and m_1 = 1 for n = 2
-        heads, leaves = [()], leads if n == 3 else (1,)
+        heads, leaves = [()], set(leads if n == 3 else (1,))
     else:
         firsts = [divmod(j, p) if n > 4 else (j,) for j in leads]
         heads = (f + t for f in firsts for t in product(range(p), repeat=n - 3 - len(f)))
-        leaves = range(p)
+        leaves = set(range(p))
     for head in heads:
         prefix = (1, 1, *head)[: n - 1]  # m_0..m_{n-2}
         report.tuples_scanned += p * len(leaves)  # with (0, ...), never valid as c_2 = m_1
-        Bh = [b % p for b in _reciprocal(prefix, n - 1)]
+        N0 = (*prefix, 0, 0)  # the representative at leaf 0
+        Z = _reciprocal(N0, n + 1, p=p)  # B_0..B_n at leaf 0
+        Bh = Z[: n - 1]
         if not all(Bh):
             continue
+        ends, bad = _leaf_ends(Z, p)
+        report.valid_instances += (p - 1) * (len(leaves) - len(bad & leaves))
+        candidates = leaves
+        if n >= 4:  # V_0 = V_0(0) + slope*leaf; V_k has the sign (-1)^(k+n+1)
+            v0 = next(_sm_values(N0, p))
+            slope = 2 * prefix[2] if n % 2 else -2 * prefix[2]
+            if slope % p:
+                candidates = (-v0 * pow(slope, -1, p) % p,)
+            elif v0:
+                candidates = ()
+        solutions = set()
+        for leaf in candidates:
+            N = (*prefix, leaf, 0)  # m_0, m_1 = 1, m_2..m_{n-1}, m_n = 0
+            if leaf in bad or any(_sm_values(N, p)):
+                continue
+            solutions.add(leaf)
+            report.sm_solutions += p - 1
+            B = (*Bh, *ends(leaf))  # c_{k+1} = (-1)^k B_k
+            y_nonzero = any(N[2:n])  # y built from m_2..m_{n-1}
+            for i in range(p - 1):
+                check(N, B, i, True)
+                if y_nonzero:
+                    report.counterexamples.append(mtuple(N, i))
         head_sums = [0] * (p - 1)
         for r, v in enumerate(prefix[1:], 1):
             head_sums = list(map(add, head_sums, rows[r, v]))
-        for leaf, b1, b0 in _leaf_ends(prefix, Bh, leaves, p):
-            if not (b1 and b0):
+        for i, h in enumerate(head_sums):  # beta = i + 1
+            if h % g:
                 continue
-            N = (*prefix, leaf, 0)  # m_0, m_1 = 1, m_2..m_{n-1}, m_n = 0
-            B = (*Bh, b1, b0)  # c_{k+1} = (-1)^k B_k
-            report.valid_instances += p - 1
-            sm_ok = not any(v % p for v in _sm_values(N, n - 3))
-            if sm_ok:
-                report.sm_solutions += p - 1
-                checked = range(p - 1)
-            else:
-                sums = map(add, head_sums, stride_row(n - 1, leaf))
-                checked = [i for i, t in enumerate(sums) if t % _CROSSCHECK_STRIDE == 0]
-            for i in checked:  # beta = i + 1
-                mtuple = tuple(scale_m[r][i] * N[r] % p for r in range(1, n))
-                c = [s[i] * b % p for s, b in zip(scale_c, B)]  # c_{k+1} = (-beta)^k B_k
-                if not all(c):
-                    raise PencilError(f"coefficient c{c.index(0) + 1} is zero")
-                try:
-                    _, _, sm_witness, _ = _verdicts(c, 1, gf)
-                    if (sm_witness is None) != sm_ok:
-                        report.equivalence_violations.append((mtuple, "sm-mismatch"))
-                except ConsistencyAlarm:
-                    report.equivalence_violations.append((mtuple, "criterion-disagreement"))
-                if sm_ok and any(N[2:n]):  # y built from m_2..m_{n-1}
-                    report.counterexamples.append(mtuple)
+            for u in range(-(h // g) * inv % step, p, step):
+                leaf = u * unscale[i] % p
+                if leaf in leaves and leaf not in bad and leaf not in solutions:
+                    check((*prefix, leaf, 0), (*Bh, *ends(leaf)), i, False)
     return report
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .field import PrimeField
-
 
 class ShapeError(ValueError):
     """Raised on dimension mismatches (ragged rows, non-square pencil matrices)."""
@@ -78,7 +76,7 @@ def _null_vector(a: List[List[int]], fld) -> Optional[Tuple]:
     identity, with level the pivot the row was last updated with (Bareiss,
     as in ``pencil._det_int``); over GF(p) the update is reduced mod p and
     the levels are dropped, since a row scaled by a unit keeps its ratios."""
-    p = fld.p if isinstance(fld, PrimeField) else 0
+    p = fld.characteristic
     m = len(a)
     cols = len(a[0]) if a else 0
     level = [1] * m

@@ -43,24 +43,26 @@ class SMObjects:
     P: Mat  # anti-diagonal exchange matrix, same size as X
 
 
-def _reciprocal(a: Sequence[int], count: int, B: Sequence[int] = (1,)) -> List[int]:
+def _reciprocal(a: Sequence[int], count: int, B: Sequence[int] = (1,), p: int = 0) -> List[int]:
     """B_0..B_{count-1} on plain ints, with B_r / a_0^(r+1) = [t^r] 1/A(t) for
     A(t) = sum_k a_k t^k: B_0 = 1 and B_r = -sum_{k=1..r} a_k a_0^(k-1) B_{r-k}.
     B_r reads only a_0..a_r, so a given prefix B_0..B_{j-1} is continued; a
-    prefix reduced mod p gives every further B_r mod p."""
-    w = [a[k] * a[0] ** (k - 1) for k in range(1, count)]
+    prefix reduced mod p gives every further B_r mod p, and for a prime
+    p > 0 each further B_r is reduced into [0, p)."""
+    w = [a[k] * pow(a[0], k - 1, p or None) for k in range(1, count)]
     B = list(B)
     for _ in range(len(B), count):
-        B.append(-sum(map(mul, w, reversed(B))))
+        b = -sum(map(mul, w, reversed(B)))
+        B.append(b % p if p else b)
     return B
 
 
-def _minor_ints(c: Sequence[int]) -> Tuple[List[int], int]:
+def _minor_ints(c: Sequence[int], p: int = 0) -> Tuple[List[int], int]:
     """(B, a_0) with m_r = B_r / a_0^r for the reciprocal B of the alternating c,
-    lifted to plain ints; B_r is homogeneous of degree r, so neither the lift
-    nor c1 needs dividing out."""
+    lifted to plain ints, or mod p for a prime p > 0; B_r is homogeneous of
+    degree r, so neither the lift nor c1 needs dividing out."""
     a = [ci if k % 2 == 0 else -ci for k, ci in enumerate(c)]
-    return _reciprocal(a, len(c)), a[0]
+    return _reciprocal(a, len(c), p=p), a[0]
 
 
 def principal_minors(p: PencilInstance) -> MinorVector:

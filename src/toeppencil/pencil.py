@@ -71,9 +71,12 @@ def build_M1(p: PencilInstance) -> Mat:
     return Mat(p.field, _rows((z,) * len(p.c), p.field.one, z))
 
 
-def _det_int(a: List[List[int]]) -> int:
+def _det_int(a: List[List[int]], p: int = 0) -> int:
     """Determinant of a square plain-int matrix (rows are overwritten) by
-    fraction-free (Bareiss) elimination; every division is exact.
+    fraction-free (Bareiss) elimination; every division is exact. For a
+    prime p > 0, the determinant mod p in [0, p) of rows of residues in
+    [0, p): the same elimination on residues, each row update reduced mod p
+    with the pivot's inverse, no levels, and det the product of the pivots.
 
     Sylvester's identity: after the steps at the pivots 0..k-1, a Bareiss
     entry (i, j) is the minor of rows 0..k-1, i and columns 0..k-1, j, so
@@ -96,37 +99,47 @@ def _det_int(a: List[List[int]]) -> int:
             a[k], a[swap], level[k], level[swap] = a[swap], a[k], level[swap], level[k]
             sign = -sign
         rk = a[k]
-        if level[k] != prev:
+        if not p and level[k] != prev:
             rk[k:] = [x * prev // level[k] for x in rk[k:]]
         akk = rk[k]
+        if p:
+            inv, rt = pow(akk, -1, p), rk[k + 1 :]
         for i in range(k + 1, n):
             ri = a[i]
             aik = ri[k]
             if aik:
-                lv = level[i]
-                tail = [(akk * x - aik * y) // lv for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
+                if p:
+                    f = aik * inv % p
+                    tail = [(x - f * y) % p for x, y in zip(ri[k + 1 :], rt)]
+                else:
+                    lv = level[i]
+                    tail = [(akk * x - aik * y) // lv for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
+                    level[i] = akk
                 if not any(tail):
                     return 0
                 ri[k + 1 :] = tail
-                level[i] = akk
-        prev = akk
+        prev = akk * prev % p if p else akk
+    if p:
+        return sign * prev * a[-1][-1] % p if a else 1
     return sign * (a[-1][-1] * prev // level[-1]) if a else 1
 
 
-def _newton_coefficients(values: Iterable[int]) -> Iterator[int]:
+def _newton_coefficients(values: Iterable[int], p: int = 0) -> Iterator[int]:
     """The lazy stream a_0, a_1, ... with P(x) = sum_k a_k x(x-1)...(x-k+1)
     for values = P(0), P(1), ... of an integer polynomial P: a_k is yielded
     right after P(k) is read. One difference diagonal is kept (diag[j] is
     the j-th forward difference at k-j), so P(k) costs O(k). The k-th
     forward difference at 0 is k! a_k, so a_k is an integer, and P is zero
     mod p exactly when every a_k is (the falling factorials are monic, so
-    they stay a basis mod p); k! a_k itself is 0 mod p for every k >= p."""
+    they stay a basis mod p); k! a_k itself is 0 mod p for every k >= p.
+    For a prime p > 0 the values may be residues, and a_k is yielded mod p,
+    divided by k! mod p: only while k < p, where k! is a unit."""
     diag = []
     for k, v in enumerate(values):
         for j, prev in enumerate(diag):
             diag[j], v = v, v - prev
         diag.append(v)
-        yield v // factorial(k)
+        yield v * pow(factorial(k), -1, p) % p if p else v // factorial(k)
 
 
 def _top_coefficient(c: Sequence[int]) -> int:
@@ -140,12 +153,23 @@ def _top_coefficient(c: Sequence[int]) -> int:
 def _singular(c: Sequence[int], fld) -> bool:
     """True iff det T(x) is the zero polynomial, for c lifted to plain ints
     (L*c, L = 1 over GF(p)): the det route's int core, see ``is_singular``."""
-    # det T'(x0) for x0 = 0..n-3, and 0 for n = 2, on T'(x0) transposed
+    n = len(c) - 1
+    p = fld.characteristic
+    top = _top_coefficient(c)
+    if (top % p if p else fld.of(top)):  # the O(1) top coefficient first
+        return False
+    q = p if p > n - 2 else 0  # the points 0..n-3 and their k! are units mod q
+    # det T'(x0) for x0 = 0..n-3, and 0 for n = 2, on T'(x0) transposed: row
+    # i is column i of T'(x0), x0 at i-2 and then c_1..c_{n+1-i}
     a = _newton_coefficients(
-        _det_int([r[::-1] for r in reversed(_rows(c, x0, 0))]) for x0 in range(max(len(c) - 3, 1))
+        (
+            _det_int([[*[0] * (i - 2), x0, *c[: n + 1 - i]][-n:] for i in range(n)], q)
+            for x0 in range(max(n - 2, 1))
+        ),
+        q,
     )
-    # the O(1) top coefficient first, then a_0 = det T'(0), a_1..a_{n-3}
-    return not (fld.of(_top_coefficient(c)) or any(map(fld.of, a)))
+    # then a_0 = det T'(0), a_1..a_{n-3}
+    return not any(v % p if p else fld.of(v) for v in a)
 
 
 def is_singular(p: PencilInstance) -> bool:
@@ -170,8 +194,12 @@ def is_singular(p: PencilInstance) -> bool:
     values at 0..k. As P(d) = sum_{k<=d} a_k d(d-1)...(d-k+1), no more
     values are read than by a scan for a nonzero value. Each value is
     ``_det_int`` of T(x0) transposed, which has lower bandwidth 2: O(n^2)
-    per point. T is Toeplitz, so its transpose is J T J (J the exchange
-    matrix): the rows in reverse order, each reversed.
+    per point, its rows built directly from c.
+
+    Over GF(p) with p > n-2 the points 0..n-3 are distinct mod p and every
+    k! with k <= n-3 is a unit, so the determinants run on residues and the
+    stream divides by k! mod p. For p <= n-2 a_k needs the values mod a
+    power of p, and the determinants run on the ints.
     """
     return _singular(p.field.lift(p.c)[0], p.field)
 

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from toeppencil import hunt
+from toeppencil import criteria, hunt, pencil
 from toeppencil.criteria import (
     _minor_ints,
     _s_ints,
@@ -323,6 +323,69 @@ def test_check_sm_matches_the_minor_vector_route():
         assert got == _sm_by_minor_vector(p), p.c
     assert any(w is not None and w[0] >= 0 for _, w, _ in outcomes)
     assert sum(holds and not y_zero for holds, _, y_zero in outcomes) == 30
+
+
+def _int_routes(monkeypatch):
+    """Run every verdict core on unreduced ints: each is called without the
+    modulus it takes as its second argument."""
+    for module, name in (
+        (pencil, "_det_int"),
+        (pencil, "_newton_coefficients"),
+        (criteria, "_s_ints"),
+        (criteria, "_minor_ints"),
+        (criteria, "_sm_values"),
+    ):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda first, p=0, *rest, real=real: real(first, 0, *rest)
+        )
+
+
+def _verdict_outputs(p):
+    mv = principal_minors(p)
+    return (
+        repr(evaluate_instance(p)),
+        is_singular(p),
+        check_S(p),
+        check_SM(p),
+        list(s_condition_values(p, kmax=p.n)),
+        list(sm_condition_values(mv)),
+    )
+
+
+def test_residue_routes_match_the_int_routes(monkeypatch):
+    # over GF(p) the cores reduce mod p (the det route only for p > n-2); the
+    # verdicts and the field values of the witnesses are those of the ints
+    rng = random.Random(149)
+    cases = []
+    for q, sizes in ((7, range(2, 9)), (11, range(2, 13)), (257, range(2, 21, 3))):
+        cases += [random_gf_pencil(rng, n, q) for n in sizes for _ in range(6)]
+    for q in (2, 3, 5):  # p <= n-2 from n = q+2 on
+        cases += [random_gf_pencil(rng, n, q) for n in range(2, 15) for _ in range(4)]
+    for q in (2, 3, 5, 7, 11, 257):
+        gf = GF(q)
+        for lam in (1, q - 1):  # geometric: every route reads its whole stream
+            cases += [build_pencil([gf.of(lam) ** k for k in range(n + 1)], gf) for n in (4, 9, 16)]
+    gf7 = GF(7)
+    for n in (5, 6):  # the 30 GF(7) counterexamples: singular, S and SM hold
+        for t in exhaustive_scan(HuntConfig(n=n, field=gf7, mode="exhaustive")).counterexamples:
+            tail = recover_c_from_minors([gf7.of(m) for m in t] + [gf7.zero], gf7)
+            cases.append(build_pencil([gf7.one] + tail, gf7))
+    # top coefficient 4^2 - 5*6 = 0 mod 7, and T'(0) transposed has the pivot
+    # (3^2 - 1*2) / 3 = 0 mod 7 after its first step: the residue det swaps
+    cases.append(build_pencil([1, 3, 2, 5, 4, 6], gf7))
+    # the GF(3) pencil at n = 32 that CI verifies: a zero top coefficient, p <= n-2
+    gf3_list = "1,2,1,1,2,1,1,2,2,1,2,2,2,1,2,2,2,1,1,1,2,2,2,2,1,1,1,2,2,1,2,1,2"
+    cases.append(build_pencil([int(ch) for ch in gf3_list.split(",")], GF(3)))
+    want = [_verdict_outputs(p) for p in cases]
+    with monkeypatch.context() as m:
+        _int_routes(m)
+        c = cases[-3].field.lift(cases[-3].c)[0]  # the first GF(7) counterexample
+        assert any(v >= 7 for v in criteria._s_ints(c, 7))  # the patch leaves ints unreduced
+        got = [_verdict_outputs(p) for p in cases]
+    assert got == want
+    singular = [w[1] for w in want]
+    assert sum(singular) > 60 and len(singular) - sum(singular) > 200
 
 
 def _toeppencil_calls(fn, *args):

@@ -31,6 +31,13 @@ def test_gf_arithmetic_examples():
         f.zero.inverse()
 
 
+def test_characteristic_is_the_modulus_of_the_int_cores():
+    # 0 over QQ, where the cores keep plain ints; p over GF(p), where they reduce
+    assert QQ.characteristic == 0
+    for p in (2, 7, 10**9 + 7):
+        assert GF(p).characteristic == p
+
+
 def test_gf_inverse_matches_extended_euclid():
     for p in (2, 3, 5, 7, 11, 101):
         f = GF(p)

@@ -163,6 +163,8 @@ def _record_pencils(monkeypatch, module, name, residues):
         pytest.param(6, 7, 414, id="6-414"),
         (6, 5, 51),
         (5, 11, 557),
+        (5, 19, 5859),  # several selected u per beta
+        (18, 2, 1),  # the stride 17 divides n-1
     ],
 )
 def test_orbit_scan_crosschecks_the_reference_pencils(monkeypatch, n, p, count):
@@ -171,10 +173,32 @@ def test_orbit_scan_crosschecks_the_reference_pencils(monkeypatch, n, p, count):
     want = _record_pencils(
         monkeypatch, oracles, "evaluate_instance", lambda p: tuple(ci.val for ci in p.c)
     )
-    exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive"))
-    exhaustive_scan_reference(n, p)
+    report = exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive"))
+    assert report.to_dict() == exhaustive_scan_reference(n, p)
     assert len(want) == count
     assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("stride", [2, 3, 4, 5])
+def test_stride_listing_matches_the_reference_at_every_stride(monkeypatch, stride):
+    # the selected tuples are listed per beta from u = beta^(n-1)*leaf; a small
+    # stride selects many of them, and divides n-1 in some of the cells
+    monkeypatch.setattr(hunt, "_CROSSCHECK_STRIDE", stride)
+    monkeypatch.setattr(oracles, "_CROSSCHECK_STRIDE", stride)
+    got = _record_pencils(monkeypatch, hunt, "_verdicts", lambda c, L, fld: tuple(c))
+    want = _record_pencils(
+        monkeypatch, oracles, "evaluate_instance", lambda p: tuple(ci.val for ci in p.c)
+    )
+    cells = [(3, 7), (4, 5), (5, 7), (6, 5), (7, 3), (5, 2)]
+    assert any((n - 1) % stride == 0 for n, _ in cells)
+    for n, p in cells:
+        got.clear()
+        want.clear()
+        report = exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive"))
+        assert report.to_dict() == exhaustive_scan_reference(n, p), (n, p)
+        assert sorted(got) == sorted(want), (n, p)
+        # over GF(2) the one valid tuple is all ones, an SM solution
+        assert len(want) > report.sm_solutions or p == 2, (n, p)
 
 
 def test_stride_rows_stay_bounded():
@@ -265,18 +289,26 @@ def test_planted_s_fault_alarms_on_exactly_the_singular_random_pencils(monkeypat
     assert (r.tuples_scanned, r.sm_solutions, r.counterexamples) == (base.tuples_scanned, 0, [])
 
 
-@pytest.mark.parametrize("n,p", [(3, 7), (4, 5), (5, 7), (6, 5)])
+@pytest.mark.parametrize(
+    "n,p", [(3, 7), (4, 5), (5, 7), (6, 5), (2, 2), (2, 5), (3, 2), (4, 2), (5, 2), (5, 3)]
+)
 def test_leaf_ends_match_the_reciprocal(n, p):
-    # B_{n-1}, B_n from the head's reciprocal at leaf 0, against the reciprocal
-    # of each whole N, for every head and leaf (zero residues in Bh included)
-    for head in product(range(p), repeat=n - 3):
-        prefix = (1, 1, *head)
+    # B_{n-1}, B_n from the reciprocal at leaf 0, and the leaves where one
+    # vanishes, against the reciprocal of each whole N, for every head and
+    # leaf (zero residues in Bh included); over GF(2), B_n has no root or
+    # vanishes at every leaf
+    for head in product(range(p), repeat=max(n - 3, 0)):
+        prefix = (1, 1, *head)[: n - 1]
         Bh = [b % p for b in _reciprocal(prefix, n - 1)]
-        want = [
-            (leaf, *(b % p for b in _reciprocal((*prefix, leaf, 0), n + 1, Bh)[n - 1 :]))
+        want = {
+            leaf: tuple(b % p for b in _reciprocal((*prefix, leaf, 0), n + 1, Bh)[n - 1 :])
             for leaf in range(p)
-        ]
-        assert hunt._leaf_ends(prefix, Bh, range(p), p) == want, head
+        }
+        Z = [b % p for b in _reciprocal((*prefix, 0, 0), n + 1)]
+        assert Z[: n - 1] == Bh
+        ends, bad = hunt._leaf_ends(Z, p)
+        assert {leaf: ends(leaf) for leaf in range(p)} == want, head
+        assert bad == {leaf for leaf, e in want.items() if not all(e)}, head
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import perm
 
 import pytest
 
@@ -295,9 +296,9 @@ def _counting_det_int(monkeypatch):
     read = []
     det_int = pencil._det_int
 
-    def counting(a):
+    def counting(a, *p):
         read.append(len(a))
-        return det_int(a)
+        return det_int(a, *p)
 
     monkeypatch.setattr(pencil, "_det_int", counting)
     return read
@@ -338,6 +339,19 @@ def test_newton_stream_matches_the_list_version():
         for _ in range(20):
             values = [rng.randint(-10**6, 10**6) for _ in range(n)]
             assert list(_newton_coefficients(iter(values))) == newton_coefficients(values), values
+
+
+def test_residue_newton_stream_matches_the_int_stream():
+    # on residues, a_k mod p divides by k! mod p: a unit while k < p
+    rng = random.Random(79)
+    for p in (5, 7, 11, 257):
+        for _ in range(40):
+            # an integer polynomial sum_k a_k x(x-1)...(x-k+1), at x = 0..k_max
+            a = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, min(p, 12)))]
+            values = [sum(ak * perm(x, k) for k, ak in enumerate(a)) for x in range(len(a))]
+            assert newton_coefficients(values) == a
+            want = [ak % p for ak in a]
+            assert list(_newton_coefficients([v % p for v in values], p)) == want, (p, a)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -406,7 +420,11 @@ def test_det_int_banded_matches_jacobi_at_large_n():
             for x0 in points:
                 # T(x0) transposed, lower bandwidth 2, as is_singular passes it
                 banded = [list(col) for col in zip(*_rows(c, x0, 0))]
-                assert _det_int(banded) == jacobi_det(c, x0), (n, p.field, x0)
+                want = jacobi_det(c, x0)
+                if p.field != QQ:  # the residue elimination, on a copy
+                    q = p.field.p
+                    assert _det_int([row[:] for row in banded], q) == want % q, (n, q, x0)
+                assert _det_int(banded) == want, (n, p.field, x0)
 
 
 def test_is_singular_matches_jacobi_at_large_n():
@@ -463,6 +481,30 @@ def test_det_int_rules_match_laplace():
         assert _det_int([row[:] for row in a]) == want, a
         nonzero += want != 0
     assert nonzero > 150
+
+
+def test_residue_det_matches_the_int_det():
+    # mod p the elimination takes the pivot's inverse and keeps no levels; a
+    # pivot that is zero mod p but not over Z forces a swap only there
+    rng = random.Random(83)
+    cases = []
+    for p in (2, 3, 5, 7, 257):
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            entries = [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(n * n)]
+            cases.append((p, [entries[i * n : (i + 1) * n] for i in range(n)]))
+    # T'(0) transposed for c = (1, 3, 2, 5, 4, 6) over GF(7): after step 0 the
+    # pivot (1, 1) is (c_2^2 - c_1 c_3) / c_2 = 7/3, zero mod 7 only
+    c = (1, 3, 2, 5, 4, 6)
+    assert (c[1] ** 2 - c[0] * c[2]) % 7 == 0 != c[1] ** 2 - c[0] * c[2]
+    for x0 in range(4):
+        cases.append((7, [list(col) for col in zip(*_rows(c, x0, 0))]))
+    nonzero = 0
+    for p, a in cases:
+        want = _det_int([row[:] for row in a]) % p
+        assert _det_int([row[:] for row in a], p) == want, (p, a)
+        nonzero += want != 0
+    assert nonzero > 250
 
 
 def test_det_int_stops_at_first_zero_row():
