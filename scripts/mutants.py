@@ -41,17 +41,17 @@ MUTANTS = [
     (
         "analyze calls is_singular",
         PKG + "kronecker.py",
-        "    for d, a in enumerate(",
+        "    for d in range(n + 1):\n",
         "    from .pencil import is_singular\n\n"
         "    is_singular(PencilInstance(fld, (fld.one,) * 3))\n"
-        "    for d, a in enumerate(",
+        "    for d in range(n + 1):\n",
         [CRITERIA + "test_kernel_stays_apart_from_the_verdicts"],
     ),
     (
         "the kernel tests det T(d), not its Newton coefficient",
         PKG + "kronecker.py",
-        "enumerate(_newton_coefficients(dets))",
-        "enumerate(dets)",
+        "fld, _newton_coefficients(dets))",
+        "fld, dets)",
         [KRONECKER + "test_regular_pencil_det_vanishing_at_probes"],
     ),
     (
@@ -64,17 +64,17 @@ MUTANTS = [
     (
         "the kernel skips its top-coefficient exit",
         PKG + "kronecker.py",
-        "        if fld.of(_top_coefficient(c)):\n"
+        "        if next(cert):  # the top coefficient, nonzero in the field\n"
         "            return KroneckerResult(minimal_index_d=None, kernel_poly=None)\n",
-        "",
+        "        next(cert)\n",
         [KRONECKER + "test_regular_pencil_exits_before_any_stacked_matrix"],
     ),
     (
-        "the kernel's exit tests the top coefficient over Z, not the field",
-        PKG + "kronecker.py",
-        "if fld.of(_top_coefficient(c)):",
-        "if _top_coefficient(c):",
-        [STACKED],
+        "the certificate's top coefficient is tested over Z, not the field",
+        PKG + "pencil.py",
+        "    yield top % p if p else top\n",
+        "    yield top\n",
+        [STACKED, PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p"],
     ),
     (
         "the c path's x-part drops the lift scale L",
@@ -221,16 +221,37 @@ MUTANTS = [
     (
         "the residue det runs for p <= n-2",
         PKG + "pencil.py",
-        "q = p if p > n - 2 else 0",
-        "q = p",
+        "for i in range(n)], q)",
+        "for i in range(n)], p)",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p", RESIDUE],
     ),
     (
-        "the residue Newton stream multiplies by k! mod p",
+        "the det route reads values instead of Newton where the points repeat",
         PKG + "pencil.py",
-        "v * pow(factorial(k), -1, p) % p",
-        "v * factorial(k) % p",
-        [PENCIL + "test_residue_newton_stream_matches_the_int_stream"],
+        "for v in values if q == p else _newton_coefficients(values):",
+        "for v in values:",
+        [
+            PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p",
+            KRONECKER + "test_regular_pencil_det_vanishing_at_probes[gf3-n12]",
+        ],
+    ),
+    (
+        "the det route runs the Newton stream over QQ",
+        PKG + "pencil.py",
+        "values if q == p else",
+        "values if q else",
+        [KRONECKER + "test_newton_stream_runs_only_where_the_points_repeat"],
+    ),
+    (
+        "the Newton stream drops its division by k!",
+        PKG + "pencil.py",
+        "yield v // factorial(k)",
+        "yield v",
+        [
+            PENCIL + "test_newton_stream_matches_the_list_version",
+            PENCIL + "test_first_nonzero_value_and_newton_coefficient_share_an_index",
+            PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p",
+        ],
     ),
     (
         "the residue det keeps the pivot row's multiple unreduced by its inverse",

@@ -5,14 +5,15 @@ the first block subdiagonal (d+1 block columns, d+2 block rows) has linearly
 dependent columns exactly when a nonzero vector polynomial f(x) of degree
 <= d satisfies (M0 + x*M1) f(x) = 0. The smallest such d is the minimal
 index; a singular n x n pencil always has one below n, so the search is
-bounded. A Toeplitz pencil from ``BlockPencil.from_pencil`` keeps its c:
-only the n+1 coefficients are lifted to ints, its int rows come from c,
-and the det route's O(1) top coefficient c_n^2 - c_{n-1} c_{n+1} of det T,
-nonzero in the field, proves it regular before any row or determinant is
-built. A general pencil lifts its 2n^2 matrix entries. Otherwise "regular"
-has the det route's one certificate: a Newton coefficient a_d of det T(x)
-at 0..n nonzero in the field, read before C(d) is built. A stacked matrix
-is reduced only up to its first dependent column, whose null vector (a 1
+bounded. "Regular" needs an entry of a certificate of det T(x) != 0 that
+is nonzero in the field, read lazily before C(d) is built. A Toeplitz
+pencil from ``BlockPencil.from_pencil`` keeps its c: only the n+1
+coefficients are lifted to ints, its int rows come from c, and it reads
+the det route's own ``pencil._det_certificate``, whose first entry (the
+O(1) top coefficient) comes before any row is built. A general pencil
+lifts its 2n^2 matrix entries and reads the Newton coefficients of its
+det T(x) at 0..n. A stacked matrix is
+reduced only up to its first dependent column, whose null vector (a 1
 there, 0 right of it) is the kernel returned; over GF(p) the reduction runs
 on residues. Inputs are general square pencils: the machinery does not need
 the nonzero-coefficient hypothesis of the Toeplitz construction.
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import mul
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
 from .linalg import Mat, Poly, ShapeError, _null_vector
-from .pencil import PencilInstance, _det_int, _newton_coefficients, _rows, _top_coefficient, build_M0, build_M1
+from .pencil import PencilInstance, _det_certificate, _det_int, _newton_coefficients, _rows, build_M0, build_M1
 
 
 @dataclass(frozen=True)
@@ -86,45 +87,45 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     A pencil from ``BlockPencil.from_pencil`` keeps its c: only the n+1
     coefficients are lifted (L*c, L = 1 over GF(p)), and the int rows are
     those of T'(x) = L*M0 + x*M1, the same ints as the lift of M0 and M1
-    over their common scale L. Before any row is built, the det route's
-    O(1) top coefficient c_n^2 - c_{n-1} c_{n+1} of det T is read; nonzero
-    in the field, it proves the pencil regular. A general pencil lifts its
-    2n^2 entries over one common scale. Both then run ``_analyze``."""
+    over their common scale L. Its certificate is the det route's
+    ``pencil._det_certificate``, whose first entry, the O(1) top
+    coefficient, is read before any row is built. A general pencil lifts
+    its 2n^2 entries over one common scale, and its certificate is the
+    Newton stream of det T(d), d = 0..n (T(d) = A0 + d*A1, by ``_det_int``
+    on its transpose), exact over every field as deg det T <= n."""
     n = bp.n
     fld = bp.M0.field
     if bp.c is not None:
         c, L = fld.lift(bp.c)
-        if fld.of(_top_coefficient(c)):
+        cert = _det_certificate(c, fld.characteristic)
+        if next(cert):  # the top coefficient, nonzero in the field
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
-        return _analyze(_rows(c, 0, 0), _rows((0,) * (n + 1), L, 0), fld)
+        return _analyze(_rows(c, 0, 0), _rows((0,) * (n + 1), L, 0), fld, cert)
     flat, _ = fld.lift([e for M in (bp.M0, bp.M1) for row in M.data for e in row])
     A0 = [flat[i * n : (i + 1) * n] for i in range(n)]
     A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
-    return _analyze(A0, A1, fld)
-
-
-def _analyze(A0: List[List[int]], A1: List[List[int]], fld) -> KroneckerResult:
-    """``analyze`` on the int rows A0, A1 of L*M0 and L*M1 lifted from
-    ``fld``; every step runs on them. The values det T(d), d = 0..n
-    (T(d) = A0 + d*A1, by the det route's ``_det_int`` on its transpose,
-    lower bandwidth 2 for a Toeplitz pencil), feed the det route's Newton
-    stream. det T has degree <= n, so it is zero in the field iff a_0..a_n
-    are, also over GF(p) with p <= n, where the points repeat. A nonzero
-    a_d proves the pencil regular before C(d) is built. Otherwise, for
-    d < n, ``linalg._null_vector`` reduces C(d) up to its first column
-    without a pivot and returns that column's null vector (1 there, 0 right
-    of it). The first d with a rank-deficient C(d) is minimal, because the
-    first n*d columns of C(d) are those of C(d-1) padded with zero rows, so
-    they stay independent; the free column thus lies in block column d, and
-    f has degree d. A zero det T without a null vector below n raises
-    ``ConsistencyAlarm``: a singular n x n pencil has its minimal index
-    below n. Both the identity and the degree are re-verified exactly
-    before returning."""
-    n = len(A0)
     cols = list(zip(zip(*A0), zip(*A1)))  # column j of A0 and of A1: row j of T(d) transposed
     dets = (_det_int([[x + d * y for x, y in zip(*col)] for col in cols]) for d in range(n + 1))
-    for d, a in enumerate(_newton_coefficients(dets)):
-        if fld.of(a):
+    return _analyze(A0, A1, fld, _newton_coefficients(dets))
+
+
+def _analyze(A0: List[List[int]], A1: List[List[int]], fld, cert: Iterator[int]) -> KroneckerResult:
+    """``analyze`` on the int rows A0, A1 of L*M0 and L*M1 lifted from
+    ``fld``, and the rest of the pencil's regularity certificate ``cert``,
+    one int per d = 0..n, read as 0 once it ends; every step runs on them.
+    An entry nonzero in the field proves the pencil regular before C(d) is
+    built. Otherwise, for d < n, ``linalg._null_vector`` reduces C(d) up to
+    its first column without a pivot and returns that column's null vector
+    (1 there, 0 right of it). The first d with a rank-deficient C(d) is
+    minimal, because the first n*d columns of C(d) are those of C(d-1)
+    padded with zero rows, so they stay independent; the free column thus
+    lies in block column d, and f has degree d. A zero det T without a null
+    vector below n raises ``ConsistencyAlarm``: a singular n x n pencil has
+    its minimal index below n. Both the identity and the degree are
+    re-verified exactly before returning."""
+    n = len(A0)
+    for d in range(n + 1):
+        if fld.of(next(cert, 0)):
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
         if d == n:
             raise ConsistencyAlarm("det T(x) is zero, yet no C(d) with d < n has a null vector")

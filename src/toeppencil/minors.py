@@ -43,15 +43,14 @@ class SMObjects:
     P: Mat  # anti-diagonal exchange matrix, same size as X
 
 
-def _reciprocal(a: Sequence[int], count: int, B: Sequence[int] = (1,), p: int = 0) -> List[int]:
+def _reciprocal(a: Sequence[int], count: int, p: int = 0) -> List[int]:
     """B_0..B_{count-1} on plain ints, with B_r / a_0^(r+1) = [t^r] 1/A(t) for
     A(t) = sum_k a_k t^k: B_0 = 1 and B_r = -sum_{k=1..r} a_k a_0^(k-1) B_{r-k}.
-    B_r reads only a_0..a_r, so a given prefix B_0..B_{j-1} is continued; a
-    prefix reduced mod p gives every further B_r mod p, and for a prime
-    p > 0 each further B_r is reduced into [0, p)."""
+    B_r reads only a_0..a_r; for a prime p > 0 each B_r is reduced into
+    [0, p)."""
     w = [a[k] * pow(a[0], k - 1, p or None) for k in range(1, count)]
-    B = list(B)
-    for _ in range(len(B), count):
+    B = [1]
+    for _ in range(1, count):
         b = -sum(map(mul, w, reversed(B)))
         B.append(b % p if p else b)
     return B
@@ -102,14 +101,14 @@ def det_X(mv: MinorVector):
     """det X; equals (-1)^n c_{n-1} of the normalized instance, nonzero.
 
     X's entries are lifted to ints over one scale D and ``pencil._det_int``
-    eliminates X transposed: X is lower Hessenberg, so its transpose has
-    lower bandwidth 1, an O(n^2) elimination."""
+    eliminates X transposed, on residues over GF(p): X is lower Hessenberg,
+    so its transpose has lower bandwidth 1, an O(n^2) elimination."""
     if mv.n < 3:
         raise DimensionError("det X needs n >= 3")
     X = build_sm_objects(mv).X
     flat, D = mv.field.lift([e for row in X.data for e in row])
     size = X.rows
-    return mv.field.frac(_det_int([flat[j::size] for j in range(size)]), D**size)
+    return mv.field.frac(_det_int([flat[j::size] for j in range(size)], mv.field.characteristic), D**size)
 
 
 def recover_c_from_minors(ms: Sequence, field) -> List:

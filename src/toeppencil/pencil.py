@@ -124,22 +124,20 @@ def _det_int(a: List[List[int]], p: int = 0) -> int:
     return sign * (a[-1][-1] * prev // level[-1]) if a else 1
 
 
-def _newton_coefficients(values: Iterable[int], p: int = 0) -> Iterator[int]:
+def _newton_coefficients(values: Iterable[int]) -> Iterator[int]:
     """The lazy stream a_0, a_1, ... with P(x) = sum_k a_k x(x-1)...(x-k+1)
     for values = P(0), P(1), ... of an integer polynomial P: a_k is yielded
     right after P(k) is read. One difference diagonal is kept (diag[j] is
     the j-th forward difference at k-j), so P(k) costs O(k). The k-th
     forward difference at 0 is k! a_k, so a_k is an integer, and P is zero
     mod p exactly when every a_k is (the falling factorials are monic, so
-    they stay a basis mod p); k! a_k itself is 0 mod p for every k >= p.
-    For a prime p > 0 the values may be residues, and a_k is yielded mod p,
-    divided by k! mod p: only while k < p, where k! is a unit."""
+    they stay a basis mod p); k! a_k itself is 0 mod p for every k >= p."""
     diag = []
     for k, v in enumerate(values):
         for j, prev in enumerate(diag):
             diag[j], v = v, v - prev
         diag.append(v)
-        yield v * pow(factorial(k), -1, p) % p if p else v // factorial(k)
+        yield v // factorial(k)
 
 
 def _top_coefficient(c: Sequence[int]) -> int:
@@ -150,26 +148,30 @@ def _top_coefficient(c: Sequence[int]) -> int:
     return c[-2] ** 2 - c[-3] * c[-1]
 
 
+def _det_certificate(c: Sequence[int], p: int) -> Iterator[int]:
+    """The det route's certificate for c lifted to plain ints (L*c, L = 1
+    over GF(p)), p the characteristic: a lazy stream of ints, reduced into
+    [0, p) for p > 0, that are all zero iff det T(x) is the zero polynomial.
+    First the O(1) top coefficient, then det T'(x0) for x0 = 0..n-3 (one
+    point for n = 2), or for 0 < p <= n-2, where the points repeat mod p,
+    the Newton coefficients a_0..a_{n-3} of those int values."""
+    n = len(c) - 1
+    top = _top_coefficient(c)
+    yield top % p if p else top
+    q = p if p > n - 2 else 0  # the points 0..n-3 are distinct mod q
+    # T'(x0) transposed: row i is column i of T'(x0), x0 at i-2 and then c_1..c_{n+1-i}
+    values = (
+        _det_int([[*[0] * (i - 2), x0, *c[: n + 1 - i]][-n:] for i in range(n)], q)
+        for x0 in range(max(n - 2, 1))
+    )
+    for v in values if q == p else _newton_coefficients(values):
+        yield v % p if p else v
+
+
 def _singular(c: Sequence[int], fld) -> bool:
     """True iff det T(x) is the zero polynomial, for c lifted to plain ints
     (L*c, L = 1 over GF(p)): the det route's int core, see ``is_singular``."""
-    n = len(c) - 1
-    p = fld.characteristic
-    top = _top_coefficient(c)
-    if (top % p if p else fld.of(top)):  # the O(1) top coefficient first
-        return False
-    q = p if p > n - 2 else 0  # the points 0..n-3 and their k! are units mod q
-    # det T'(x0) for x0 = 0..n-3, and 0 for n = 2, on T'(x0) transposed: row
-    # i is column i of T'(x0), x0 at i-2 and then c_1..c_{n+1-i}
-    a = _newton_coefficients(
-        (
-            _det_int([[*[0] * (i - 2), x0, *c[: n + 1 - i]][-n:] for i in range(n)], q)
-            for x0 in range(max(n - 2, 1))
-        ),
-        q,
-    )
-    # then a_0 = det T'(0), a_1..a_{n-3}
-    return not any(v % p if p else fld.of(v) for v in a)
+    return not any(_det_certificate(c, fld.characteristic))
 
 
 def is_singular(p: PencilInstance) -> bool:
@@ -183,23 +185,20 @@ def is_singular(p: PencilInstance) -> bool:
     0, 1: the top coefficient is the 2x2 minor c_n^2 - c_{n-1} c_{n+1} of
     the lifted c (L^2 times that of c).
 
-    The certificate is the lazy stream of Newton coefficients a_k of det T'
-    at x0 = 0, 1, ...: the first one nonzero in the field proves the pencil
-    regular. The top one, a_{n-2}, is the top coefficient, so it is read
-    first, in O(1) and before any determinant. Only when it is zero in the
-    field are a_0 = det T'(0) = L^n det M0, then a_1..a_{n-3} read, each
-    after one more value. The verdict is that every a_k is zero in the
-    field, so the order changes only the cost. This is exact over every
-    GF(p), also p <= n-2, where the points repeat mod p: a_k reads only the
-    values at 0..k. As P(d) = sum_{k<=d} a_k d(d-1)...(d-k+1), no more
-    values are read than by a scan for a nonzero value. Each value is
-    ``_det_int`` of T(x0) transposed, which has lower bandwidth 2: O(n^2)
-    per point, its rows built directly from c.
-
-    Over GF(p) with p > n-2 the points 0..n-3 are distinct mod p and every
-    k! with k <= n-3 is a unit, so the determinants run on residues and the
-    stream divides by k! mod p. For p <= n-2 a_k needs the values mod a
-    power of p, and the determinants run on the ints.
+    The certificate, ``_det_certificate``, is read lazily and the first
+    entry nonzero in the field proves the pencil regular. The top
+    coefficient comes first, in O(1) and before any determinant. Only when
+    it is zero in the field, deg det T' <= n-3, and the values det T'(x0)
+    at x0 = 0..n-3 decide: n-2 distinct points. At distinct points the
+    first nonzero value and the first nonzero Newton coefficient a_k have
+    the same index, since P(k) = k! a_k + (terms in a_0..a_{k-1}) with k! a
+    unit, so the values are read as they are: over QQ, and over GF(p) with
+    p > n-2, where the determinants run on residues. For p <= n-2 the points
+    repeat mod p, and the Newton coefficients a_0..a_{n-3} of the int values
+    decide instead: a_k reads only the values at 0..k, and the falling
+    factorials stay a basis mod p. Each value is ``_det_int`` of T'(x0)
+    transposed, which has lower bandwidth 2: O(n^2) per point, its rows
+    built directly from c. ``kronecker.analyze`` reads the same certificate.
     """
     return _singular(p.field.lift(p.c)[0], p.field)
 

@@ -32,7 +32,7 @@ from toeppencil.minors import (
     q_inverse_closed_form,
     recover_c_from_minors,
 )
-from toeppencil.pencil import _det_int, _newton_coefficients, _singular, build_pencil, is_singular
+from toeppencil.pencil import _det_certificate, _det_int, _newton_coefficients, _singular, build_pencil, is_singular
 
 from conftest import (
     geometric_pencil,
@@ -330,7 +330,6 @@ def _int_routes(monkeypatch):
     modulus it takes as its second argument."""
     for module, name in (
         (pencil, "_det_int"),
-        (pencil, "_newton_coefficients"),
         (criteria, "_s_ints"),
         (criteria, "_minor_ints"),
         (criteria, "_sm_values"),
@@ -417,7 +416,9 @@ def test_routes_stay_independent():
     )
     s_route = _codes(s_condition_values, check_S, oracles.partition, _s_ints, _s_value)
     sm_route = _codes(sm_condition_values, check_SM, _sm_values, _sm_witness, _sm_value)
-    det_route = _codes(is_singular, oracles.det, oracles.inv, _singular, _det_int, _newton_coefficients)
+    det_route = _codes(
+        is_singular, oracles.det, oracles.inv, _singular, _det_certificate, _det_int, _newton_coefficients
+    )
     cases = [
         random_rational_pencil(random.Random(127), 7),
         geometric_pencil(Fraction(3, 2), 6),
@@ -451,9 +452,9 @@ def test_routes_stay_independent():
 
 
 def test_kernel_stays_apart_from_the_verdicts():
-    # the kernel shares the det route's _det_int, but no verdict: it never
+    # the kernel shares the det route's certificate, but no verdict: it never
     # enters a verdict route, and no verdict route enters it
-    verdicts = _codes(is_singular, check_S, check_SM, evaluate_instance)
+    verdicts = _codes(is_singular, _singular, check_S, check_SM, evaluate_instance)
     pencils = [
         random_rational_pencil(random.Random(137), 6),
         geometric_pencil(Fraction(2), 5),

@@ -301,7 +301,7 @@ def test_leaf_ends_match_the_reciprocal(n, p):
         prefix = (1, 1, *head)[: n - 1]
         Bh = [b % p for b in _reciprocal(prefix, n - 1)]
         want = {
-            leaf: tuple(b % p for b in _reciprocal((*prefix, leaf, 0), n + 1, Bh)[n - 1 :])
+            leaf: tuple(b % p for b in _reciprocal((*prefix, leaf, 0), n + 1)[n - 1 :])
             for leaf in range(p)
         }
         Z = [b % p for b in _reciprocal((*prefix, 0, 0), n + 1)]

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from toeppencil import kronecker
+from toeppencil import kronecker, pencil
 from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import GF, QQ, FieldMismatchError
 from toeppencil.kronecker import BlockPencil, analyze
@@ -13,7 +13,7 @@ from toeppencil.linalg import Mat
 from toeppencil.minors import recover_c_from_minors
 from toeppencil.pencil import _top_coefficient, build_M0, build_M1, build_pencil, is_singular
 
-from conftest import geometric_pencil, random_rational_pencil
+from conftest import geometric_pencil, random_gf_pencil, random_rational_pencil
 from oracles import (
     analyze_reference,
     build_C,
@@ -259,7 +259,7 @@ def test_analyze_matches_stacked_reference():
 def _recorded_rows(monkeypatch, bp):
     """The int rows that ``analyze`` hands to its int core for ``bp``."""
     seen = []
-    monkeypatch.setattr(kronecker, "_analyze", lambda A0, A1, fld: seen.append((A0, A1, fld)))
+    monkeypatch.setattr(kronecker, "_analyze", lambda A0, A1, fld, cert: seen.append((A0, A1, fld)))
     analyze(bp)
     return seen[0]
 
@@ -268,7 +268,7 @@ def test_c_path_rows_equal_the_matrix_lift(monkeypatch):
     # every pencil falls through the top-coefficient exit, so the rows of the
     # c path are read even for regular pencils; over QQ every known singular
     # pencil has d = 0, so only this pins the scale L of the x-part
-    monkeypatch.setattr(kronecker, "_top_coefficient", lambda c: 0)
+    monkeypatch.setattr(pencil, "_top_coefficient", lambda c: 0)
     rng = random.Random(157)
     pencils = [random_rational_pencil(rng, n) for n in range(2, 9) for _ in range(3)]
     pencils += [geometric_pencil(Fraction(3, 2), n, Fraction(1, 3)) for n in (2, 4, 7)]
@@ -329,6 +329,7 @@ def test_regular_pencil_exits_before_any_stacked_matrix(monkeypatch):
 
     monkeypatch.setattr(kronecker, "_stack", refuse)
     monkeypatch.setattr(kronecker, "_det_int", refuse)
+    monkeypatch.setattr(pencil, "_det_int", refuse)
     rng = random.Random(151)
     gf3, gf7 = GF(3), GF(7)
     pencils = [random_rational_pencil(rng, n) for n in (2, 3, 12, 40)]
@@ -345,23 +346,67 @@ def test_regular_pencil_exits_before_any_stacked_matrix(monkeypatch):
         assert (res.minimal_index_d, res.kernel_poly) == (None, None)
 
 
-# regular pencils whose top coefficient is 0 read det T at 0 for their
-# certificate a_0; the GF(3) n = 12 pencil of the probe test reads 0..4
+# regular pencils whose top coefficient is 0 read det T at 0, the next entry
+# of the det route's certificate; the GF(3) n = 12 pencil of the probe test
+# reads the Newton coefficients a_0..a_4
 @pytest.mark.parametrize("c", [(1, 1, 2, 4), (1, 3, 3, 3, 3)], ids=["qq-1-1-2-4", "qq-1-3-3-3-3"])
 def test_zero_top_coefficient_reaches_the_newton_stream(monkeypatch, c):
     p = qp(*c)
     assert _top_coefficient(c) == 0 and not is_singular(p)
     read = []
-    det_int = kronecker._det_int
+    det_int = pencil._det_int
 
-    def counting_det_int(a):
+    def counting_det_int(a, *p):
         read.append(len(a))
-        return det_int(a)
+        return det_int(a, *p)
 
-    monkeypatch.setattr(kronecker, "_det_int", counting_det_int)
+    monkeypatch.setattr(pencil, "_det_int", counting_det_int)
     res = analyze(BlockPencil.from_pencil(p))
     assert (res.minimal_index_d, res.kernel_poly) == (None, None)
     assert read == [p.n]
+
+
+def _zero_top(p):
+    """p with c_{n+1} set to c_n^2 / c_{n-1}: its top coefficient is 0."""
+    return build_pencil([*p.c[:-1], p.c[-2] * p.c[-2] / p.c[-3]], p.field)
+
+
+def test_newton_stream_runs_only_where_the_points_repeat(monkeypatch):
+    # at distinct points the det route's values decide as they are: neither
+    # is_singular nor the kernel from c runs the Newton stream over QQ or
+    # over GF(p) with p > n-2; both run it where the points repeat mod p
+    calls = []
+    for module in (pencil, kronecker):
+        real = module._newton_coefficients
+
+        def counting(values, real=real):
+            calls.append(1)
+            return real(values)
+
+        monkeypatch.setattr(module, "_newton_coefficients", counting)
+
+    def newton_calls(p):
+        assert not p.field.of(_top_coefficient(p.field.lift(p.c)[0]))
+        calls.clear()
+        is_singular(p)
+        by_det_route = len(calls)
+        analyze(BlockPencil.from_pencil(p))
+        return by_det_route, len(calls) - by_det_route
+
+    rng = random.Random(163)
+    gf7, gf257 = GF(7), GF(257)
+    distinct = [qp(1, 1, 2, 4), qp(1, 3, 3, 3, 3)]
+    distinct += [geometric_pencil(Fraction(3, 2), n) for n in (2, 5, 9)]
+    distinct += [_zero_top(random_rational_pencil(rng, n)) for n in range(2, 13)]
+    distinct += [_zero_top(random_gf_pencil(rng, n, 7)) for n in range(2, 9) for _ in range(3)]
+    distinct += [build_pencil([gf7.of(3) ** k for k in range(n + 1)], gf7) for n in (4, 8)]
+    distinct += [_zero_top(random_gf_pencil(rng, n, 257)) for n in (2, 6, 12, 20)]
+    distinct += [build_pencil([gf257.of(3) ** k for k in range(17)], gf257)]
+    for p in distinct:
+        assert newton_calls(p) == (0, 0), (p.field, p.c)
+    # CI's GF(3) list at n = 32, top coefficient 0 mod 3: p <= n-2
+    gf3_c = "1,2,1,1,2,1,1,2,2,1,2,2,2,1,2,2,2,1,1,1,2,2,2,2,1,1,1,2,2,1,2,1,2"
+    assert newton_calls(build_pencil([int(k) for k in gf3_c.split(",")], GF(3))) == (1, 1)
 
 
 def test_block_pencil_keeps_c_out_of_equality_and_the_constructor():

@@ -341,17 +341,30 @@ def test_newton_stream_matches_the_list_version():
             assert list(_newton_coefficients(iter(values))) == newton_coefficients(values), values
 
 
-def test_residue_newton_stream_matches_the_int_stream():
-    # on residues, a_k mod p divides by k! mod p: a unit while k < p
+def test_first_nonzero_value_and_newton_coefficient_share_an_index():
+    # at distinct points P(k) = k! a_k + (terms in a_0..a_{k-1}), with k! a
+    # unit over QQ and mod p for k < p: the first nonzero value and the first
+    # nonzero Newton coefficient have one index, so the det route reads the
+    # values as they are wherever its points are distinct
     rng = random.Random(79)
-    for p in (5, 7, 11, 257):
-        for _ in range(40):
-            # an integer polynomial sum_k a_k x(x-1)...(x-k+1), at x = 0..k_max
-            a = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, min(p, 12)))]
-            values = [sum(ak * perm(x, k) for k, ak in enumerate(a)) for x in range(len(a))]
-            assert newton_coefficients(values) == a
-            want = [ak % p for ak in a]
-            assert list(_newton_coefficients([v % p for v in values], p)) == want, (p, a)
+
+    def first(xs):
+        return next((k for k, x in enumerate(xs) if x), None)
+
+    firsts = set()
+    for p in (0, 2, 3, 5, 7, 11, 257):
+        for _ in range(60):
+            # an integer polynomial sum_k a_k x(x-1)...(x-k+1), at m <= p points
+            m = rng.randint(1, min(p, 12) if p else 12)
+            lead = rng.randint(0, m)  # a_0..a_{lead-1} are zero in the field
+            a = [rng.randint(-9, 9) * p if k < lead else rng.randint(-10**6, 10**6) for k in range(m)]
+            values = [sum(ak * perm(x, k) for k, ak in enumerate(a)) for x in range(m)]
+            assert list(_newton_coefficients(values)) == a
+            if p:
+                values, a = [v % p for v in values], [ak % p for ak in a]
+            assert first(values) == first(a), (p, a)
+            firsts.add(first(a))
+    assert None in firsts and len(firsts) > 6
 
 
 @pytest.mark.parametrize("k", range(6))
