@@ -107,8 +107,8 @@ MUTANTS = [
     (
         "S stops at k = n-3",
         PKG + "criteria.py",
-        "for k in range(1, size if kmax is None else kmax + 1):",
-        "for k in range(1, size - 1 if kmax is None else kmax + 1):",
+        "    for k in range(1, size):\n",
+        "    for k in range(1, size - 1):\n",
         [CRITERIA + "test_small_prime_census", CRITERIA + "test_equivalence_chain_gf"],
     ),
     (
@@ -138,7 +138,7 @@ MUTANTS = [
     (
         "the SM core skips the m_n test",
         PKG + "criteria.py",
-        "    if (B[n] % p if p else fld.of(B[n])):\n        return -1, B[n]\n",
+        "    if (B[n] % p if p else B[n]):\n        return -1, B[n]\n",
         "",
         [CRITERIA + "test_sm_examples", CRITERIA + "test_routes_stay_independent"],
     ),
@@ -186,8 +186,8 @@ MUTANTS = [
     (
         "the det route reads n-3 points",
         PKG + "pencil.py",
-        "for x0 in range(max(n - 2, 1))",
-        "for x0 in range(max(n - 3, 1))",
+        "for x0 in range(n - 2)",
+        "for x0 in range(n - 3)",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p"],
     ),
     (
@@ -219,11 +219,32 @@ MUTANTS = [
         [HUNT + "test_orbit_scan_matches_per_tuple_reference[3-7]", HUNT + "test_n4_solution_count_is_p_minus_1"],
     ),
     (
-        "the residue det runs for p <= n-2",
+        "the residue det runs for p < n-2",
         PKG + "pencil.py",
         "for i in range(n)], q)",
         "for i in range(n)], p)",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p", RESIDUE],
+    ),
+    (
+        "Newton at p = n-2",
+        PKG + "pencil.py",
+        "q = p if p >= n - 2 else 0",
+        "q = p if p > n - 2 else 0",
+        [KRONECKER + "test_newton_stream_runs_only_where_the_points_repeat"],
+    ),
+    (
+        "n = 2 reads det T'(0)",
+        PKG + "pencil.py",
+        "for x0 in range(n - 2)",
+        "for x0 in range(max(n - 2, 1))",
+        [KRONECKER + "test_n2_zero_top_coefficient_reads_no_determinant"],
+    ),
+    (
+        "_first_violation drops its mod-p reduction",
+        PKG + "criteria.py",
+        "if (v % p if p else v)), None)",
+        "if v), None)",
+        [RESIDUE],
     ),
     (
         "the det route reads values instead of Newton where the points repeat",

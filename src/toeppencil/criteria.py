@@ -16,11 +16,12 @@ minor map's ints B, m_r = B_r / a_0^r, dividing value k by a_0^(n+k+1);
 the public sm_condition_values(mv) divides by D^(k+2).
 
 Each route has an int core on c lifted to plain ints: ``pencil._singular``,
-``_s_ints`` and ``_minor_ints`` + ``_sm_witness``. Over GF(p) each takes
-the modulus p (the field's characteristic, 0 over QQ) and runs on residues;
-the det route does so only for p > n-2 (see ``pencil.is_singular``).
-``_verdicts`` runs the three on one lift; the public checks lift and call
-their own core, and witnesses become field values only in the reports.
+``_s_ints`` and ``_minor_ints`` + ``_sm_witness``. Each takes the modulus p
+(the field's characteristic, 0 over QQ), and over GF(p) runs on residues;
+the det route does so only for p >= n-2, where its points are distinct mod
+p (see ``pencil.is_singular``). ``_verdicts`` runs the three on one lift;
+the public checks lift and call their own core, and witnesses become field
+values only in the reports.
 Both tests must agree with the direct zero-polynomial test on det T(x); a
 disagreement is an implementation bug and raises ConsistencyAlarm.
 """
@@ -50,10 +51,10 @@ class CriterionReport:
     geometric: Optional[object]  # common ratio, when the sequence is geometric
 
 
-def _s_ints(c: Sequence[int], p: int = 0, kmax: Optional[int] = None) -> Iterator[int]:
+def _s_ints(c: Sequence[int], p: int) -> Iterator[int]:
     """The S route's int core: lazily, the numerators of the S values for c
-    lifted to L*c (see ``_s_value`` for their denominators), or for a prime
-    p > 0 those numerators mod p, every step reduced.
+    lifted to L*c (see ``_s_value`` for their denominators), for k = 0..n-2,
+    or for a prime p > 0 those numerators mod p, every step reduced.
 
     Q, v and w scale by L and B does not, so star = star_L / L and
     value_k = value_k,L * L^(k-1). Q is lower-triangular Toeplitz with
@@ -81,7 +82,7 @@ def _s_ints(c: Sequence[int], p: int = 0, kmax: Optional[int] = None) -> Iterato
     u = solve([vi * pw[i] for i, vi in enumerate(v)])
     star = c[n] * pw[size] - sum(map(mul, w, u))
     yield star % p if p else star
-    for k in range(1, size if kmax is None else kmax + 1):
+    for k in range(1, size):
         u = solve(u[1:] + [0])  # B shifts up by one
         value = sum(map(mul, w, u))
         yield value % p if p else value
@@ -96,34 +97,34 @@ def _s_value(k: int, num: int, c: Sequence[int], L: int, fld):
     return fld.frac(num * L ** (k - 1), c[0] ** (2 * k + size))
 
 
-def s_condition_values(p: PencilInstance, kmax: Optional[int] = None) -> Iterator:
+def s_condition_values(p: PencilInstance) -> Iterator:
     """Lazily: star = c_{n+1} - w Q^{-1} v, then w Q^{-1} (B Q^{-1})^k v
-    for k = 1..kmax (default kmax = n-2).
+    for k = 1..n-2.
 
     Runs on plain ints, ``_s_ints`` of c lifted to L*c (L = 1 over GF(p));
     over GF(p) on residues, where c1 is a unit.
     """
     c, L = p.field.lift(p.c)
-    for k, num in enumerate(_s_ints(c, p.field.characteristic, kmax)):
+    for k, num in enumerate(_s_ints(c, p.field.characteristic)):
         yield _s_value(k, num, c, L, p.field)
 
 
-def _first_violation(values: Iterable[int], fld) -> Optional[Tuple[int, int]]:
-    """(k, value) of the first int value nonzero in the field (over GF(p)
-    tested mod p), counting from 0; reads no further."""
-    p = fld.characteristic
-    return next(((k, v) for k, v in enumerate(values) if (v % p if p else fld.of(v))), None)
+def _first_violation(values: Iterable[int], p: int) -> Optional[Tuple[int, int]]:
+    """(k, value) of the first int value nonzero in the field of
+    characteristic p (tested mod p for p > 0), counting from 0; reads no
+    further."""
+    return next(((k, v) for k, v in enumerate(values) if (v % p if p else v)), None)
 
 
 def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
     """Power condition, truncated at k = n-2; witness is the first violation."""
     c, L = p.field.lift(p.c)
-    witness = _first_violation(_s_ints(c, p.field.characteristic), p.field)
+    witness = _first_violation(_s_ints(c, p.field.characteristic), p.field.characteristic)
     return witness is None, witness and (witness[0], _s_value(*witness, c, L, p.field))
 
 
-def _sm_values(N: Sequence[int], p: int = 0, kmax: Optional[int] = None) -> Iterator[int]:
-    """V_k(N) = (t_y P) X^k y for k = 0..kmax (default n-3), on the plain ints
+def _sm_values(N: Sequence[int], p: int) -> Iterator[int]:
+    """V_k(N) = (t_y P) X^k y for k = 0..n-3, on the plain ints
     N = (N_0, ..., N_n) standing for the minors m_0..m_n up to a scaling, or
     mod p for a prime p > 0; lazy, so a caller may stop at the first nonzero
     value."""
@@ -131,7 +132,7 @@ def _sm_values(N: Sequence[int], p: int = 0, kmax: Optional[int] = None) -> Iter
     y = N[2 : size + 2]  # 0-based, unsigned: y[a] = m_{a+2}
     yP = y[::-1]  # t_y P is y reversed
     z = y
-    for k in range(size if kmax is None else kmax + 1):
+    for k in range(size):
         if k == 1:  # V_0 needs no X; X[a][b] = m_{a+1-b} for b <= a+1
             X = [N[a + 1 :: -1][:size] for a in range(size)]
         if k:
@@ -144,29 +145,29 @@ def _sm_values(N: Sequence[int], p: int = 0, kmax: Optional[int] = None) -> Iter
         yield v % p if p else v
 
 
-def sm_condition_values(mv: MinorVector, kmax: Optional[int] = None) -> Iterator:
-    """Lazily: (t_y P) X^k y for k = 0..kmax (default kmax = n-3; empty for n = 2).
+def sm_condition_values(mv: MinorVector) -> Iterator:
+    """Lazily: (t_y P) X^k y for k = 0..n-3 (empty for n = 2).
 
     Runs on plain ints: N = D*m over one common denominator D (D = 1 over
     GF(p)). X and y are linear in the minors, so the k-th value is
     homogeneous of degree k+2 in them and equals V_k(N) / D^(k+2).
     """
     N, D = mv.field.lift(mv.m)
-    for k, v in enumerate(_sm_values(N, mv.field.characteristic, kmax)):
+    for k, v in enumerate(_sm_values(N, mv.field.characteristic)):
         yield mv.field.frac(v, D ** (k + 2))
 
 
-def _sm_witness(B: Sequence[int], fld) -> Optional[Tuple[int, int]]:
+def _sm_witness(B: Sequence[int], p: int) -> Optional[Tuple[int, int]]:
     """The SM route's int core on the minor map's ints B (m_r = B_r / a_0^r):
     (k, V_k(B)) of the first violated condition, with k = -1 and V_{-1} = B_n
     for m_n, or None. X[a][b] weighs a+1-b and y_a weighs a+2, so V_k weighs
     n+k+1 (m_n weighs n, as k = -1 gives): V_k(m) = V_k(B) / a_0^(n+k+1).
-    a_0 is a unit, so the ints are tested in the field (over GF(p) mod p)."""
+    a_0 is a unit, so the ints are tested in the field of characteristic p
+    (mod p for p > 0)."""
     n = len(B) - 1
-    p = fld.characteristic
-    if (B[n] % p if p else fld.of(B[n])):
+    if (B[n] % p if p else B[n]):
         return -1, B[n]
-    return _first_violation(_sm_values(B, p), fld)  # drawn only when m_n = 0
+    return _first_violation(_sm_values(B, p), p)  # drawn only when m_n = 0
 
 
 def _sm_value(k: int, v: int, c: Sequence[int], fld):
@@ -179,7 +180,7 @@ def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], boo
     whether y = (m_2, ..., m_{n-1}) is zero."""
     c, _ = p.field.lift(p.c)
     B, _ = _minor_ints(c, p.field.characteristic)
-    witness = _sm_witness(B, p.field)
+    witness = _sm_witness(B, p.field.characteristic)
     w = witness and (witness[0], _sm_value(*witness, c, p.field))
     return witness is None, w, not any(map(p.field.of, B[2:-1]))
 
@@ -192,10 +193,10 @@ def _verdicts(
     witnesses as the int pairs of ``_s_ints`` and ``_sm_witness`` and B the
     minor map's ints. Raises ConsistencyAlarm when the routes disagree."""
     p = fld.characteristic
-    singular = _singular(c, fld)
-    s_witness = _first_violation(_s_ints(c, p), fld)
+    singular = _singular(c, p)
+    s_witness = _first_violation(_s_ints(c, p), p)
     B, _ = _minor_ints(c, p)
-    sm_witness = _sm_witness(B, fld)
+    sm_witness = _sm_witness(B, p)
     s_holds, sm_holds = s_witness is None, sm_witness is None
     if not (singular == s_holds == sm_holds):
         shown = tuple(fld.frac(ci, L) for ci in c)

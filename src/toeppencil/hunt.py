@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 from operator import add
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from .criteria import ConsistencyAlarm, _sm_values, _verdicts, evaluate_instance
 from .field import PrimeField, RationalField
@@ -62,10 +62,10 @@ MAX_EXHAUSTIVE_TUPLES = 10**8
 
 # Largest n the CLI takes: over QQ at n = 256 a geometric verify takes about
 # 1 s and `hunt --random --trials 1` about 5 s (Python 3.11, one core of a
-# 2-core host), and the cost grows as n^3. Over GF(p) with p > n-2 every
+# 2-core host), and the cost grows as n^3. Over GF(p) with p >= n-2 every
 # route runs on residues: a geometric GF(257) verify at n = 256 takes under
 # 1 s, and `hunt --n 256 --prime 257 --random --trials 1` about 2.5 s. For
-# p <= n-2 the det route keeps its ints: a geometric GF(7) verify at
+# p < n-2 the det route keeps its ints: a geometric GF(7) verify at
 # n = 256 takes about 26 s, and `hunt --n 256 --prime 7 --random --trials 1`
 # about 72 s. Library calls take any n.
 MAX_N = 256
@@ -308,20 +308,15 @@ def _sample_nonzero(fld, rng: random.Random):
     return fld.of(rng.randrange(1, fld.p))
 
 
-def _random_instances(cfg: HuntConfig) -> List[list]:
-    """The coefficient lists of a random scan: cfg.trials seeded random ones,
-    then the geometric ones for each nonzero ratio 1, 2, -1, 1/2."""
+def _random_instances(cfg: HuntConfig) -> Iterator[list]:
+    """Lazily, the coefficient lists of a random scan: cfg.trials seeded
+    random ones, then the geometric ones for each nonzero ratio 1, 2, -1, 1/2."""
     rng = random.Random(cfg.seed or 0)  # random.Random(None) would seed from the clock
-    instances = []
     for _ in range(cfg.trials):
-        instances.append([_sample_nonzero(cfg.field, rng) for _ in range(cfg.n + 1)])
+        yield [_sample_nonzero(cfg.field, rng) for _ in range(cfg.n + 1)]
     fld, two = cfg.field, cfg.field.of(2)
     for lam in (fld.one, two, -fld.one, fld.one / two) if two else (fld.one, -fld.one):
-        geo = [fld.one]
-        for _ in range(cfg.n):
-            geo.append(geo[-1] * lam)
-        instances.append(geo)
-    return instances
+        yield [lam**k for k in range(cfg.n + 1)]
 
 
 def random_scan(cfg: HuntConfig) -> HuntReport:

@@ -152,26 +152,28 @@ def _det_certificate(c: Sequence[int], p: int) -> Iterator[int]:
     """The det route's certificate for c lifted to plain ints (L*c, L = 1
     over GF(p)), p the characteristic: a lazy stream of ints, reduced into
     [0, p) for p > 0, that are all zero iff det T(x) is the zero polynomial.
-    First the O(1) top coefficient, then det T'(x0) for x0 = 0..n-3 (one
-    point for n = 2), or for 0 < p <= n-2, where the points repeat mod p,
-    the Newton coefficients a_0..a_{n-3} of those int values."""
+    First the O(1) top coefficient, then det T'(x0) for x0 = 0..n-3 (none
+    for n = 2, where det T is its top coefficient), or for 0 < p < n-2,
+    where the points repeat mod p, the Newton coefficients a_0..a_{n-3} of
+    those int values."""
     n = len(c) - 1
     top = _top_coefficient(c)
     yield top % p if p else top
-    q = p if p > n - 2 else 0  # the points 0..n-3 are distinct mod q
+    q = p if p >= n - 2 else 0  # the points 0..n-3 are distinct mod q
     # T'(x0) transposed: row i is column i of T'(x0), x0 at i-2 and then c_1..c_{n+1-i}
     values = (
         _det_int([[*[0] * (i - 2), x0, *c[: n + 1 - i]][-n:] for i in range(n)], q)
-        for x0 in range(max(n - 2, 1))
+        for x0 in range(n - 2)
     )
     for v in values if q == p else _newton_coefficients(values):
         yield v % p if p else v
 
 
-def _singular(c: Sequence[int], fld) -> bool:
+def _singular(c: Sequence[int], p: int) -> bool:
     """True iff det T(x) is the zero polynomial, for c lifted to plain ints
-    (L*c, L = 1 over GF(p)): the det route's int core, see ``is_singular``."""
-    return not any(_det_certificate(c, fld.characteristic))
+    (L*c, L = 1 over GF(p)) and p the characteristic: the det route's int
+    core, see ``is_singular``."""
+    return not any(_det_certificate(c, p))
 
 
 def is_singular(p: PencilInstance) -> bool:
@@ -187,20 +189,21 @@ def is_singular(p: PencilInstance) -> bool:
 
     The certificate, ``_det_certificate``, is read lazily and the first
     entry nonzero in the field proves the pencil regular. The top
-    coefficient comes first, in O(1) and before any determinant. Only when
-    it is zero in the field, deg det T' <= n-3, and the values det T'(x0)
-    at x0 = 0..n-3 decide: n-2 distinct points. At distinct points the
-    first nonzero value and the first nonzero Newton coefficient a_k have
-    the same index, since P(k) = k! a_k + (terms in a_0..a_{k-1}) with k! a
-    unit, so the values are read as they are: over QQ, and over GF(p) with
-    p > n-2, where the determinants run on residues. For p <= n-2 the points
-    repeat mod p, and the Newton coefficients a_0..a_{n-3} of the int values
-    decide instead: a_k reads only the values at 0..k, and the falling
-    factorials stay a basis mod p. Each value is ``_det_int`` of T'(x0)
-    transposed, which has lower bandwidth 2: O(n^2) per point, its rows
-    built directly from c. ``kronecker.analyze`` reads the same certificate.
+    coefficient comes first, in O(1) and before any determinant; for n = 2
+    it is all of det T. Only when it is zero in the field, deg det T' <= n-3,
+    and the values det T'(x0) at x0 = 0..n-3 decide: n-2 distinct points.
+    At distinct points the first nonzero value and the first nonzero Newton
+    coefficient a_k have the same index, since P(k) = k! a_k + (terms in
+    a_0..a_{k-1}) with k! a unit, so the values are read as they are: over
+    QQ, and over GF(p) with p >= n-2, where the determinants run on
+    residues. For p < n-2 the points repeat mod p, and the Newton
+    coefficients a_0..a_{n-3} of the int values decide instead: a_k reads
+    only the values at 0..k, and the falling factorials stay a basis mod p.
+    Each value is ``_det_int`` of T'(x0) transposed, which has lower
+    bandwidth 2: O(n^2) per point, its rows built directly from c.
+    ``kronecker.analyze`` reads the same certificate.
     """
-    return _singular(p.field.lift(p.c)[0], p.field)
+    return _singular(p.field.lift(p.c)[0], p.field.characteristic)
 
 
 def _geometric(c: Sequence[int], fld) -> Optional[object]:

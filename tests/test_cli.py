@@ -227,6 +227,21 @@ def test_hunt_exhaustive_size_bound_exit_2(capsys):
     )
 
 
+def test_hunt_workers_below_1_exit_2(capsys):
+    code, out, err = run(capsys, ["hunt", "--n", "4", "--prime", "5", "--exhaustive", "--workers", "0"])
+    assert code == 2 and out == ""
+    assert err == "error: workers must be >= 1\n"
+
+
+def test_hunt_random_counterexamples_exit_3(capsys):
+    argv = ["hunt", "--n", "5", "--prime", "7", "--random", "--trials", "2000", "--seed", "0", "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 3
+    assert json.loads(out)["hunt"]["counterexamples"] == [
+        ["2", "4", "2", "2", "3", "1"], ["3", "2", "4", "5", "2", "5"]
+    ]
+
+
 def test_hunt_workers_bound_exit_2(capsys, monkeypatch):
     # 9973^2 tuples are within the size bound; the worker bound refuses the
     # config before a scan, which would fork min(workers, p) processes, starts

@@ -152,7 +152,7 @@ def test_truncation_soundness_extended_range():
         cases.append(geometric_pencil(Fraction(2), n))
         cases.append(geometric_pencil(Fraction(-1), n))
         for p in cases:
-            star, *vals = s_condition_values(p, kmax=2 * n)
+            star, vals = s_values_field(p, 2 * n)
             truncated_ok = star == 0 and all(v == 0 for v in vals[: n - 2])
             if truncated_ok:
                 assert all(v == 0 for v in vals[n - 2 :])
@@ -275,14 +275,15 @@ def test_s_and_sm_values_match_field_formulas():
     cases += [build_pencil(c, GF(7)) for c in ([1, 1, 5, 4, 1, 2], [1, 2, 6, 4, 2, 1])]
     for p in cases:
         zero = p.field.zero
-        star, *vals = s_condition_values(p, kmax=2 * p.n)
-        assert (star, vals) == s_values_field(p, 2 * p.n), p.c
+        # production stops at the algebra's bounds, k = n-2 for S and n-3 for SM
+        star, vals = s_values_field(p, 2 * p.n)
+        assert list(s_condition_values(p)) == [star] + vals[: p.n - 2], p.c
         holds, witness = check_S(p)
         expected = _first_nonzero([star] + vals[: p.n - 2], zero, 0)
         assert holds == (expected is None) and witness == expected, p.c
         mv = principal_minors(p)
-        sm_vals = list(sm_condition_values(mv, kmax=p.n))
-        assert sm_vals == sm_values_field(mv, p.n), p.c
+        sm_vals = sm_values_field(mv, p.n)
+        assert list(sm_condition_values(mv)) == sm_vals[: p.n - 2], p.c
         holds, witness, _ = check_SM(p)
         expected = _first_nonzero([mv.m[p.n]] + sm_vals[: p.n - 2], zero, -1)
         assert holds == (expected is None) and witness == expected, p.c
@@ -335,9 +336,7 @@ def _int_routes(monkeypatch):
         (criteria, "_sm_values"),
     ):
         real = getattr(module, name)
-        monkeypatch.setattr(
-            module, name, lambda first, p=0, *rest, real=real: real(first, 0, *rest)
-        )
+        monkeypatch.setattr(module, name, lambda first, p=0, real=real: real(first, 0))
 
 
 def _verdict_outputs(p):
@@ -347,19 +346,19 @@ def _verdict_outputs(p):
         is_singular(p),
         check_S(p),
         check_SM(p),
-        list(s_condition_values(p, kmax=p.n)),
+        list(s_condition_values(p)),
         list(sm_condition_values(mv)),
     )
 
 
 def test_residue_routes_match_the_int_routes(monkeypatch):
-    # over GF(p) the cores reduce mod p (the det route only for p > n-2); the
+    # over GF(p) the cores reduce mod p (the det route only for p >= n-2); the
     # verdicts and the field values of the witnesses are those of the ints
     rng = random.Random(149)
     cases = []
     for q, sizes in ((7, range(2, 9)), (11, range(2, 13)), (257, range(2, 21, 3))):
         cases += [random_gf_pencil(rng, n, q) for n in sizes for _ in range(6)]
-    for q in (2, 3, 5):  # p <= n-2 from n = q+2 on
+    for q in (2, 3, 5):  # p = n-2 at n = q+2, p < n-2 from n = q+3 on
         cases += [random_gf_pencil(rng, n, q) for n in range(2, 15) for _ in range(4)]
     for q in (2, 3, 5, 7, 11, 257):
         gf = GF(q)
@@ -373,7 +372,7 @@ def test_residue_routes_match_the_int_routes(monkeypatch):
     # top coefficient 4^2 - 5*6 = 0 mod 7, and T'(0) transposed has the pivot
     # (3^2 - 1*2) / 3 = 0 mod 7 after its first step: the residue det swaps
     cases.append(build_pencil([1, 3, 2, 5, 4, 6], gf7))
-    # the GF(3) pencil at n = 32 that CI verifies: a zero top coefficient, p <= n-2
+    # the GF(3) pencil at n = 32 that CI verifies: a zero top coefficient, p < n-2
     gf3_list = "1,2,1,1,2,1,1,2,2,1,2,2,2,1,2,2,2,1,1,1,2,2,2,2,1,1,1,2,2,1,2,1,2"
     cases.append(build_pencil([int(ch) for ch in gf3_list.split(",")], GF(3)))
     want = [_verdict_outputs(p) for p in cases]

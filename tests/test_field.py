@@ -119,6 +119,26 @@ def test_gf_equality_keeps_the_field_contract():
     assert {GF(7).of(k): k for k in range(7)}[5] == 5
 
 
+def test_gf_reflected_operators_and_negative_powers():
+    f = GF(7)
+    a = f.of(5)
+    assert 3 - a == f.of(5) and 3 / a == f.of(2)  # -2 and 3 * 3
+    assert a**-2 == f.of(2) and a**-1 == a.inverse() and a**0 == f.one
+    for op in (
+        lambda: a + "x", lambda: "x" + a, lambda: a - "x", lambda: "x" - a,
+        lambda: a * "x", lambda: a / "x", lambda: "x" / a,
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_field_hashes_follow_equality():
+    assert hash(QQ) == hash(type(QQ)())
+    assert {QQ, type(QQ)()} == {QQ}
+    assert hash(GF(7)) == hash(PrimeField(7))
+    assert len({GF(7), PrimeField(7), GF(5), QQ}) == 3
+
+
 def test_parsing():
     assert QQ.parse("-3/4") == Fraction(-3, 4)
     assert QQ.parse("5") == Fraction(5)

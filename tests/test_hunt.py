@@ -25,6 +25,8 @@ from toeppencil.pencil import build_pencil, is_geometric
 def test_config_validation():
     with pytest.raises(HuntConfigError):
         HuntConfig(n=4, field=QQ, mode="exhaustive")
+    with pytest.raises(HuntConfigError, match="^workers must be >= 1$"):
+        HuntConfig(n=4, field=GF(5), mode="exhaustive", workers=0)
     with pytest.raises(HuntConfigError):
         HuntConfig(n=4, field=QQ, mode="random", trials=0)
     with pytest.raises(HuntConfigError):
@@ -238,7 +240,7 @@ def test_flipped_orbit_verdict_is_an_sm_mismatch(monkeypatch):
         (other_rep, [], orbit(other_rep), p - 1),
     ):
         monkeypatch.setattr(
-            hunt, "_sm_values", lambda N, kmax: iter(planted) if N[1:-1] == rep else real(N, kmax)
+            hunt, "_sm_values", lambda N, p: iter(planted) if N[1:-1] == rep else real(N, p)
         )
         r = exhaustive_scan(cfg)
         assert r.equivalence_violations == sorted((t, "sm-mismatch") for t in checked)
@@ -250,7 +252,7 @@ def _plant_s_fault(monkeypatch):
     singular pencil is a three-way disagreement and each regular one is not."""
     real = criteria._s_ints
     monkeypatch.setattr(
-        criteria, "_s_ints", lambda c, kmax=None: chain([1], islice(real(c, kmax), 1, None))
+        criteria, "_s_ints", lambda c, p: chain([1], islice(real(c, p), 1, None))
     )
 
 
@@ -316,7 +318,7 @@ def test_leaf_ends_match_the_reciprocal(n, p):
 )
 def test_random_scan_evaluates_each_distinct_list_once(monkeypatch, n, field, trials):
     cfg = HuntConfig(n=n, field=field, mode="random", trials=trials, seed=2)
-    instances = hunt._random_instances(cfg)
+    instances = list(hunt._random_instances(cfg))
     distinct = {tuple(c) for c in instances}
     if field != QQ:
         assert len(distinct) < trials
@@ -347,6 +349,26 @@ def test_random_scan_gf():
     r = random_scan(HuntConfig(n=4, field=GF(11), mode="random", trials=80, seed=3))
     assert r.equivalence_violations == []
     assert r.counterexamples == []
+
+
+def test_random_scan_lists_counterexamples():
+    # SM holds with y != 0 on 2 of the 2000 seeded GF(7) lists at n = 5
+    cfg = HuntConfig(n=5, field=GF(7), mode="random", trials=2000, seed=0)
+    r = random_scan(cfg)
+    assert json.dumps(r.to_dict()) == json.dumps(random_scan_reference(cfg).to_dict())
+    assert len(r.counterexamples) == 2 and r.equivalence_violations == []
+    for shown in r.counterexamples:
+        p = build_pencil([int(ci) for ci in shown], cfg.field)
+        rep = evaluate_instance(p)
+        assert rep.singular_det and rep.sm_holds and not rep.y_is_zero
+        assert is_geometric(p) is None
+
+
+def test_scans_refuse_the_other_mode():
+    with pytest.raises(HuntConfigError, match="^config is not in exhaustive mode$"):
+        exhaustive_scan(HuntConfig(n=4, field=GF(5), mode="random", trials=3))
+    with pytest.raises(HuntConfigError, match="^config is not in random mode$"):
+        random_scan(HuntConfig(n=4, field=GF(5), mode="exhaustive"))
 
 
 def test_random_scan_injects_only_existing_ratios():

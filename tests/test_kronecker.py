@@ -9,7 +9,7 @@ from toeppencil import kronecker, pencil
 from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import GF, QQ, FieldMismatchError
 from toeppencil.kronecker import BlockPencil, analyze
-from toeppencil.linalg import Mat
+from toeppencil.linalg import Mat, ShapeError
 from toeppencil.minors import recover_c_from_minors
 from toeppencil.pencil import _top_coefficient, build_M0, build_M1, build_pencil, is_singular
 
@@ -193,6 +193,16 @@ def test_block_pencil_refuses_mixed_fields(f0, f1):
         BlockPencil(identity(f0, 2), identity(f1, 2))
 
 
+def test_block_pencil_refuses_non_square_or_unequal_sizes():
+    wide = qmat([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ShapeError, match="^pencil matrices must be square$"):
+        BlockPencil(wide, wide)
+    with pytest.raises(ShapeError, match="^pencil matrices must be square$"):
+        BlockPencil(identity(QQ, 2), wide)
+    with pytest.raises(ShapeError, match="^pencil matrices must have equal size$"):
+        BlockPencil(identity(QQ, 2), identity(QQ, 3))
+
+
 def _sparse_pencil(rng, field, n, dens=(1,)):
     def entry():
         return field.frac(rng.choice([0, 0, 0, 1, 2, -1]), rng.choice(dens))
@@ -371,10 +381,23 @@ def _zero_top(p):
     return build_pencil([*p.c[:-1], p.c[-2] * p.c[-2] / p.c[-3]], p.field)
 
 
+def test_n2_zero_top_coefficient_reads_no_determinant(monkeypatch):
+    # at n = 2 det T is the constant c_2^2 - c_1 c_3, the top coefficient:
+    # once it is 0, neither the det route nor the kernel reads det T(0)
+    read = []
+    det_int = pencil._det_int
+    monkeypatch.setattr(pencil, "_det_int", lambda a, *p: read.append(len(a)) or det_int(a, *p))
+    for p in (qp(1, 2, 4), build_pencil([1, 1, 1], GF(2))):
+        assert not p.field.of(_top_coefficient(p.field.lift(p.c)[0]))
+        assert is_singular(p)
+        assert analyze(BlockPencil.from_pencil(p)).minimal_index_d == 0
+        assert read == [], p
+
+
 def test_newton_stream_runs_only_where_the_points_repeat(monkeypatch):
     # at distinct points the det route's values decide as they are: neither
     # is_singular nor the kernel from c runs the Newton stream over QQ or
-    # over GF(p) with p > n-2; both run it where the points repeat mod p
+    # over GF(p) with p >= n-2; both run it where the points repeat mod p
     calls = []
     for module in (pencil, kronecker):
         real = module._newton_coefficients
@@ -402,9 +425,11 @@ def test_newton_stream_runs_only_where_the_points_repeat(monkeypatch):
     distinct += [build_pencil([gf7.of(3) ** k for k in range(n + 1)], gf7) for n in (4, 8)]
     distinct += [_zero_top(random_gf_pencil(rng, n, 257)) for n in (2, 6, 12, 20)]
     distinct += [build_pencil([gf257.of(3) ** k for k in range(17)], gf257)]
+    # p = n-2: the points 0..n-3 are all of GF(p), distinct
+    distinct += [_zero_top(random_gf_pencil(rng, q + 2, q)) for q in (2, 3, 5, 7) for _ in range(3)]
     for p in distinct:
         assert newton_calls(p) == (0, 0), (p.field, p.c)
-    # CI's GF(3) list at n = 32, top coefficient 0 mod 3: p <= n-2
+    # CI's GF(3) list at n = 32, top coefficient 0 mod 3: p < n-2
     gf3_c = "1,2,1,1,2,1,1,2,2,1,2,2,2,1,2,2,2,1,1,1,2,2,2,2,1,1,1,2,2,1,2,1,2"
     assert newton_calls(build_pencil([int(k) for k in gf3_c.split(",")], GF(3))) == (1, 1)
 

@@ -230,6 +230,22 @@ def test_poly_canonical_form():
     assert Poly(QQ, [Fraction(0), Fraction(2)]).degree == 1
 
 
+def test_poly_repr_and_hash_follow_the_canonical_form():
+    gf7 = GF(7)
+    assert repr(Poly(QQ, [Fraction(1), Fraction(0), Fraction(-2, 3)])) == "Poly[1*x^0 + -2/3*x^2]"
+    assert repr(Poly(gf7, [gf7.zero, gf7.of(3), gf7.zero])) == "Poly[3*x^1]"
+    assert repr(Poly(QQ, [Fraction(0)])) == "Poly[0]"
+    padded = Poly(QQ, [Fraction(1), Fraction(2), Fraction(0)])
+    assert padded == Poly(QQ, [Fraction(1), Fraction(2)])
+    assert hash(padded) == hash(Poly(QQ, [Fraction(1), Fraction(2)]))
+    assert len({padded, Poly(QQ, [Fraction(1), Fraction(2)]), Poly(QQ, [])}) == 2
+
+
+def test_mat_refuses_ragged_rows():
+    with pytest.raises(ShapeError, match="^ragged rows$"):
+        Mat(QQ, [[Fraction(1), Fraction(2)], [Fraction(3)]])
+
+
 def test_polymat_det_matches_cofactor():
     # det_laplace on grids of polynomials, evaluated at random points, equals
     # the Gauss-Jordan det and the cofactor expansion of the evaluated grid

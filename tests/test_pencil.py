@@ -238,8 +238,8 @@ def test_is_singular_matches_polynomial_determinant():
         cases += [geometric_pencil(lam, n) for n in (2, 5, 9, 12)]
     for p in cases:
         assert is_singular(p) == (pencil_det(p) == ()), p.c
-    # every tail over GF(2) and GF(3), c1 = 1; for p <= n-2 the points
-    # x0 = 0..n-2 repeat mod p, so the zero test must interpolate
+    # every tail over GF(2) and GF(3), c1 = 1; for p < n-2 the points
+    # x0 = 0..n-3 repeat mod p, so the zero test must interpolate
     regular_vanishing = 0
     for q in (2, 3):
         gf = GF(q)
@@ -271,7 +271,7 @@ def test_top_coefficient_matches_laplace():
 
 def test_is_singular_when_the_top_coefficient_vanishes_mod_p():
     # lifted residues whose top coefficient is a nonzero multiple of p: the
-    # det route reads x0 = 0..n-3, which repeat mod p for p <= n-2, and the
+    # det route reads x0 = 0..n-3, which repeat mod p for p < n-2, and the
     # Newton coefficients decide
     rng = random.Random(53)
     tails = [(3, tail) for n in range(4, 10) for tail in product((1, 2), repeat=n)]
@@ -308,7 +308,7 @@ def _counting_det_int(monkeypatch):
 @pytest.mark.parametrize("fld", [QQ, GF(7), GF(3)], ids=["QQ", "GF7", "GF3"])
 def test_nonzero_top_coefficient_reads_no_determinant(monkeypatch, fld, n):
     # c_n^2 - c_{n-1} c_{n+1} nonzero in the field proves the pencil regular
-    # before any det T(x0); GF(3) at n = 12 has p <= n-2
+    # before any det T(x0); GF(3) at n = 12 has p < n-2
     rng = random.Random(157 + n)
     while True:
         p = random_rational_pencil(rng, n) if fld == QQ else random_gf_pencil(rng, n, fld.p)
