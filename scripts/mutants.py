@@ -35,6 +35,7 @@ PENCIL = "tests/test_pencil.py::"
 NULL_VECTOR = "tests/test_linalg.py::test_null_vector_is_the_first_kernel_basis_vector"
 STACKED = KRONECKER + "test_analyze_matches_stacked_reference"
 RESIDUE = CRITERIA + "test_residue_routes_match_the_int_routes"
+MINOR_SPY = "tests/test_minors.py::test_gf_minor_map_runs_on_residues"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
@@ -200,8 +201,8 @@ MUTANTS = [
     (
         "the geometric product is off by one index",
         PKG + "pencil.py",
-        "c2 * c[k]) for k in",
-        "c2 * c[k - 1]) for k in",
+        "c[1] * c[k] for k in",
+        "c[1] * c[k - 1] for k in",
         [PENCIL + "test_is_geometric", PENCIL + "test_is_geometric_matches_the_division_loop"],
     ),
     (
@@ -241,7 +242,7 @@ MUTANTS = [
     ),
     (
         "_first_violation drops its mod-p reduction",
-        PKG + "criteria.py",
+        PKG + "pencil.py",
         "if (v % p if p else v)), None)",
         "if v), None)",
         [RESIDUE],
@@ -262,6 +263,48 @@ MUTANTS = [
         "values if q == p else",
         "values if q else",
         [KRONECKER + "test_newton_stream_runs_only_where_the_points_repeat"],
+    ),
+    (
+        "principal_minors runs the minor map over Z",
+        PKG + "minors.py",
+        "_minor_ints(p.field.lift(p.c)[0], p.field.characteristic)",
+        "_minor_ints(p.field.lift(p.c)[0], 0)",
+        [MINOR_SPY],
+    ),
+    (
+        "recover_c_from_minors runs over Z",
+        PKG + "minors.py",
+        "_reciprocal(N, len(N), field.characteristic)",
+        "_reciprocal(N, len(N), 0)",
+        [MINOR_SPY],
+    ),
+    (
+        "the kernel identity test ignores the modulus",
+        PKG + "kronecker.py",
+        "if _first_violation(coeff, p):",
+        "if _first_violation(coeff, 0):",
+        [STACKED],
+    ),
+    (
+        "_geometric tests over Z",
+        PKG + "pencil.py",
+        "return None if _first_violation(cross, fld.characteristic) else",
+        "return None if _first_violation(cross, 0) else",
+        [PENCIL + "test_is_geometric_matches_the_division_loop"],
+    ),
+    (
+        "y = 0 tested over Z",
+        PKG + "criteria.py",
+        "y_is_zero=_first_violation(B[2:-1], fld.characteristic) is None",
+        "y_is_zero=_first_violation(B[2:-1], 0) is None",
+        [RESIDUE],
+    ),
+    (
+        "the degree check reads f_{d-1}",
+        PKG + "kronecker.py",
+        "if _first_violation(fk[-2], p) is None:",
+        "if _first_violation(fk[-3], p) is None:",
+        [KRONECKER + "test_kernel_poly_rejects_degree_below_index"],
     ),
     (
         "the Newton stream drops its division by k!",

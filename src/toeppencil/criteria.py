@@ -17,11 +17,11 @@ the public sm_condition_values(mv) divides by D^(k+2).
 
 Each route has an int core on c lifted to plain ints: ``pencil._singular``,
 ``_s_ints`` and ``_minor_ints`` + ``_sm_witness``. Each takes the modulus p
-(the field's characteristic, 0 over QQ), and over GF(p) runs on residues;
-the det route does so only for p >= n-2, where its points are distinct mod
-p (see ``pencil.is_singular``). ``_verdicts`` runs the three on one lift;
-the public checks lift and call their own core, and witnesses become field
-values only in the reports.
+(the field's characteristic, 0 over QQ; no default), runs on residues over
+GF(p) (the det route only for p >= n-2, see ``pencil.is_singular``) and
+tests its ints, y's too, with ``pencil._first_violation``. ``_verdicts``
+runs the three on one lift; the public checks call their own core, and
+witnesses become field values only in the reports.
 Both tests must agree with the direct zero-polynomial test on det T(x); a
 disagreement is an implementation bug and raises ConsistencyAlarm.
 """
@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .minors import MinorVector, _minor_ints
-from .pencil import PencilInstance, _geometric, _singular
+from .pencil import PencilInstance, _first_violation, _geometric, _singular
 
 
 class ConsistencyAlarm(RuntimeError):
@@ -109,13 +109,6 @@ def s_condition_values(p: PencilInstance) -> Iterator:
         yield _s_value(k, num, c, L, p.field)
 
 
-def _first_violation(values: Iterable[int], p: int) -> Optional[Tuple[int, int]]:
-    """(k, value) of the first int value nonzero in the field of
-    characteristic p (tested mod p for p > 0), counting from 0; reads no
-    further."""
-    return next(((k, v) for k, v in enumerate(values) if (v % p if p else v)), None)
-
-
 def check_S(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]]]:
     """Power condition, truncated at k = n-2; witness is the first violation."""
     c, L = p.field.lift(p.c)
@@ -182,7 +175,7 @@ def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], boo
     B, _ = _minor_ints(c, p.field.characteristic)
     witness = _sm_witness(B, p.field.characteristic)
     w = witness and (witness[0], _sm_value(*witness, c, p.field))
-    return witness is None, w, not any(map(p.field.of, B[2:-1]))
+    return witness is None, w, _first_violation(B[2:-1], p.field.characteristic) is None
 
 
 def _verdicts(
@@ -216,6 +209,6 @@ def evaluate_instance(p: PencilInstance) -> CriterionReport:
         sm_holds=sm_witness is None,
         s_witness=s_witness and (s_witness[0], _s_value(*s_witness, c, L, fld)),
         sm_witness=sm_witness and (sm_witness[0], _sm_value(*sm_witness, c, fld)),
-        y_is_zero=not any(map(fld.of, B[2:-1])),
+        y_is_zero=_first_violation(B[2:-1], fld.characteristic) is None,
         geometric=_geometric(c, fld),
     )

@@ -28,7 +28,8 @@ from typing import Iterator, List, Optional, Tuple
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
 from .linalg import Mat, Poly, ShapeError, _null_vector
-from .pencil import PencilInstance, _det_certificate, _det_int, _newton_coefficients, _rows, build_M0, build_M1
+from .pencil import PencilInstance, _det_certificate, _det_int, _first_violation, _newton_coefficients, _rows
+from .pencil import build_M0, build_M1
 
 
 @dataclass(frozen=True)
@@ -64,19 +65,19 @@ class KroneckerResult:
     kernel_poly: Optional[List[Poly]]  # f with (M0 + x*M1) f(x) = 0, deg f = d
 
 
-def _stack(m0, m1, z, d: int) -> list:
-    """The rows of C(d) from the rows of M0 and M1 and the zero z: block row
-    bi holds M1 in block column bi-1 and M0 in block column bi."""
+def _stack(m0, m1, d: int) -> list:
+    """The rows of C(d) from the rows of M0 and M1, padded with int zeros:
+    block row bi holds M1 in block column bi-1 and M0 in block column bi."""
     n = len(m0)
     rows = []
     for bi in range(d + 2):
         for i in range(n):
-            row = [z] * (n * max(bi - 1, 0))
+            row = [0] * (n * max(bi - 1, 0))
             if bi > 0:
                 row += m1[i]
             if bi <= d:
                 row += m0[i]
-            rows.append(row + [z] * (n * (d - bi)))
+            rows.append(row + [0] * (n * (d - bi)))
     return rows
 
 
@@ -91,8 +92,8 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     ``pencil._det_certificate``, whose first entry, the O(1) top
     coefficient, is read before any row is built. A general pencil lifts
     its 2n^2 entries over one common scale, and its certificate is the
-    Newton stream of det T(d), d = 0..n (T(d) = A0 + d*A1, by ``_det_int``
-    on its transpose), exact over every field as deg det T <= n."""
+    Newton stream of det T(d) over Z, d = 0..n (T(d) = A0 + d*A1, by
+    ``_det_int`` on its transpose), exact over every field as deg det T <= n."""
     n = bp.n
     fld = bp.M0.field
     if bp.c is not None:
@@ -105,14 +106,15 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     A0 = [flat[i * n : (i + 1) * n] for i in range(n)]
     A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
     cols = list(zip(zip(*A0), zip(*A1)))  # column j of A0 and of A1: row j of T(d) transposed
-    dets = (_det_int([[x + d * y for x, y in zip(*col)] for col in cols]) for d in range(n + 1))
+    dets = (_det_int([[x + d * y for x, y in zip(*col)] for col in cols], 0) for d in range(n + 1))
     return _analyze(A0, A1, fld, _newton_coefficients(dets))
 
 
 def _analyze(A0: List[List[int]], A1: List[List[int]], fld, cert: Iterator[int]) -> KroneckerResult:
     """``analyze`` on the int rows A0, A1 of L*M0 and L*M1 lifted from
     ``fld``, and the rest of the pencil's regularity certificate ``cert``,
-    one int per d = 0..n, read as 0 once it ends; every step runs on them.
+    one int per d = 0..n, read as 0 once it ends; every step runs on them,
+    and every zero test is ``pencil._first_violation`` in characteristic p.
     An entry nonzero in the field proves the pencil regular before C(d) is
     built. Otherwise, for d < n, ``linalg._null_vector`` reduces C(d) up to
     its first column without a pivot and returns that column's null vector
@@ -121,27 +123,25 @@ def _analyze(A0: List[List[int]], A1: List[List[int]], fld, cert: Iterator[int])
     padded with zero rows, so they stay independent; the free column thus
     lies in block column d, and f has degree d. A zero det T without a null
     vector below n raises ``ConsistencyAlarm``: a singular n x n pencil has
-    its minimal index below n. Both the identity and the degree are
-    re-verified exactly before returning."""
-    n = len(A0)
+    its minimal index below n. The identity and the degree (f_d, the top
+    block, nonzero) are re-verified on the ints before the ``Poly``s."""
+    n, p = len(A0), fld.characteristic
     for d in range(n + 1):
-        if fld.of(next(cert, 0)):
+        if _first_violation([next(cert, 0)], p):
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
         if d == n:
             raise ConsistencyAlarm("det T(x) is zero, yet no C(d) with d < n has a null vector")
-        vec = _null_vector(_stack(A0, A1, 0, d), fld)
+        vec = _null_vector(_stack(A0, A1, d), fld)
         if vec is not None:
             break
     # the coefficient of x^k in (M0 + x*M1) f(x) is M0 f_k + M1 f_{k-1}
     # (f_{-1} = f_{d+1} = 0); checked on the lifted rows, apart from C(d)
     ints = fld.lift(vec)[0]
-    zero = [0] * n
-    fk = [zero] + [ints[k * n : (k + 1) * n] for k in range(d + 1)] + [zero]
+    fk = [[0] * n, *(ints[k * n : (k + 1) * n] for k in range(d + 1)), [0] * n]
     for lo, hi in zip(fk[1:], fk):
-        if any(fld.of(sum(map(mul, r0, lo)) + sum(map(mul, r1, hi))) for r0, r1 in zip(A0, A1)):
+        coeff = (sum(map(mul, r0, lo)) + sum(map(mul, r1, hi)) for r0, r1 in zip(A0, A1))
+        if _first_violation(coeff, p):
             raise ConsistencyAlarm("kernel vector fails the pencil identity")
-    f = [Poly(fld, vec[i :: n]) for i in range(n)]
-    degrees = [fi.degree for fi in f if not fi.is_zero]
-    if not degrees or max(degrees) != d:
+    if _first_violation(fk[-2], p) is None:  # f_d = 0: deg f < d
         raise ConsistencyAlarm("kernel vector degree disagrees with minimal index")
-    return KroneckerResult(minimal_index_d=d, kernel_poly=f)
+    return KroneckerResult(minimal_index_d=d, kernel_poly=[Poly(fld, vec[i :: n]) for i in range(n)])

@@ -5,7 +5,8 @@ c1 = 1, with m_0 = 1; the public entry points take unnormalized instances.
 M0 is lower Hessenberg with unit superdiagonal, so expanding along the last
 row gives sum_{k=0..r} (-1)^k c_{k+1} m_{r-k} = 0 for r >= 1: A(t) =
 sum_k (-1)^k c_{k+1} t^k and M(t) = sum_r m_r t^r are reciprocal power
-series, and both directions of the map run one integer ``_reciprocal``.
+series, and both directions of the map run one integer ``_reciprocal``,
+on residues over GF(p).
 With t -> -t: Q^{-1} is lower-triangular Toeplitz with column 0 the signed
 minors (-1)^r m_r, Q^{-1} v is minus entries 1..n-1 of it, X is Q^{-1}
 without its first row and last column, y is Q^{-1} v without its first
@@ -43,11 +44,11 @@ class SMObjects:
     P: Mat  # anti-diagonal exchange matrix, same size as X
 
 
-def _reciprocal(a: Sequence[int], count: int, p: int = 0) -> List[int]:
+def _reciprocal(a: Sequence[int], count: int, p: int) -> List[int]:
     """B_0..B_{count-1} on plain ints, with B_r / a_0^(r+1) = [t^r] 1/A(t) for
     A(t) = sum_k a_k t^k: B_0 = 1 and B_r = -sum_{k=1..r} a_k a_0^(k-1) B_{r-k}.
-    B_r reads only a_0..a_r; for a prime p > 0 each B_r is reduced into
-    [0, p)."""
+    B_r reads only a_0..a_r. p is the characteristic: 0 keeps the ints, and
+    for a prime p > 0 each B_r is reduced into [0, p)."""
     w = [a[k] * pow(a[0], k - 1, p or None) for k in range(1, count)]
     B = [1]
     for _ in range(1, count):
@@ -56,16 +57,16 @@ def _reciprocal(a: Sequence[int], count: int, p: int = 0) -> List[int]:
     return B
 
 
-def _minor_ints(c: Sequence[int], p: int = 0) -> Tuple[List[int], int]:
+def _minor_ints(c: Sequence[int], p: int) -> Tuple[List[int], int]:
     """(B, a_0) with m_r = B_r / a_0^r for the reciprocal B of the alternating c,
-    lifted to plain ints, or mod p for a prime p > 0; B_r is homogeneous of
-    degree r, so neither the lift nor c1 needs dividing out."""
+    lifted to plain ints, in characteristic p (mod p for a prime p > 0); B_r
+    is homogeneous of degree r, so neither the lift nor c1 needs dividing out."""
     a = [ci if k % 2 == 0 else -ci for k, ci in enumerate(c)]
-    return _reciprocal(a, len(c), p=p), a[0]
+    return _reciprocal(a, len(c), p), a[0]
 
 
 def principal_minors(p: PencilInstance) -> MinorVector:
-    B, a0 = _minor_ints(p.field.lift(p.c)[0])
+    B, a0 = _minor_ints(p.field.lift(p.c)[0], p.field.characteristic)
     return MinorVector(field=p.field, m=tuple(p.field.frac(b, a0**r) for r, b in enumerate(B)))
 
 
@@ -116,5 +117,5 @@ def recover_c_from_minors(ms: Sequence, field) -> List:
     zeros permitted. A(t) = 1/M(t): on N = D*(1, m_1, ..., m_n),
     c_{k+1} = (-1)^k B_k / D^k."""
     N, D = field.lift([field.one, *ms])
-    B = _reciprocal(N, len(N))
+    B = _reciprocal(N, len(N), field.characteristic)
     return [field.frac(-B[k] if k % 2 else B[k], D**k) for k in range(1, len(N))]

@@ -71,12 +71,12 @@ def build_M1(p: PencilInstance) -> Mat:
     return Mat(p.field, _rows((z,) * len(p.c), p.field.one, z))
 
 
-def _det_int(a: List[List[int]], p: int = 0) -> int:
+def _det_int(a: List[List[int]], p: int) -> int:
     """Determinant of a square plain-int matrix (rows are overwritten) by
-    fraction-free (Bareiss) elimination; every division is exact. For a
-    prime p > 0, the determinant mod p in [0, p) of rows of residues in
-    [0, p): the same elimination on residues, each row update reduced mod p
-    with the pivot's inverse, no levels, and det the product of the pivots.
+    fraction-free (Bareiss) elimination for p = 0; every division is exact.
+    For a prime p > 0, the determinant mod p in [0, p) of rows of residues
+    in [0, p): the same elimination on residues, each row update reduced mod
+    p with the pivot's inverse, no levels, and det the product of the pivots.
 
     Sylvester's identity: after the steps at the pivots 0..k-1, a Bareiss
     entry (i, j) is the minor of rows 0..k-1, i and columns 0..k-1, j, so
@@ -206,13 +206,18 @@ def is_singular(p: PencilInstance) -> bool:
     return _singular(p.field.lift(p.c)[0], p.field.characteristic)
 
 
+def _first_violation(values: Iterable[int], p: int) -> Optional[Tuple[int, int]]:
+    """(k, v) of the first int v of values, counting from 0, that is nonzero in
+    characteristic p (mod p for p > 0), or None; reads no further. The one zero
+    test of the int cores, which builds no field element."""
+    return next(((k, v) for k, v in enumerate(values) if (v % p if p else v)), None)
+
+
 def _geometric(c: Sequence[int], fld) -> Optional[object]:
     """The common ratio c_2 / c_1 if c_{k+1} c_1 = c_2 c_k in the field for
     all k, else None, for c lifted to plain ints; the lift's scale cancels."""
-    c1, c2 = c[0], c[1]
-    if any(fld.of(c[k + 1] * c1 - c2 * c[k]) for k in range(1, len(c) - 1)):
-        return None
-    return fld.frac(c2, c1)
+    cross = (c[k + 1] * c[0] - c[1] * c[k] for k in range(1, len(c) - 1))
+    return None if _first_violation(cross, fld.characteristic) else fld.frac(c[1], c[0])
 
 
 def is_geometric(p: PencilInstance) -> Optional[object]:

@@ -214,7 +214,8 @@ def build_C(bp: BlockPencil, d: int) -> Mat:
     coefficient slot of x^j in a candidate kernel polynomial."""
     if d < 0:
         raise ValueError("block depth must be nonnegative")
-    return Mat(bp.M0.field, _stack(bp.M0.data, bp.M1.data, bp.M0.field.zero, d))
+    z = bp.M0.field.zero  # _stack pads with int zeros
+    return Mat(bp.M0.field, [[e or z for e in row] for row in _stack(bp.M0.data, bp.M1.data, d)])
 
 
 def _crosscheck_selected(mtuple) -> bool:

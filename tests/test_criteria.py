@@ -32,7 +32,9 @@ from toeppencil.minors import (
     q_inverse_closed_form,
     recover_c_from_minors,
 )
-from toeppencil.pencil import _det_certificate, _det_int, _newton_coefficients, _singular, build_pencil, is_singular
+from toeppencil.pencil import (
+    _det_certificate, _det_int, _newton_coefficients, _singular, build_pencil, is_geometric, is_singular,
+)
 
 from conftest import (
     geometric_pencil,
@@ -384,6 +386,31 @@ def test_residue_routes_match_the_int_routes(monkeypatch):
     assert got == want
     singular = [w[1] for w in want]
     assert sum(singular) > 60 and len(singular) - sum(singular) > 200
+
+
+def test_int_cores_build_no_field_elements(monkeypatch):
+    # every zero test of the int cores is pencil._first_violation on ints, so
+    # no verdict, geometric test or kernel calls a field's ``of`` (one
+    # Fraction or GFElement each); the geometric pencils reach every site
+    rng = random.Random(167)
+    gf7 = GF(7)
+    pencils = [geometric_pencil(Fraction(2), 16), build_pencil([gf7.of(3) ** k for k in range(11)], gf7)]
+    pencils += [random_rational_pencil(rng, n) for n in (3, 9, 16)]
+    pencils += [random_gf_pencil(rng, n, 7) for n in (3, 10, 14)]
+    blocks = [BlockPencil.from_pencil(p) for p in pencils]
+    blocks += [BlockPencil(bp.M0, bp.M1) for bp in blocks]  # general pencils, without c
+    calls = []
+    for cls in (type(QQ), type(gf7)):
+        real = cls.of
+        monkeypatch.setattr(cls, "of", lambda self, x, real=real: calls.append(x) or real(self, x))
+    reports = [(evaluate_instance(p), check_SM(p), is_geometric(p)) for p in pencils]
+    kernels = [analyze(bp).minimal_index_d for bp in blocks]
+    assert calls == []
+    assert [r.geometric for r, _, _ in reports[:2]] == [2, gf7.of(3)]
+    assert [r.y_is_zero for r, _, _ in reports[:2]] == [True, True]
+    assert [(sm[2], geo) for r, sm, geo in reports] == [(r.y_is_zero, r.geometric) for r, _, _ in reports]
+    assert kernels[: len(pencils)] == kernels[len(pencils) :]
+    assert kernels[:2] == [0, 0]
 
 
 def _toeppencil_calls(fn, *args):

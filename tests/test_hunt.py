@@ -301,12 +301,12 @@ def test_leaf_ends_match_the_reciprocal(n, p):
     # vanishes at every leaf
     for head in product(range(p), repeat=max(n - 3, 0)):
         prefix = (1, 1, *head)[: n - 1]
-        Bh = [b % p for b in _reciprocal(prefix, n - 1)]
+        Bh = _reciprocal(prefix, n - 1, p)
         want = {
-            leaf: tuple(b % p for b in _reciprocal((*prefix, leaf, 0), n + 1)[n - 1 :])
+            leaf: tuple(_reciprocal((*prefix, leaf, 0), n + 1, p)[n - 1 :])
             for leaf in range(p)
         }
-        Z = [b % p for b in _reciprocal((*prefix, 0, 0), n + 1)]
+        Z = _reciprocal((*prefix, 0, 0), n + 1, p)
         assert Z[: n - 1] == Bh
         ends, bad = hunt._leaf_ends(Z, p)
         assert {leaf: ends(leaf) for leaf in range(p)} == want, head

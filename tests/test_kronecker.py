@@ -321,9 +321,9 @@ def test_regular_pencil_det_vanishing_at_probes(monkeypatch, bp, k):
     built = []
     stack = kronecker._stack
 
-    def counting_stack(m0, m1, z, d):
+    def counting_stack(m0, m1, d):
         built.append(d)
-        return stack(m0, m1, z, d)
+        return stack(m0, m1, d)
 
     monkeypatch.setattr(kronecker, "_stack", counting_stack)
     res = analyze(bp)

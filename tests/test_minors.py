@@ -4,7 +4,9 @@ from itertools import product
 
 import pytest
 
+from toeppencil import minors
 from toeppencil.field import GF, QQ
+from toeppencil.hunt import HuntConfig, exhaustive_scan
 from toeppencil.linalg import Mat
 from toeppencil.minors import (
     DimensionError,
@@ -268,3 +270,33 @@ def test_geometric_iff_trailing_minors_vanish():
 
         trailing_zero = all(mv.m[r] == 0 for r in range(2, 6))
         assert (is_geometric(p) is not None) == trailing_zero
+
+
+def test_gf_minor_map_runs_on_residues(monkeypatch):
+    # over GF(p) both directions of the minor map pass the characteristic to
+    # _reciprocal, and their values are the int path's: the reciprocal over
+    # Z, then frac
+    rng = random.Random(173)
+    cases = []  # (pencil, minors m_1..m_n), zeros permitted in the minors
+    for q in (2, 7, 257):
+        gf = GF(q)
+        for n in range(2, 41):
+            cases.append((random_gf_pencil(rng, n, q), [gf.of(rng.randrange(q)) for _ in range(n)]))
+    gf7 = GF(7)
+    for n in (5, 6):  # the 30 GF(7) counterexamples
+        for t in exhaustive_scan(HuntConfig(n=n, field=gf7, mode="exhaustive")).counterexamples:
+            ms = [gf7.of(m) for m in t] + [gf7.zero]
+            cases.append((build_pencil([gf7.one] + recover_c_from_minors(ms, gf7), gf7), ms))
+    assert len(cases) == 3 * 39 + 30
+    real = minors._reciprocal
+
+    def outputs():
+        return [(principal_minors(p), recover_c_from_minors(ms, p.field)) for p, ms in cases]
+
+    with monkeypatch.context() as m:
+        m.setattr(minors, "_reciprocal", lambda a, count, p: real(a, count, 0))
+        want = outputs()
+    moduli = []
+    monkeypatch.setattr(minors, "_reciprocal", lambda a, count, p: moduli.append(p) or real(a, count, p))
+    assert outputs() == want
+    assert moduli == [p.field.characteristic for p, _ in cases for _ in range(2)]

@@ -437,7 +437,7 @@ def test_det_int_banded_matches_jacobi_at_large_n():
                 if p.field != QQ:  # the residue elimination, on a copy
                     q = p.field.p
                     assert _det_int([row[:] for row in banded], q) == want % q, (n, q, x0)
-                assert _det_int(banded) == want, (n, p.field, x0)
+                assert _det_int(banded, 0) == want, (n, p.field, x0)
 
 
 def test_is_singular_matches_jacobi_at_large_n():
@@ -491,7 +491,7 @@ def test_det_int_rules_match_laplace():
     nonzero = 0
     for a in cases:
         want = _int_det(a)
-        assert _det_int([row[:] for row in a]) == want, a
+        assert _det_int([row[:] for row in a], 0) == want, a
         nonzero += want != 0
     assert nonzero > 150
 
@@ -514,7 +514,7 @@ def test_residue_det_matches_the_int_det():
         cases.append((7, [list(col) for col in zip(*_rows(c, x0, 0))]))
     nonzero = 0
     for p, a in cases:
-        want = _det_int([row[:] for row in a]) % p
+        want = _det_int([row[:] for row in a], 0) % p
         assert _det_int([row[:] for row in a], p) == want, (p, a)
         nonzero += want != 0
     assert nonzero > 250
@@ -524,5 +524,5 @@ def test_det_int_stops_at_first_zero_row():
     # row 1 = 2 * row 0 vanishes at step 0; the rows below are not touched
     a = [[2, 1, 3, 1], [4, 2, 6, 2], [1, 5, 2, 7], [3, 1, 1, 4]]
     rows = [row[:] for row in a]
-    assert _det_int(rows) == 0
+    assert _det_int(rows, 0) == 0
     assert rows[2:] == a[2:]

@@ -72,3 +72,35 @@ def test_mutants_match_the_code():
     proc = run_script("mutants.py", "--check")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(" mutants match\n")
+
+
+def test_code_lines_counts_only_code(tmp_path):
+    # blank and comment-only lines and the module, class and function
+    # docstrings are not code; a multi-line string that is not a docstring is
+    module = tmp_path / "sample.py"
+    module.write_text(
+        '"""Module docstring,\n'
+        'on two lines."""\n'
+        "\n"
+        "# a comment-only line\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        "    '''Class docstring.'''\n"
+        "\n"
+        "    def f(self, x):\n"
+        '        """Method docstring,\n'
+        "\n"
+        '        with a blank line."""\n'
+        "        # another comment\n"
+        '        text = """not a\n'
+        "        docstring\n"
+        '        """\n'
+        "        return text + x\n"
+    )
+    other = tmp_path / "other.py"
+    other.write_text("x = 1\n")
+    proc = run_script("code_lines.py", str(module), str(other))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"7 {module}\n1 {other}\n8 total\n"
