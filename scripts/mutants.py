@@ -85,25 +85,39 @@ MUTANTS = [
         [KRONECKER + "test_c_path_rows_equal_the_matrix_lift"],
     ),
     (
-        "the null vector skips the rows above the pivot",
-        PKG + "linalg.py",
-        "        for i in range(m):\n            row = a[i]\n",
-        "        for i in range(c + 1, m):\n            row = a[i]\n",
+        "the back-substitution drops D",
+        PKG + "kronecker.py",
+        "s = D * row[f] + sum(",
+        "s = row[f] + sum(",
         [NULL_VECTOR, STACKED],
     ),
     (
-        "a row above keeps its pivot entry over GF(p)",
-        PKG + "linalg.py",
-        "row[i] = piv * row[i] % p",
-        "pass",
+        "the back-substitution's sum is off by one column",
+        PKG + "kronecker.py",
+        "map(mul, row[r + 1 : f], y[r + 1 :])",
+        "map(mul, row[r : f], y[r + 1 :])",
         [NULL_VECTOR, STACKED],
     ),
     (
-        "a row above keeps its pivot entry over QQ",
-        PKG + "linalg.py",
-        "row[i] = piv * row[i] // lv",
-        "pass",
-        [NULL_VECTOR, STACKED],
+        "the kernel stops at a vanished event",
+        PKG + "kronecker.py",
+        "    for k, D, _ in _eliminate(a, p):\n        f = k + 1\n",
+        "    for k, D, vanished in _eliminate(a, p):\n        if vanished:\n            break\n        f = k + 1\n",
+        [NULL_VECTOR, KRONECKER + "test_null_vector_passes_over_a_vanished_row"],
+    ),
+    (
+        "a row swap keeps the minor's sign",
+        PKG + "pencil.py",
+        "            sign = -sign\n",
+        "",
+        [PENCIL + "test_eliminate_minors_match_the_leading_blocks", PENCIL + "test_det_int_rules_match_laplace"],
+    ),
+    (
+        "the vanished event is yielded after the tail is written",
+        PKG + "pencil.py",
+        "                if not any(tail):\n                    yield k, minor, True\n                ri[k + 1 :] = tail\n",
+        "                ri[k + 1 :] = tail\n                if not any(tail):\n                    yield k, minor, True\n",
+        [PENCIL + "test_eliminate_yields_a_vanished_row_before_writing_it"],
     ),
     (
         "S stops at k = n-3",
@@ -139,7 +153,7 @@ MUTANTS = [
     (
         "the SM core skips the m_n test",
         PKG + "criteria.py",
-        "    if (B[n] % p if p else B[n]):\n        return -1, B[n]\n",
+        "    if _first_violation([B[n]], p):\n        return -1, B[n]\n",
         "",
         [CRITERIA + "test_sm_examples", CRITERIA + "test_routes_stay_independent"],
     ),
@@ -195,7 +209,7 @@ MUTANTS = [
         "the det route reads a_0 before the top coefficient",
         PKG + "pencil.py",
         "    top = _top_coefficient(c)\n",
-        "    top = _top_coefficient(c)\n    _det_int([r[::-1] for r in reversed(_rows(c, 0, 0))])\n",
+        "    top = _top_coefficient(c)\n    _det_int([r[::-1] for r in reversed(_rows(c, 0, 0))], 0)\n",
         [PENCIL + "test_nonzero_top_coefficient_reads_no_determinant"],
     ),
     (

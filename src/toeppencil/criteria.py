@@ -158,7 +158,7 @@ def _sm_witness(B: Sequence[int], p: int) -> Optional[Tuple[int, int]]:
     a_0 is a unit, so the ints are tested in the field of characteristic p
     (mod p for p > 0)."""
     n = len(B) - 1
-    if (B[n] % p if p else B[n]):
+    if _first_violation([B[n]], p):
         return -1, B[n]
     return _first_violation(_sm_values(B, p), p)  # drawn only when m_n = 0
 

@@ -12,11 +12,12 @@ coefficients are lifted to ints, its int rows come from c, and it reads
 the det route's own ``pencil._det_certificate``, whose first entry (the
 O(1) top coefficient) comes before any row is built. A general pencil
 lifts its 2n^2 matrix entries and reads the Newton coefficients of its
-det T(x) at 0..n. A stacked matrix is
-reduced only up to its first dependent column, whose null vector (a 1
-there, 0 right of it) is the kernel returned; over GF(p) the reduction runs
-on residues. Inputs are general square pencils: the machinery does not need
-the nonzero-coefficient hypothesis of the Toeplitz construction.
+det T(x) at 0..n. A stacked matrix is reduced only up to its first
+dependent column by the library's one elimination, ``pencil._eliminate``
+(on residues over GF(p)), and that column's null vector (a 1 there, 0
+right of it) is back-substituted on the pivot rows and returned as the
+kernel. Inputs are general square pencils: the machinery does not need the
+nonzero-coefficient hypothesis of the Toeplitz construction.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Iterator, List, Optional, Tuple
 
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
-from .linalg import Mat, Poly, ShapeError, _null_vector
-from .pencil import PencilInstance, _det_certificate, _det_int, _first_violation, _newton_coefficients, _rows
-from .pencil import build_M0, build_M1
+from .linalg import Mat, Poly, ShapeError
+from .pencil import PencilInstance, _det_certificate, _det_int, _eliminate, _first_violation, _newton_coefficients
+from .pencil import _rows, build_M0, build_M1
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,35 @@ def _stack(m0, m1, d: int) -> list:
     return rows
 
 
+def _null_vector(a: List[List[int]], fld) -> Optional[Tuple]:
+    """A null vector of the int rows ``a`` lifted from ``fld`` (over GF(p)
+    the residues in [0, p); the rows are overwritten): 1 at the first column
+    f without a pivot, 0 right of f, and at every column r < f the entry x_r
+    of the one solution with those entries; None at full column rank. Of the
+    null-space basis with one vector per free column, 1 there and 0 at the
+    other free columns, it is the first vector.
+
+    ``pencil._eliminate`` reduces the rows up to f; a row it leaves zero is
+    passed over, as a tall C(d) has dependent rows. Its last minor D is the
+    determinant of the pivot rows' f x f block, so y_r = D*x_r is an int by
+    Cramer's rule, and back-substitution on the pivot rows U reads
+    y_r = -(D*U[r][f] + sum_{r<j<f} U[r][j]*y_j) / U[r][r], exact over QQ
+    and by the inverse of U[r][r] over GF(p). The vector is x_r = y_r / D."""
+    p = fld.characteristic
+    cols = len(a[0]) if a else 0
+    f, D = 0, 1
+    for k, D, _ in _eliminate(a, p):
+        f = k + 1
+    if f == cols:
+        return None
+    y = [0] * f
+    for r in range(f - 1, -1, -1):
+        row = a[r]
+        s = D * row[f] + sum(map(mul, row[r + 1 : f], y[r + 1 :]))
+        y[r] = -s * pow(row[r], -1, p) % p if p else -s // row[r]
+    return tuple([fld.frac(v, D) for v in y] + [fld.one] + [fld.zero] * (cols - f - 1))
+
+
 def analyze(bp: BlockPencil) -> KroneckerResult:
     """The minimal index d and a degree-d nonzero f(x) with
     (M0 + x*M1) f(x) = 0, or (None, None) for a regular pencil.
@@ -116,7 +146,7 @@ def _analyze(A0: List[List[int]], A1: List[List[int]], fld, cert: Iterator[int])
     one int per d = 0..n, read as 0 once it ends; every step runs on them,
     and every zero test is ``pencil._first_violation`` in characteristic p.
     An entry nonzero in the field proves the pencil regular before C(d) is
-    built. Otherwise, for d < n, ``linalg._null_vector`` reduces C(d) up to
+    built. Otherwise, for d < n, ``_null_vector`` reduces C(d) up to
     its first column without a pivot and returns that column's null vector
     (1 there, 0 right of it). The first d with a rank-deficient C(d) is
     minimal, because the first n*d columns of C(d) are those of C(d-1)

@@ -71,12 +71,18 @@ def build_M1(p: PencilInstance) -> Mat:
     return Mat(p.field, _rows((z,) * len(p.c), p.field.one, z))
 
 
-def _det_int(a: List[List[int]], p: int) -> int:
-    """Determinant of a square plain-int matrix (rows are overwritten) by
-    fraction-free (Bareiss) elimination for p = 0; every division is exact.
-    For a prime p > 0, the determinant mod p in [0, p) of rows of residues
-    in [0, p): the same elimination on residues, each row update reduced mod
-    p with the pivot's inverse, no levels, and det the product of the pivots.
+def _eliminate(a: List[List[int]], p: int) -> Iterator[Tuple[int, int, bool]]:
+    """The one forward elimination of the int rows ``a`` (overwritten), column
+    by column: fraction-free (Bareiss) for p = 0, every division exact; for a
+    prime p > 0, on residues in [0, p), each row update reduced mod p with
+    the pivot's inverse and no levels. For column k it yields (k, minor,
+    vanished), minor the signed leading minor of order k+1 of the rows in
+    their current order (mod p in [0, p) for p > 0): (k, minor, True) as
+    soon as an update leaves a row zero right of column k, before that row
+    or a later one is written, and (k, minor, False) once the column is
+    done. It returns at the first column without a pivot, or after the
+    last one; each caller decides where to stop. Pivot row r then holds its
+    pivot at column r, and its entries left of r are stale.
 
     Sylvester's identity: after the steps at the pivots 0..k-1, a Bareiss
     entry (i, j) is the minor of rows 0..k-1, i and columns 0..k-1, j, so
@@ -86,25 +92,27 @@ def _det_int(a: List[List[int]], p: int) -> int:
     Its next update, (akk*x - aik*y) // level[i], is therefore exact, and
     a pivot row whose level is behind is first brought up to date. A matrix
     with lower bandwidth w, such as T(x0) transposed (w = 2), thus costs
-    O(w n^2). An updated row that vanishes right of the pivot column proves
-    det = 0. The empty matrix has det 1."""
-    n = len(a)
-    level = [1] * n
+    O(w n^2). Mod p the minor is the product of the pivots."""
+    m = len(a)
+    level = [1] * m
     sign, prev = 1, 1
-    for k in range(n - 1):
+    for k in range(min(m, len(a[0]) if a else 0)):
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            swap = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
             if swap is None:
-                return 0
+                return
             a[k], a[swap], level[k], level[swap] = a[swap], a[k], level[swap], level[k]
             sign = -sign
         rk = a[k]
         if not p and level[k] != prev:
             rk[k:] = [x * prev // level[k] for x in rk[k:]]
-        akk = rk[k]
+        akk, rt = rk[k], rk[k + 1 :]
         if p:
-            inv, rt = pow(akk, -1, p), rk[k + 1 :]
-        for i in range(k + 1, n):
+            inv, prev = pow(akk, -1, p), akk * prev % p
+            minor = sign * prev % p
+        else:
+            minor, prev = sign * akk, akk
+        for i in range(k + 1, m):
             ri = a[i]
             aik = ri[k]
             if aik:
@@ -113,15 +121,25 @@ def _det_int(a: List[List[int]], p: int) -> int:
                     tail = [(x - f * y) % p for x, y in zip(ri[k + 1 :], rt)]
                 else:
                     lv = level[i]
-                    tail = [(akk * x - aik * y) // lv for x, y in zip(ri[k + 1 :], rk[k + 1 :])]
+                    tail = [(akk * x - aik * y) // lv for x, y in zip(ri[k + 1 :], rt)]
                     level[i] = akk
                 if not any(tail):
-                    return 0
+                    yield k, minor, True
                 ri[k + 1 :] = tail
-        prev = akk * prev % p if p else akk
-    if p:
-        return sign * prev * a[-1][-1] % p if a else 1
-    return sign * (a[-1][-1] * prev // level[-1]) if a else 1
+        yield k, minor, False
+
+
+def _det_int(a: List[List[int]], p: int) -> int:
+    """Determinant of a square plain-int matrix (rows are overwritten), or for
+    a prime p > 0 the determinant mod p in [0, p) of rows of residues in
+    [0, p): the last minor of ``_eliminate``. The first row that an update
+    leaves zero proves det = 0, and so does a column without a pivot. The
+    empty matrix has det 1."""
+    det, k = 1, -1
+    for k, det, vanished in _eliminate(a, p):
+        if vanished:
+            return 0
+    return det if k == len(a) - 1 else 0
 
 
 def _newton_coefficients(values: Iterable[int]) -> Iterator[int]:

@@ -24,9 +24,9 @@ subsampling rule is defined here, apart from the scan that applies it.
 
 ``det``, ``rank``, ``kernel_basis`` and ``inv`` share one fraction-free
 Gauss-Jordan reduction, ``_eliminate``, on the entries lifted to ints: the
-library's determinants run on ``pencil._det_int`` and its null vector on
-``linalg._null_vector``, so this reduction is apart from both. The tests
-hold it to the cofactor oracles above.
+library's determinants and its null vector run on its one forward
+elimination, ``pencil._eliminate``, so this reduction is apart from it. The
+tests hold it to the cofactor oracles above.
 """
 
 from dataclasses import dataclass

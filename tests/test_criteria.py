@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from toeppencil import criteria, hunt, pencil
+from toeppencil import criteria, hunt, kronecker, pencil
 from toeppencil.criteria import (
     _minor_ints,
     _s_ints,
@@ -475,6 +475,20 @@ def test_routes_stay_independent():
         assert _codes(_singular, _s_ints, _reciprocal, _sm_witness) <= codes
         assert (_sm_values.__code__ in codes) == m_n_is_zero
         assert not {module for module, _ in calls} & {"toeppencil.kronecker", "toeppencil.linalg"}
+
+
+def test_det_and_kernel_reach_the_one_elimination():
+    # is_singular's det T'(x0), det X and both analyze paths (the certificate
+    # and the null vector) run on the one row reduction, pencil._eliminate
+    gf7 = GF(7)
+    pencils = [geometric_pencil(Fraction(3, 2), 7), build_pencil([gf7.of(3) ** k for k in range(8)], gf7)]
+    for p in pencils:
+        for fn, arg in ((is_singular, p), (det_X, principal_minors(p))):
+            assert pencil._eliminate.__code__ in {code for _, code in _toeppencil_calls(fn, arg)}, fn
+        bp = BlockPencil.from_pencil(p)
+        for kernel in (bp, BlockPencil(bp.M0, bp.M1)):
+            codes = {code for _, code in _toeppencil_calls(analyze, kernel)}
+            assert _codes(pencil._det_int, kronecker._null_vector, pencil._eliminate) <= codes
 
 
 def test_kernel_stays_apart_from_the_verdicts():

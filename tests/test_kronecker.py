@@ -458,6 +458,17 @@ def test_zero_det_without_a_null_vector_alarms(monkeypatch):
         analyze(BlockPencil.from_pencil(qp(1, 2, 4, 8)))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_null_vector_passes_over_a_vanished_row(field):
+    # row 1 = 2 * row 0 vanishes at column 0, and column 2 = column 0 +
+    # column 1: the kernel reads past the vanished event, to the pivot rows
+    # 0 and 2 and the first column without a pivot
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 0, 1]]
+    assert next(pencil._eliminate([row[:] for row in rows], field.characteristic)) == (0, 1, True)
+    M = Mat(field, [[field.of(x) for x in row] for row in rows])
+    assert kronecker._null_vector([row[:] for row in rows], field) == kernel_basis(M)[0]
+
+
 def test_empty_pencil_is_regular():
     res = analyze(BlockPencil(Mat(QQ, []), Mat(QQ, [])))
     assert (res.minimal_index_d, res.kernel_poly) == (None, None)

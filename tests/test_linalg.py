@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from toeppencil.field import GF, QQ
-from toeppencil.linalg import Mat, Poly, ShapeError, _null_vector
+from toeppencil.kronecker import _null_vector
+from toeppencil.linalg import Mat, Poly, ShapeError
 from toeppencil.pencil import build_M0, build_M1
 from oracles import (
     SingularMatrixError,

@@ -14,6 +14,7 @@ from toeppencil.minors import recover_c_from_minors
 from toeppencil.pencil import (
     PencilError,
     _det_int,
+    _eliminate,
     _newton_coefficients,
     _rows,
     _top_coefficient,
@@ -526,3 +527,76 @@ def test_det_int_stops_at_first_zero_row():
     rows = [row[:] for row in a]
     assert _det_int(rows, 0) == 0
     assert rows[2:] == a[2:]
+
+
+def _minors_by_det(a, fld):
+    """(k, minor) per column of ``_eliminate`` by oracles.det: the pivot of
+    column k is the first row, from row k on in the current order, that
+    makes the leading minor of order k+1 nonzero; it swaps with row k, which
+    flips the sign. Stops at the first column without one. Also the swap count."""
+    order, sign, out, swaps = list(range(len(a))), 1, [], 0
+
+    def minor(k, i):
+        rows = [a[j][: k + 1] for j in order[:k] + [order[i]]]
+        return oracles.det(Mat(fld, [[fld.of(x) for x in row] for row in rows]))
+
+    for k in range(min(len(a), len(a[0]) if a else 0)):
+        i = next((i for i in range(k, len(a)) if minor(k, i) != fld.zero), None)
+        if i is None:
+            break
+        if i != k:
+            order[k], order[i], sign, swaps = order[i], order[k], -sign, swaps + 1
+        out.append((k, sign * minor(k, k)))
+    return out, swaps
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(2), GF(3), GF(7), GF(257)], ids=str)
+def test_eliminate_minors_match_the_leading_blocks(fld):
+    # square, tall and wide int rows (residues over GF(p)), with a zero
+    # leading entry, a leading 2x2 minor of 0 (both force a row swap) and a
+    # column that combines the ones before it (no pivot: the stream stops)
+    rng = random.Random(181)
+    p = fld.characteristic
+    entry = (lambda: rng.randint(-5, 5)) if p == 0 else (lambda: rng.randrange(p))
+    swapped = stopped = 0
+    for r, k in [(1, 1), (3, 3), (4, 4), (6, 6), (7, 4), (3, 6), (8, 8)]:
+        for case in range(24):
+            a = [[entry() if rng.random() < 0.8 else 0 for _ in range(k)] for _ in range(r)]
+            if case % 4 == 1:
+                a[0][0] = 0
+            elif case % 4 == 2 and min(r, k) > 1:
+                a[1][:2] = [a[0][0] * 2, a[0][1] * 2]
+            elif case % 4 == 3 and k > 2:
+                for row in a:
+                    row[2] = row[0] - row[1]
+            if p:
+                a = [[x % p for x in row] for row in a]
+            want, swaps = _minors_by_det(a, fld)
+            events = list(_eliminate([row[:] for row in a], p))
+            assert [(j, fld.of(m)) for j, m, vanished in events if not vanished] == want, a
+            done = {(j, m) for j, m, vanished in events if not vanished}
+            assert all((j, m) in done for j, m, vanished in events if vanished)
+            swapped += swaps > 0
+            stopped += len(want) < min(r, k)
+    assert swapped > 20 and stopped > 20
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_eliminate_stops_at_the_first_column_without_a_pivot(p):
+    # column 2 = column 0 + column 1, so column 2 has no pivot and the
+    # stream returns there, before column 3 is read
+    a = [[1, 2, 3, 4], [3, 1, 4, 1], [2, 2, 4, 5], [1, 1, 2, 0]]
+    events = list(_eliminate([row[:] for row in a], p))
+    assert [k for k, _, vanished in events if not vanished] == [0, 1]
+    assert events[-1] == (1, -5 % p if p else -5, False)
+    assert _det_int([row[:] for row in a], p) == 0
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_eliminate_yields_a_vanished_row_before_writing_it(p):
+    # row 1 = 2 * row 0 vanishes at column 0: the event comes before row 1
+    # or a later one is written, so a caller that stops there leaves them
+    a = [[2, 1, 3, 1], [4, 2, 6, 2], [1, 5, 2, 7], [3, 1, 1, 4]]
+    rows = [row[:] for row in a]
+    assert next(_eliminate(rows, p)) == (0, 2, True)
+    assert rows == a
