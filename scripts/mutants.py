@@ -36,6 +36,7 @@ NULL_VECTOR = "tests/test_linalg.py::test_null_vector_is_the_first_kernel_basis_
 STACKED = KRONECKER + "test_analyze_matches_stacked_reference"
 RESIDUE = CRITERIA + "test_residue_routes_match_the_int_routes"
 MINOR_SPY = "tests/test_minors.py::test_gf_minor_map_runs_on_residues"
+GENERAL_CERT = KRONECKER + "test_general_certificate_matches_the_newton_reference"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
@@ -49,10 +50,10 @@ MUTANTS = [
         [CRITERIA + "test_kernel_stays_apart_from_the_verdicts"],
     ),
     (
-        "the kernel tests det T(d), not its Newton coefficient",
+        "the kernel tests det T(d) over Z, not its Newton coefficient",
         PKG + "kronecker.py",
-        "fld, _newton_coefficients(dets))",
-        "fld, dets)",
+        "n + 1, fld.characteristic)",
+        "n + 1, 0)",
         [KRONECKER + "test_regular_pencil_det_vanishing_at_probes"],
     ),
     (
@@ -83,6 +84,20 @@ MUTANTS = [
         "_rows((0,) * (n + 1), L, 0)",
         "_rows((0,) * (n + 1), 1, 0)",
         [KRONECKER + "test_c_path_rows_equal_the_matrix_lift"],
+    ),
+    (
+        "the general certificate reads n points",
+        PKG + "kronecker.py",
+        "_point_certificate(rows, n + 1,",
+        "_point_certificate(rows, n,",
+        [KRONECKER + "test_regular_pencil_det_vanishing_at_probes", GENERAL_CERT],
+    ),
+    (
+        "the general rows skip the reduction mod q",
+        PKG + "kronecker.py",
+        "(x + d * y) % q if q else x + d * y",
+        "x + d * y",
+        [GENERAL_CERT],
     ),
     (
         "the back-substitution drops D",
@@ -151,6 +166,13 @@ MUTANTS = [
         ],
     ),
     (
+        "det_X's column b starts one row late",
+        PKG + "minors.py",
+        "[0] * (b - 1) + s[max(1 - b, 0) : size + 1 - b]",
+        "[0] * b + s[: size - b]",
+        ["tests/test_minors.py::test_det_x_matches_the_built_x", "tests/test_minors.py::test_det_x_property"],
+    ),
+    (
         "the SM core skips the m_n test",
         PKG + "criteria.py",
         "    if _first_violation([B[n]], p):\n        return -1, B[n]\n",
@@ -201,15 +223,15 @@ MUTANTS = [
     (
         "the det route reads n-3 points",
         PKG + "pencil.py",
-        "for x0 in range(n - 2)",
-        "for x0 in range(n - 3)",
+        "(rows, n - 2, p)",
+        "(rows, n - 3, p)",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p"],
     ),
     (
         "the det route reads a_0 before the top coefficient",
         PKG + "pencil.py",
-        "    top = _top_coefficient(c)\n",
-        "    top = _top_coefficient(c)\n    _det_int([r[::-1] for r in reversed(_rows(c, 0, 0))], 0)\n",
+        "    n, top = len(c) - 1, _top_coefficient(c)\n",
+        "    n, top = len(c) - 1, _top_coefficient(c)\n    _det_int([r[::-1] for r in reversed(_rows(c, 0, 0))], 0)\n",
         [PENCIL + "test_nonzero_top_coefficient_reads_no_determinant"],
     ),
     (
@@ -236,22 +258,22 @@ MUTANTS = [
     (
         "the residue det runs for p < n-2",
         PKG + "pencil.py",
-        "for i in range(n)], q)",
-        "for i in range(n)], p)",
+        "_det_int(rows(x0, q), q)",
+        "_det_int(rows(x0, q), p)",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p", RESIDUE],
     ),
     (
         "Newton at p = n-2",
         PKG + "pencil.py",
-        "q = p if p >= n - 2 else 0",
-        "q = p if p > n - 2 else 0",
+        "q = p if p >= count else 0",
+        "q = p if p > count else 0",
         [KRONECKER + "test_newton_stream_runs_only_where_the_points_repeat"],
     ),
     (
         "n = 2 reads det T'(0)",
         PKG + "pencil.py",
-        "for x0 in range(n - 2)",
-        "for x0 in range(max(n - 2, 1))",
+        "(rows, n - 2, p)",
+        "(rows, max(n - 2, 1), p)",
         [KRONECKER + "test_n2_zero_top_coefficient_reads_no_determinant"],
     ),
     (

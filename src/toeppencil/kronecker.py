@@ -11,12 +11,12 @@ pencil from ``BlockPencil.from_pencil`` keeps its c: only the n+1
 coefficients are lifted to ints, its int rows come from c, and it reads
 the det route's own ``pencil._det_certificate``, whose first entry (the
 O(1) top coefficient) comes before any row is built. A general pencil
-lifts its 2n^2 matrix entries and reads the Newton coefficients of its
-det T(x) at 0..n. A stacked matrix is reduced only up to its first
-dependent column by the library's one elimination, ``pencil._eliminate``
-(on residues over GF(p)), and that column's null vector (a 1 there, 0
-right of it) is back-substituted on the pivot rows and returned as the
-kernel. Inputs are general square pencils: the machinery does not need the
+lifts its 2n^2 matrix entries and reads the det route's point stream,
+``pencil._point_certificate``, at its own n+1 points 0..n. A stacked
+matrix is reduced only up to its first dependent column by the library's
+one elimination, ``pencil._eliminate`` (on residues over GF(p)), and that
+column's null vector (a 1 there, 0 right of it) is back-substituted on
+the pivot rows and returned as the kernel. Inputs are general square pencils: the machinery does not need the
 nonzero-coefficient hypothesis of the Toeplitz construction.
 """
 
@@ -29,7 +29,7 @@ from typing import Iterator, List, Optional, Tuple
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
 from .linalg import Mat, Poly, ShapeError
-from .pencil import PencilInstance, _det_certificate, _det_int, _eliminate, _first_violation, _newton_coefficients
+from .pencil import PencilInstance, _det_certificate, _eliminate, _first_violation, _point_certificate
 from .pencil import _rows, build_M0, build_M1
 
 
@@ -121,9 +121,11 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     over their common scale L. Its certificate is the det route's
     ``pencil._det_certificate``, whose first entry, the O(1) top
     coefficient, is read before any row is built. A general pencil lifts
-    its 2n^2 entries over one common scale, and its certificate is the
-    Newton stream of det T(d) over Z, d = 0..n (T(d) = A0 + d*A1, by
-    ``_det_int`` on its transpose), exact over every field as deg det T <= n."""
+    its 2n^2 entries over one common scale, and its certificate is
+    ``pencil._point_certificate`` of T(d) = A0 + d*A1 transposed at the n+1
+    points d = 0..n, exact over every field as deg det T <= n: the values
+    det T(d), on residues over GF(p) for p > n, and the Newton coefficients
+    of the values over Z for p <= n, where the points repeat mod p."""
     n = bp.n
     fld = bp.M0.field
     if bp.c is not None:
@@ -135,9 +137,11 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     flat, _ = fld.lift([e for M in (bp.M0, bp.M1) for row in M.data for e in row])
     A0 = [flat[i * n : (i + 1) * n] for i in range(n)]
     A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
-    cols = list(zip(zip(*A0), zip(*A1)))  # column j of A0 and of A1: row j of T(d) transposed
-    dets = (_det_int([[x + d * y for x, y in zip(*col)] for col in cols], 0) for d in range(n + 1))
-    return _analyze(A0, A1, fld, _newton_coefficients(dets))
+
+    def rows(d, q):  # T(d) transposed, reduced mod q > 0: row j is column j of A0 and of A1
+        return [[(x + d * y) % q if q else x + d * y for x, y in zip(*col)] for col in zip(zip(*A0), zip(*A1))]
+
+    return _analyze(A0, A1, fld, _point_certificate(rows, n + 1, fld.characteristic))
 
 
 def _analyze(A0: List[List[int]], A1: List[List[int]], fld, cert: Iterator[int]) -> KroneckerResult:

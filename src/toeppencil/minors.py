@@ -101,15 +101,18 @@ def build_sm_objects(mv: MinorVector) -> SMObjects:
 def det_X(mv: MinorVector):
     """det X; equals (-1)^n c_{n-1} of the normalized instance, nonzero.
 
-    X's entries are lifted to ints over one scale D and ``pencil._det_int``
-    eliminates X transposed, on residues over GF(p): X is lower Hessenberg,
-    so its transpose has lower bandwidth 1, an O(n^2) elimination."""
+    The n+1 signed minors s_r = (-1)^r m_r are lifted to ints over one
+    scale D, and ``pencil._det_int`` eliminates X transposed, on residues
+    over GF(p), with no X built: X[i][j] = s_{i+1-j} for j <= i+1, else 0,
+    so row b of X transposed is b-1 zeros, then s_{max(1-b,0)}..s_{n-2-b}.
+    X is lower Hessenberg, so its transpose has lower bandwidth 1, an
+    O(n^2) elimination."""
     if mv.n < 3:
         raise DimensionError("det X needs n >= 3")
-    X = build_sm_objects(mv).X
-    flat, D = mv.field.lift([e for row in X.data for e in row])
-    size = X.rows
-    return mv.field.frac(_det_int([flat[j::size] for j in range(size)], mv.field.characteristic), D**size)
+    s, D = mv.field.lift(_alternating_minors(mv))
+    size = mv.n - 2
+    rows = [[0] * (b - 1) + s[max(1 - b, 0) : size + 1 - b] for b in range(size)]
+    return mv.field.frac(_det_int(rows, mv.field.characteristic), D**size)
 
 
 def recover_c_from_minors(ms: Sequence, field) -> List:

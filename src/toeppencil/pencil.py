@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import QQ, FieldMismatchError
 from .linalg import Mat
@@ -166,25 +166,39 @@ def _top_coefficient(c: Sequence[int]) -> int:
     return c[-2] ** 2 - c[-3] * c[-1]
 
 
+def _point_certificate(rows: Callable[[int, int], List[List[int]]], count: int, p: int) -> Iterator[int]:
+    """For an int polynomial P(x) = det rows(x, 0) of degree < count: a lazy
+    stream of ints, reduced into [0, p) for p > 0, that are all zero iff P is
+    zero in characteristic p. ``rows(x0, q)`` gives the int rows of the
+    matrix at x0, as residues in [0, q) for q > 0. Where the points
+    0..count-1 are distinct mod p (p = 0 or p >= count) the stream is P(x0)
+    for x0 = 0..count-1, by ``_det_int`` in characteristic p; for
+    0 < p < count they repeat mod p, and it is the Newton coefficients
+    a_0..a_{count-1} of the values over Z, reduced mod p. The one place
+    that decides between the two."""
+    q = p if p >= count else 0  # the points 0..count-1 are distinct mod q
+    values = (_det_int(rows(x0, q), q) for x0 in range(count))
+    for v in values if q == p else _newton_coefficients(values):
+        yield v % p if p else v
+
+
 def _det_certificate(c: Sequence[int], p: int) -> Iterator[int]:
     """The det route's certificate for c lifted to plain ints (L*c, L = 1
     over GF(p)), p the characteristic: a lazy stream of ints, reduced into
     [0, p) for p > 0, that are all zero iff det T(x) is the zero polynomial.
-    First the O(1) top coefficient, then det T'(x0) for x0 = 0..n-3 (none
-    for n = 2, where det T is its top coefficient), or for 0 < p < n-2,
-    where the points repeat mod p, the Newton coefficients a_0..a_{n-3} of
-    those int values."""
-    n = len(c) - 1
-    top = _top_coefficient(c)
+    First the O(1) top coefficient, then, as deg det T' <= n-3 once it is
+    zero, ``_point_certificate`` of T'(x) transposed at the n-2 points
+    0..n-3 (none for n = 2, where det T is its top coefficient). The rows
+    need no reduction mod q: c holds residues over GF(p), and the points
+    are below q."""
+    n, top = len(c) - 1, _top_coefficient(c)
     yield top % p if p else top
-    q = p if p >= n - 2 else 0  # the points 0..n-3 are distinct mod q
+
     # T'(x0) transposed: row i is column i of T'(x0), x0 at i-2 and then c_1..c_{n+1-i}
-    values = (
-        _det_int([[*[0] * (i - 2), x0, *c[: n + 1 - i]][-n:] for i in range(n)], q)
-        for x0 in range(n - 2)
-    )
-    for v in values if q == p else _newton_coefficients(values):
-        yield v % p if p else v
+    def rows(x0, q):
+        return [[*[0] * (i - 2), x0, *c[: n + 1 - i]][-n:] for i in range(n)]
+
+    yield from _point_certificate(rows, n - 2, p)
 
 
 def _singular(c: Sequence[int], p: int) -> bool:
@@ -217,9 +231,11 @@ def is_singular(p: PencilInstance) -> bool:
     residues. For p < n-2 the points repeat mod p, and the Newton
     coefficients a_0..a_{n-3} of the int values decide instead: a_k reads
     only the values at 0..k, and the falling factorials stay a basis mod p.
-    Each value is ``_det_int`` of T'(x0) transposed, which has lower
-    bandwidth 2: O(n^2) per point, its rows built directly from c.
-    ``kronecker.analyze`` reads the same certificate.
+    That choice is ``_point_certificate``'s alone. Each value is
+    ``_det_int`` of T'(x0) transposed, which has lower bandwidth 2: O(n^2)
+    per point, its rows built directly from c. ``kronecker.analyze`` reads
+    the same certificate for a pencil from c, and the same point stream at
+    its n+1 points d = 0..n for a general pencil.
     """
     return _singular(p.field.lift(p.c)[0], p.field.characteristic)
 

@@ -19,7 +19,8 @@ on lifted ints, with its det-probe exit, is checked against the stacked search
 it replaced: ``kernel_basis`` of every ``build_C`` and ``Fraction``/GF(p)
 matrix-vector products for the identity. The int geometric test is checked
 against the field-division loop it replaced, the lazy Newton stream against
-the list version it replaced, and the hunt's cross-check
+the list version it replaced, the general kernel's point stream against the
+Newton certificate over Z it replaced, and the hunt's cross-check
 subsampling rule is defined here, apart from the scan that applies it.
 
 ``det``, ``rank``, ``kernel_basis`` and ``inv`` share one fraction-free
@@ -35,7 +36,7 @@ from math import factorial
 from typing import Iterator, List, Sequence, Tuple
 
 from toeppencil.criteria import ConsistencyAlarm, evaluate_instance, sm_condition_values
-from toeppencil.field import PrimeField
+from toeppencil.field import QQ, PrimeField
 from toeppencil.hunt import _CROSSCHECK_STRIDE, HuntReport, _random_instances
 from toeppencil.kronecker import BlockPencil, KroneckerResult, _stack
 from toeppencil.linalg import Mat, Poly, ShapeError
@@ -367,6 +368,21 @@ def newton_coefficients(values: Sequence[int]) -> List[int]:
         out.append(values[0] // factorial(k))
         values = [b - a for a, b in zip(values, values[1:])]
     return out
+
+
+def general_certificate(bp: BlockPencil) -> List[int]:
+    """The general kernel's regularity certificate as it read before it took
+    values at distinct points: the Newton coefficients over Z of det T(d),
+    d = 0..n, for T(d) = L*M0 + d*L*M1 lifted over one common scale L, each
+    reduced mod p over GF(p). The determinants are ``det`` over QQ."""
+    n, fld = bp.n, bp.M0.field
+    flat, _ = fld.lift([e for M in (bp.M0, bp.M1) for row in M.data for e in row])
+    values = []
+    for d in range(n + 1):
+        T = [[QQ.of(flat[i * n + j] + d * flat[(n + i) * n + j]) for j in range(n)] for i in range(n)]
+        values.append(int(det(Mat(QQ, T))))
+    p = fld.characteristic
+    return [a % p if p else a for a in newton_coefficients(values)]
 
 
 def pencil_residual(M0: Mat, M1: Mat, f):

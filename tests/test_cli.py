@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from toeppencil import cli
+from toeppencil import cli, minors
 from toeppencil.cli import main
 from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import PRIME_CHECK_BOUND
@@ -148,6 +148,17 @@ def test_minors_output(capsys):
     doc = json.loads(out)
     assert doc["minors"] == ["1", "1", "0", "1"]
     assert set(doc) == {"n", "c", "minors", "X", "y", "det_X"}
+
+
+def test_minors_builds_the_sm_objects_once(capsys, monkeypatch):
+    # X and y come from one SMObjects; det_X reads the minors, not a second X
+    built = []
+    real = minors.build_sm_objects
+    for module in (cli, minors):
+        monkeypatch.setattr(module, "build_sm_objects", lambda mv: built.append(mv.n) or real(mv))
+    code, out, _ = run(capsys, ["minors", "--c", "2,-1,3,5/3,7,1/2", "--json"])
+    assert code == 0 and json.loads(out)["det_X"] == "-5/6"  # (-1)^n c_{n-1} / c_1
+    assert built == [5]
 
 
 def test_kernel_geometric(capsys):

@@ -33,7 +33,8 @@ from toeppencil.minors import (
     recover_c_from_minors,
 )
 from toeppencil.pencil import (
-    _det_certificate, _det_int, _newton_coefficients, _singular, build_pencil, is_geometric, is_singular,
+    _det_certificate, _det_int, _newton_coefficients, _point_certificate, _singular, build_pencil, is_geometric,
+    is_singular,
 )
 
 from conftest import (
@@ -443,7 +444,8 @@ def test_routes_stay_independent():
     s_route = _codes(s_condition_values, check_S, oracles.partition, _s_ints, _s_value)
     sm_route = _codes(sm_condition_values, check_SM, _sm_values, _sm_witness, _sm_value)
     det_route = _codes(
-        is_singular, oracles.det, oracles.inv, _singular, _det_certificate, _det_int, _newton_coefficients
+        is_singular, oracles.det, oracles.inv, _singular, _det_certificate, _point_certificate, _det_int,
+        _newton_coefficients,
     )
     cases = [
         random_rational_pencil(random.Random(127), 7),
@@ -479,7 +481,8 @@ def test_routes_stay_independent():
 
 def test_det_and_kernel_reach_the_one_elimination():
     # is_singular's det T'(x0), det X and both analyze paths (the certificate
-    # and the null vector) run on the one row reduction, pencil._eliminate
+    # and the null vector) run on the one row reduction, pencil._eliminate,
+    # and both analyze paths read the det route's one point stream
     gf7 = GF(7)
     pencils = [geometric_pencil(Fraction(3, 2), 7), build_pencil([gf7.of(3) ** k for k in range(8)], gf7)]
     for p in pencils:
@@ -488,7 +491,7 @@ def test_det_and_kernel_reach_the_one_elimination():
         bp = BlockPencil.from_pencil(p)
         for kernel in (bp, BlockPencil(bp.M0, bp.M1)):
             codes = {code for _, code in _toeppencil_calls(analyze, kernel)}
-            assert _codes(pencil._det_int, kronecker._null_vector, pencil._eliminate) <= codes
+            assert _codes(pencil._det_int, kronecker._null_vector, pencil._eliminate, _point_certificate) <= codes
 
 
 def test_kernel_stays_apart_from_the_verdicts():

@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
+from math import perm
 
 import pytest
 
@@ -17,6 +18,7 @@ from conftest import geometric_pencil, random_gf_pencil, random_rational_pencil
 from oracles import (
     analyze_reference,
     build_C,
+    general_certificate,
     identity,
     jacobi_det,
     kernel_basis,
@@ -303,19 +305,24 @@ def _diag(field, roots, n):
     return BlockPencil(mat(d0), mat(d1))
 
 
-# k is the index of the first Newton coefficient of det T(x) at 0, 1, ...
-# that is nonzero in the field, so the stacked C(0..k-1) (full column rank)
-# are built before a_k proves regularity. The GF(3) pencil's det vanishes on
-# all of GF(3); at the points 0..11 only the stacked search would tell.
+# k is the index of the first certificate entry after the top coefficient
+# that is nonzero in the field (a value at distinct points, else a Newton
+# coefficient of det T(x) at 0, 1, ...), so the stacked C(0..k-1) (full
+# column rank) are built before it proves regularity. The GF(7) diagonal
+# reads residues (p > n); x(x-1)(x-2) is x^3 - x over GF(3), zero on all of
+# GF(3), as is the GF(3) n = 12 pencil's det, which at the points 0..11
+# only the stacked search would tell.
 @pytest.mark.parametrize(
     "bp, k",
     [
         *((_diag(QQ, range(n), n), n) for n in range(1, 6)),
         (_diag(GF(2), [0, 1], 2), 2),
         (_diag(QQ, [0, 1], 4), 2),
+        (_diag(GF(7), [0, 1, 2], 4), 3),
+        (_diag(GF(3), [0, 1, 2], 3), 3),
         (BlockPencil.from_pencil(build_pencil([1, 2, 1, 1, 2, 1, 1, 2, 1, 2, 2, 2, 2], GF(3))), 4),
     ],
-    ids=[*(f"qq-diag-n{n}" for n in range(1, 6)), "gf2-x-x1", "qq-x-x1-1-1", "gf3-n12"],
+    ids=[*(f"qq-diag-n{n}" for n in range(1, 6)), "gf2-x-x1", "qq-x-x1-1-1", "gf7-residues", "gf3-x3-x", "gf3-n12"],
 )
 def test_regular_pencil_det_vanishing_at_probes(monkeypatch, bp, k):
     built = []
@@ -338,7 +345,6 @@ def test_regular_pencil_exits_before_any_stacked_matrix(monkeypatch):
         raise AssertionError("determinant or stacked matrix built for a regular pencil")
 
     monkeypatch.setattr(kronecker, "_stack", refuse)
-    monkeypatch.setattr(kronecker, "_det_int", refuse)
     monkeypatch.setattr(pencil, "_det_int", refuse)
     rng = random.Random(151)
     gf3, gf7 = GF(3), GF(7)
@@ -376,6 +382,57 @@ def test_zero_top_coefficient_reaches_the_newton_stream(monkeypatch, c):
     assert read == [p.n]
 
 
+def _recorded_certificate(monkeypatch, bp):
+    """The whole regularity certificate that ``analyze`` hands to its int core for ``bp``."""
+    seen = []
+    monkeypatch.setattr(kronecker, "_analyze", lambda A0, A1, fld, cert: seen.append(list(cert)))
+    analyze(bp)
+    return seen[0]
+
+
+def _dense_pencil(rng, field, n):
+    """M0 and M1 with entries uniform in GF(p), so T(d)'s int entries pass p."""
+    p = field.characteristic
+
+    def mat():
+        return Mat(field, [[field.of(rng.randrange(p)) for _ in range(n)] for _ in range(n)])
+
+    return BlockPencil(mat(), mat())
+
+
+def test_general_certificate_matches_the_newton_reference(monkeypatch):
+    # a general pencil's point stream against the certificate it replaced,
+    # the Newton coefficients a_k of det T(d) over Z, d = 0..n: entry for
+    # entry where the points repeat mod p (p <= n); at distinct points (QQ
+    # and p > n) entry d is det T(d) = sum_k a_k d(d-1)...(d-k+1), and the
+    # first nonzero entries of the two share an index
+    rng = random.Random(167)
+    cases = [_sparse_pencil(rng, QQ, n, dens=(1, 2, 3)) for n in range(7) for _ in range(8)]
+    for q in (2, 3, 5, 7, 11):
+        cases += [_sparse_pencil(rng, GF(q), n) for n in range(7) for _ in range(6)]
+        cases += [_dense_pencil(rng, GF(q), n) for n in range(7) for _ in range(6)]
+    # det vanishing on all of GF(p): x(x-1)...(x-p+1) times x - r for more roots r
+    cases += [_diag(GF(q), [*range(q), *range(n - q)], n) for q in (2, 3, 5) for n in range(q, 7)]
+
+    def first(xs):
+        return next((k for k, x in enumerate(xs) if x), None)
+
+    sides = {True: 0, False: 0}
+    for bp in cases:
+        p, n = bp.M0.field.characteristic, bp.n
+        got, want = _recorded_certificate(monkeypatch, bp), general_certificate(bp)
+        assert len(got) == len(want) == n + 1
+        repeat = 0 < p <= n
+        sides[repeat] += 1
+        if repeat:
+            assert got == want, (p, bp)
+        else:
+            values = [sum(a * perm(d, k) for k, a in enumerate(want)) for d in range(n + 1)]
+            assert got == [v % p if p else v for v in values], (p, bp)
+            assert first(got) == first(want), (p, bp)
+    assert sides[True] > 60 and sides[False] > 200
+
+
 def _zero_top(p):
     """p with c_{n+1} set to c_n^2 / c_{n-1}: its top coefficient is 0."""
     return build_pencil([*p.c[:-1], p.c[-2] * p.c[-2] / p.c[-3]], p.field)
@@ -395,18 +452,15 @@ def test_n2_zero_top_coefficient_reads_no_determinant(monkeypatch):
 
 
 def test_newton_stream_runs_only_where_the_points_repeat(monkeypatch):
-    # at distinct points the det route's values decide as they are: neither
-    # is_singular nor the kernel from c runs the Newton stream over QQ or
-    # over GF(p) with p >= n-2; both run it where the points repeat mod p
-    calls = []
-    for module in (pencil, kronecker):
-        real = module._newton_coefficients
-
-        def counting(values, real=real):
-            calls.append(1)
-            return real(values)
-
-        monkeypatch.setattr(module, "_newton_coefficients", counting)
+    # at distinct points the certificate's values decide as they are: neither
+    # is_singular, nor the kernel from c, nor a general pencil's kernel runs
+    # the Newton stream over QQ or where the points are distinct mod p (the
+    # n-2 points of the det route for p >= n-2, the n+1 of a general pencil
+    # for p > n); each runs it where its points repeat mod p
+    calls, moduli = [], []
+    newton, det_int = pencil._newton_coefficients, pencil._det_int
+    monkeypatch.setattr(pencil, "_newton_coefficients", lambda values: calls.append(1) or newton(values))
+    monkeypatch.setattr(pencil, "_det_int", lambda a, p: moduli.append(p) or det_int(a, p))
 
     def newton_calls(p):
         assert not p.field.of(_top_coefficient(p.field.lift(p.c)[0]))
@@ -432,6 +486,26 @@ def test_newton_stream_runs_only_where_the_points_repeat(monkeypatch):
     # CI's GF(3) list at n = 32, top coefficient 0 mod 3: p < n-2
     gf3_c = "1,2,1,1,2,1,1,2,2,1,2,2,2,1,2,2,2,1,1,1,2,2,2,2,1,1,1,2,2,1,2,1,2"
     assert newton_calls(build_pencil([int(k) for k in gf3_c.split(",")], GF(3))) == (1, 1)
+
+    def general_calls(bp):
+        calls.clear()
+        moduli.clear()
+        analyze(bp)
+        return len(calls), set(moduli)
+
+    # general pencils at d = 0..n: residues for p > n (p = n+1 included), ints over QQ
+    repeat = 0
+    for fld in (QQ, GF(2), GF(3), GF(5), GF(7), gf257):
+        for n in range(7):
+            for _ in range(3):
+                bp = _sparse_pencil(rng, fld, n, dens=(1, 2) if fld == QQ else (1,))
+                p = fld.characteristic
+                if 0 < p <= n:  # p = n included: the points repeat mod p
+                    repeat += 1
+                    assert general_calls(bp) == (1, {0}), (fld, n)
+                else:
+                    assert general_calls(bp) == (0, {p}), (fld, n)
+    assert repeat == 3 * (5 + 4 + 2)
 
 
 def test_block_pencil_keeps_c_out_of_equality_and_the_constructor():

@@ -20,6 +20,7 @@ from toeppencil.minors import (
 )
 from toeppencil.pencil import PencilInstance, build_M0, build_pencil
 from oracles import (
+    det,
     det_cofactor,
     identity,
     inv,
@@ -203,6 +204,25 @@ def test_det_x_property():
         sign = 1 if n % 2 == 0 else -1
         assert det_X(mv) == sign * p.coeff(n - 1)
         assert det_X(mv) != 0
+
+
+def test_det_x_matches_the_built_x(monkeypatch):
+    # det_X reads X transposed off the n+1 signed minors and builds no X: it
+    # equals the oracle det of build_sm_objects' X for any minor vector,
+    # zeros and a lift scale D > 1 included
+    rng = random.Random(83)
+    vectors = []
+    for n in range(3, 15):
+        for _ in range(12):
+            m = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 4])) for _ in range(n)]
+            vectors.append(MinorVector(QQ, (Fraction(1), *m)))
+        for q in (2, 3, 7, 257):
+            gf = GF(q)
+            vectors.append(MinorVector(gf, (gf.one, *(gf.of(rng.randrange(q)) for _ in range(n)))))
+    want = [det(build_sm_objects(mv).X) for mv in vectors]
+    monkeypatch.setattr(minors, "build_sm_objects", lambda mv: pytest.fail("det_X built the SM objects"))
+    assert [det_X(mv) for mv in vectors] == want
+    assert sum(mv.field == QQ and QQ.lift(mv.m)[1] > 1 for mv in vectors) > 100
 
 
 def test_det_x_n3_example():
