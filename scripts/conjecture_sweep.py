@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Exhaustive minor-space scans over small prime fields.
 
-Prints one row per (n, p) with solution and counterexample counts. Any
+Prints one row per (n, p) with solution and counterexample counts, then
+each counterexample and each criterion disagreement the scan recorded. Any
 counterexample is finite-field evidence only; nothing here claims a
 statement about characteristic zero.
+
+Exit codes: 0 clean, 2 a bad prime or a refused scan, 3 a counterexample,
+4 a criterion disagreement (a consistency alarm, whatever else was found).
 
 Usage: python3 scripts/conjecture_sweep.py [--n-max 6] [--primes 5,7] [--workers 4]
 """
@@ -35,16 +39,19 @@ def main() -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(f"{'n':>3} {'p':>4} {'scanned':>9} {'valid':>7} {'solutions':>10} {'counterex':>10}")
-    total_cex = 0
+    total_cex = total_violations = 0
     for n, p, rep in rows:
         print(
             f"{n:>3} {p:>4} {rep.tuples_scanned:>9} {rep.valid_instances:>7} "
             f"{rep.sm_solutions:>10} {len(rep.counterexamples):>10}"
         )
         total_cex += len(rep.counterexamples)
+        total_violations += len(rep.equivalence_violations)
         for t in rep.counterexamples:
             print(f"      counterexample minors {t} ({rep.note})")
-    return 3 if total_cex else 0
+        for t, reason in rep.equivalence_violations:
+            print(f"      violation minors {t} ({reason})")
+    return 4 if total_violations else 3 if total_cex else 0
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PKG = "src/toeppencil/"
 CRITERIA = "tests/test_criteria.py::"
+FIELD = "tests/test_field.py::"
 HUNT = "tests/test_hunt.py::"
 KRONECKER = "tests/test_kronecker.py::"
 PENCIL = "tests/test_pencil.py::"
@@ -36,6 +37,8 @@ NULL_VECTOR = "tests/test_linalg.py::test_null_vector_is_the_first_kernel_basis_
 STACKED = KRONECKER + "test_analyze_matches_stacked_reference"
 RESIDUE = CRITERIA + "test_residue_routes_match_the_int_routes"
 MINOR_SPY = "tests/test_minors.py::test_gf_minor_map_runs_on_residues"
+CONTRACT = FIELD + "test_operator_contract_table"
+REFUSALS = FIELD + "test_of_and_lift_refuse_non_members"
 GENERAL_CERT = KRONECKER + "test_general_certificate_matches_the_newton_reference"
 
 # (name, file, old text, new text, test node ids that must fail)
@@ -168,8 +171,15 @@ MUTANTS = [
     (
         "det_X's column b starts one row late",
         PKG + "minors.py",
-        "[0] * (b - 1) + s[max(1 - b, 0) : size + 1 - b]",
-        "[0] * b + s[: size - b]",
+        "[0] * (b - 1) + m[max(1 - b, 0) : size + 1 - b]",
+        "[0] * b + m[: size - b]",
+        ["tests/test_minors.py::test_det_x_matches_the_built_x", "tests/test_minors.py::test_det_x_property"],
+    ),
+    (
+        "det_X drops the sign (-1)^size of the unsigned minors",
+        PKG + "minors.py",
+        "(-1) ** size * _det_int(",
+        "_det_int(",
         ["tests/test_minors.py::test_det_x_matches_the_built_x", "tests/test_minors.py::test_det_x_property"],
     ),
     (
@@ -310,8 +320,8 @@ MUTANTS = [
     (
         "recover_c_from_minors runs over Z",
         PKG + "minors.py",
-        "_reciprocal(N, len(N), field.characteristic)",
-        "_reciprocal(N, len(N), 0)",
+        "_reciprocal([D, *N], len(N) + 1, field.characteristic)",
+        "_reciprocal([D, *N], len(N) + 1, 0)",
         [MINOR_SPY],
     ),
     (
@@ -394,6 +404,48 @@ MUTANTS = [
         "zip(scale_c, B)",
         "zip(scale_m, B)",
         [HUNT + "test_orbit_scan_crosschecks_the_reference_pencils"],
+    ),
+    (
+        "the GF(p) operators' helper drops its None check",
+        PKG + "field.py",
+        "return NotImplemented if o is None else op(self, o)",
+        "return op(self, o)",
+        [CONTRACT],
+    ),
+    (
+        "__rsub__ subtracts the other way",
+        PKG + "field.py",
+        "__rsub__ = _coerced(lambda a, b: GFElement(b.val - a.val, a.p))",
+        "__rsub__ = _coerced(lambda a, b: GFElement(a.val - b.val, a.p))",
+        [CONTRACT],
+    ),
+    (
+        "_coerce embeds a Fraction",
+        PKG + "field.py",
+        "        if isinstance(other, int):\n",
+        "        if isinstance(other, (int, Fraction)):\n",
+        [CONTRACT, FIELD + "test_gf_of_refuses_a_fraction"],
+    ),
+    (
+        "GF(p)'s lift lets a non-member through as 0",
+        PKG + "field.py",
+        "return [coerce(x).val for x in xs], 1",
+        "return [(coerce(x) or GFElement(0, self.p)).val for x in xs], 1",
+        [REFUSALS + "[GF7]", CRITERIA + "test_routes_refuse_a_hand_built_pencil_outside_the_field"],
+    ),
+    (
+        "QQ's of accepts a float",
+        PKG + "field.py",
+        "if isinstance(x, (int, Fraction)):",
+        "if isinstance(x, (int, Fraction, float)):",
+        [REFUSALS + "[QQ]"],
+    ),
+    (
+        "the hunt's exit code ignores violations",
+        PKG + "cli.py",
+        "return 4 if report.equivalence_violations else 3 if report.counterexamples else 0",
+        "return 3 if report.counterexamples else 0",
+        ["tests/test_cli.py::test_hunt_violation_exit_4"],
     ),
 ]
 

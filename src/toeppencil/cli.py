@@ -143,7 +143,8 @@ def cmd_hunt(args) -> int:
         raise InputError(str(e)) from e
     doc = {"n": args.n, "hunt": report.to_dict()}
     _emit(doc, args.json)
-    return 3 if report.counterexamples else 0
+    # a recorded criterion disagreement is a consistency alarm, before any counterexample
+    return 4 if report.equivalence_violations else 3 if report.counterexamples else 0
 
 
 def cmd_demo(args) -> int:

@@ -2,9 +2,13 @@
 
 Rationals are plain ``fractions.Fraction`` values (always reduced, positive
 denominator). Prime-field residues are ``GFElement`` instances kept in the
-canonical range [0, p). Mixing elements of different fields is a hard error,
-never a coercion; plain Python ints embed into either field. There is no
-floating-point path anywhere.
+canonical range [0, p). Each field has one membership rule: ints and
+``Fraction``s are rationals, ints and elements of GF(p) are residues (the
+rule is ``GFElement._coerce``, which every binary operator reads). Plain
+Python ints embed into either field; mixing elements of different fields is
+a hard error, never a coercion. ``of`` and ``lift``, the doors into the
+field and into the int cores, raise ``FieldMismatchError`` for anything
+else, a float included, so there is no floating-point path anywhere.
 """
 
 from __future__ import annotations
@@ -42,6 +46,26 @@ def is_prime(p: int) -> bool:
     )
 
 
+def _coerced(op):
+    """The binary operator ``op(self, o)`` on the other operand coerced by
+    ``GFElement._coerce``; ``NotImplemented`` where it is not a member."""
+
+    def method(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else op(self, o)
+
+    return method
+
+
+def _refusal(fld, xs: Sequence) -> FieldMismatchError:
+    """``lift``'s error: the first entry of xs that ``fld.of`` refuses, by its index."""
+    for i, x in enumerate(xs):
+        try:
+            fld.of(x)
+        except FieldMismatchError:
+            return FieldMismatchError(f"entry {i} = {x!r} is not in {fld!r}")
+
+
 class GFElement:
     """A residue in GF(p), stored canonically in [0, p)."""
 
@@ -52,6 +76,9 @@ class GFElement:
         self.p = p
 
     def _coerce(self, other):
+        """The one membership rule of GF(p): an element of GF(p) as it is, an
+        int as its residue, None for a non-member; an element of another
+        field raises ``FieldMismatchError``."""
         if isinstance(other, GFElement):
             if other.p != self.p:
                 raise FieldMismatchError(
@@ -61,67 +88,28 @@ class GFElement:
         if isinstance(other, int):
             return GFElement(other, self.p)
         if isinstance(other, Fraction):
-            raise FieldMismatchError("cannot mix rational and GF(p) elements")
+            raise FieldMismatchError(f"cannot mix the rational {other} with GF({self.p})")
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GFElement(self.val + o.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GFElement(self.val - o.val, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GFElement(o.val - self.val, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GFElement(self.val * o.val, self.p)
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _coerced(lambda a, b: GFElement(a.val + b.val, a.p))
+    __sub__ = _coerced(lambda a, b: GFElement(a.val - b.val, a.p))
+    __rsub__ = _coerced(lambda a, b: GFElement(b.val - a.val, a.p))
+    __mul__ = __rmul__ = _coerced(lambda a, b: GFElement(a.val * b.val, a.p))
+    __truediv__ = _coerced(lambda a, b: a * b.inverse())
+    __rtruediv__ = _coerced(lambda a, b: b * a.inverse())
+    __eq__ = _coerced(lambda a, b: a.val == b.val)
 
     def __neg__(self):
         return GFElement(-self.val, self.p)
 
     def inverse(self) -> "GFElement":
-        if self.val == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        return GFElement(pow(self.val, -1, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self**-1
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
+        # a negative k is a power of the inverse, which 0 lacks
+        if k < 0 and self.val == 0:
+            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
         return GFElement(pow(self.val, k, self.p), self.p)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.val == o.val
 
     def __hash__(self):
         # agrees with hash(k) for the canonical residue k, which == treats as equal
@@ -145,7 +133,10 @@ class RationalField:
     characteristic = 0
 
     def of(self, x) -> Fraction:
-        return Fraction(x)
+        """x as a rational: the members are ints and ``Fraction``s."""
+        if isinstance(x, (int, Fraction)):
+            return Fraction(x)
+        raise FieldMismatchError(f"{x!r} is not in QQ")
 
     def parse(self, s: str) -> Fraction:
         # accepts "p", "-p", "p/q"
@@ -153,9 +144,13 @@ class RationalField:
 
     def lift(self, xs: Sequence) -> Tuple[List[int], int]:
         """Plain ints over one common denominator: (L*x for x in xs) and L,
-        the lcm of the denominators."""
-        L = lcm(*(x.denominator for x in xs))
-        return [x.numerator * (L // x.denominator) for x in xs], L
+        the lcm of the denominators. A non-member lacks an int's or a
+        ``Fraction``'s attributes, so the refusal costs valid input nothing."""
+        try:
+            L = lcm(*(x.denominator for x in xs))
+            return [x.numerator * (L // x.denominator) for x in xs], L
+        except AttributeError:
+            raise _refusal(self, xs) from None
 
     def frac(self, num: int, den: int) -> Fraction:
         """num / den for plain ints: the way back from ``lift``."""
@@ -181,16 +176,26 @@ class PrimeField:
         self.zero = GFElement(0, p)
         self.one = GFElement(1, p)
 
-    def of(self, x: int) -> GFElement:
-        return GFElement(x, self.p)
+    def of(self, x) -> GFElement:
+        """x as a residue, by ``GFElement._coerce``: the members are ints and
+        elements of GF(p)."""
+        o = self.zero._coerce(x)
+        if o is None:
+            raise FieldMismatchError(f"{x!r} is not in {self!r}")
+        return o
 
     def parse(self, s: str) -> GFElement:
         return GFElement(int(s.strip()), self.p)
 
     def lift(self, xs: Sequence) -> Tuple[List[int], int]:
-        """Plain ints: the residues in [0, p), with scale 1."""
-        z = self.zero
-        return [z._coerce(x).val for x in xs], 1
+        """Plain ints: the residues in [0, p), with scale 1. ``_coerce``'s
+        None for a non-member has no ``val``, so the refusal costs valid
+        input nothing."""
+        coerce = self.zero._coerce
+        try:
+            return [coerce(x).val for x in xs], 1
+        except (AttributeError, FieldMismatchError):
+            raise _refusal(self, xs) from None
 
     def frac(self, num: int, den: int) -> GFElement:
         """num / den for plain ints, mod p: the way back from ``lift``."""
@@ -211,5 +216,4 @@ class PrimeField:
 QQ = RationalField()
 
 
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)
+GF = PrimeField

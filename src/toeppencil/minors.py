@@ -101,24 +101,27 @@ def build_sm_objects(mv: MinorVector) -> SMObjects:
 def det_X(mv: MinorVector):
     """det X; equals (-1)^n c_{n-1} of the normalized instance, nonzero.
 
-    The n+1 signed minors s_r = (-1)^r m_r are lifted to ints over one
-    scale D, and ``pencil._det_int`` eliminates X transposed, on residues
-    over GF(p), with no X built: X[i][j] = s_{i+1-j} for j <= i+1, else 0,
-    so row b of X transposed is b-1 zeros, then s_{max(1-b,0)}..s_{n-2-b}.
-    X is lower Hessenberg, so its transpose has lower bandwidth 1, an
-    O(n^2) elimination."""
+    X[i][j] = s_{i+1-j} for j <= i+1, else 0, with the signed minors
+    s_r = (-1)^r m_r = (-1)^(i+1) m_r (-1)^j: X is the matrix U of the
+    unsigned minors with row i times (-1)^(i+1) and column j times (-1)^j,
+    so det X = (-1)^(size^2) det U = (-1)^size det U, size = n-2. The n+1
+    minors are lifted to ints over one scale D, and ``pencil._det_int``
+    eliminates U transposed, on residues over GF(p), with no X built: row b
+    is b-1 zeros, then m_{max(1-b,0)}..m_{n-2-b}. U is lower Hessenberg,
+    so its transpose has lower bandwidth 1, an O(n^2) elimination."""
     if mv.n < 3:
         raise DimensionError("det X needs n >= 3")
-    s, D = mv.field.lift(_alternating_minors(mv))
+    m, D = mv.field.lift(mv.m)
     size = mv.n - 2
-    rows = [[0] * (b - 1) + s[max(1 - b, 0) : size + 1 - b] for b in range(size)]
-    return mv.field.frac(_det_int(rows, mv.field.characteristic), D**size)
+    rows = [[0] * (b - 1) + m[max(1 - b, 0) : size + 1 - b] for b in range(size)]
+    return mv.field.frac((-1) ** size * _det_int(rows, mv.field.characteristic), D**size)
 
 
 def recover_c_from_minors(ms: Sequence, field) -> List:
     """(c_2, ..., c_{n+1}) from (m_1, ..., m_n) with the c1 = 1 convention,
-    zeros permitted. A(t) = 1/M(t): on N = D*(1, m_1, ..., m_n),
-    c_{k+1} = (-1)^k B_k / D^k."""
-    N, D = field.lift([field.one, *ms])
-    B = _reciprocal(N, len(N), field.characteristic)
-    return [field.frac(-B[k] if k % 2 else B[k], D**k) for k in range(1, len(N))]
+    zeros permitted. A(t) = 1/M(t): with N = D*(m_1, ..., m_n), the lift of
+    ms alone (so a refusal names the caller's index), the reciprocal of
+    (D, *N) gives c_{k+1} = (-1)^k B_k / D^k."""
+    N, D = field.lift(ms)
+    B = _reciprocal([D, *N], len(N) + 1, field.characteristic)
+    return [field.frac(-B[k] if k % 2 else B[k], D**k) for k in range(1, len(B))]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from toeppencil import cli, minors
+from toeppencil import cli, criteria, minors
 from toeppencil.cli import main
 from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import PRIME_CHECK_BOUND
@@ -339,3 +339,30 @@ def test_demo_smoke(capsys):
     code, out, _ = run(capsys, ["demo"])
     assert code == 0
     assert "singular=True" in out and "singular=False" in out
+
+
+def _s_route_always_fails(c, p):
+    # a planted S-route fault: the first S value is 1 for every pencil
+    yield 1
+
+
+@pytest.mark.parametrize(
+    "argv, clean_code, violations",
+    [
+        (["--n", "5", "--prime", "7", "--exhaustive"], 3, 24),
+        (["--n", "4", "--prime", "5", "--random", "--trials", "50"], 0, 4),
+    ],
+    ids=["exhaustive", "random"],
+)
+def test_hunt_violation_exit_4(capsys, monkeypatch, argv, clean_code, violations):
+    # a recorded criterion disagreement is a consistency alarm in both modes,
+    # whatever counterexamples the scan also found; the report is printed as is
+    code, clean_out, _ = run(capsys, ["hunt", *argv, "--json"])
+    assert code == clean_code and json.loads(clean_out)["hunt"]["violations"] == []
+    monkeypatch.setattr(criteria, "_s_ints", _s_route_always_fails)
+    code, out, err = run(capsys, ["hunt", *argv, "--json"])
+    assert code == 4 and err == ""
+    doc = json.loads(out)["hunt"]
+    assert len(doc["violations"]) == violations
+    assert {reason for _, reason in doc["violations"]} == {"criterion-disagreement"}
+    assert run(capsys, ["hunt", *argv])[0] == 4

@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from toeppencil import criteria, hunt, kronecker, pencil
 from toeppencil.criteria import (
     _minor_ints,
@@ -19,7 +21,7 @@ from toeppencil.criteria import (
     s_condition_values,
     sm_condition_values,
 )
-from toeppencil.field import GF, QQ
+from toeppencil.field import GF, QQ, FieldMismatchError
 from toeppencil.hunt import HuntConfig, exhaustive_scan
 from toeppencil.kronecker import BlockPencil, analyze
 from toeppencil.linalg import Mat
@@ -33,8 +35,8 @@ from toeppencil.minors import (
     recover_c_from_minors,
 )
 from toeppencil.pencil import (
-    _det_certificate, _det_int, _newton_coefficients, _point_certificate, _singular, build_pencil, is_geometric,
-    is_singular,
+    PencilInstance, _det_certificate, _det_int, _newton_coefficients, _point_certificate, _singular, build_pencil,
+    is_geometric, is_singular,
 )
 
 from conftest import (
@@ -514,3 +516,21 @@ def test_kernel_stays_apart_from_the_verdicts():
     for p in pencils:
         for fn in (is_singular, check_S, check_SM, evaluate_instance):
             assert analyze.__code__ not in {code for _, code in _toeppencil_calls(fn, p)}
+
+
+def test_routes_refuse_a_hand_built_pencil_outside_the_field():
+    # a PencilInstance skips build_pencil's checks; every route's lift names
+    # the first entry that is not in the field, instead of an AttributeError
+    gf7 = GF(7)
+    cases = [
+        (QQ, (Fraction(1), 0.5, Fraction(2), 3.5), r"^entry 1 = 0\.5 is not in QQ$"),
+        (QQ, (Fraction(1), 2, gf7.of(3)), r"^entry 2 = GF\(7\)\[3\] is not in QQ$"),
+        (gf7, (gf7.one, gf7.of(2), 2.0, "4"), r"^entry 2 = 2\.0 is not in GF\(7\)$"),
+        (gf7, ("1", gf7.of(2), gf7.of(3)), r"^entry 0 = '1' is not in GF\(7\)$"),
+        (gf7, (gf7.one, GF(5).of(2), gf7.of(3)), r"^entry 1 = GF\(5\)\[2\] is not in GF\(7\)$"),
+    ]
+    for fld, c, message in cases:
+        p = PencilInstance(fld, c)
+        for door in (evaluate_instance, is_singular, check_S, check_SM, is_geometric):
+            with pytest.raises(FieldMismatchError, match=message):
+                door(p)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -172,3 +173,82 @@ def test_gf_residues_canonical():
     assert GFElement(-1, 7).val == 6
     assert GFElement(14, 7).val == 0
     assert (GFElement(6, 7) + GFElement(6, 7)).val == 5
+
+
+# The nine binary operators of a = GF(7)[5], each reached as the expression a
+# caller writes: a reflected one with the other operand on the left, so an
+# int, a Fraction, a str or None on the left lands in a's reflected method.
+_OPERATORS = {
+    "__add__": lambda a, o: a + o,
+    "__radd__": lambda a, o: o + a,
+    "__sub__": lambda a, o: a - o,
+    "__rsub__": lambda a, o: o - a,
+    "__mul__": lambda a, o: a * o,
+    "__rmul__": lambda a, o: o * a,
+    "__truediv__": lambda a, o: a / o,
+    "__rtruediv__": lambda a, o: o / a,
+    "__eq__": lambda a, o: (a == o, a != o),
+}
+# each operator's outcome for 5 and 3 in GF(7): a residue, or (==, !=)
+_VALUES = {
+    "__add__": 1, "__radd__": 1, "__sub__": 2, "__rsub__": 5, "__mul__": 1,
+    "__rmul__": 1, "__truediv__": 4, "__rtruediv__": 2, "__eq__": (False, True),
+}
+# the other operand, and the outcome for a non-member: None for the value above
+_OPERANDS = {
+    "int": (3, None),
+    "same field": (GFElement(3, 7), None),
+    "other modulus": (GFElement(3, 5), FieldMismatchError),
+    "Fraction": (Fraction(3), FieldMismatchError),
+    "str": ("3", TypeError),
+    "None": (None, TypeError),
+}
+
+
+@pytest.mark.parametrize("kind", list(_OPERANDS))
+@pytest.mark.parametrize("name", list(_OPERATORS))
+def test_operator_contract_table(name, kind):
+    # the one coercion: a member gives the value, another field's element a
+    # FieldMismatchError, anything else NotImplemented, so Python's TypeError
+    # (and for == and != plain inequality)
+    a, (other, error) = GFElement(5, 7), _OPERANDS[kind]
+    op = _OPERATORS[name]
+    if error is None:
+        want = _VALUES[name]
+        got = op(a, other)
+        assert got == (want if name == "__eq__" else GFElement(want, 7)), (name, kind)
+        assert name == "__eq__" or (type(got), got.p) == (GFElement, 7)
+    elif error is TypeError and name == "__eq__":
+        assert op(a, other) == (False, True)
+    else:
+        with pytest.raises(error) as info:
+            op(a, other)
+        # a str or None is no field's element: Python's plain TypeError
+        assert (info.type is FieldMismatchError) == (error is FieldMismatchError)
+
+
+_FOREIGN = {QQ: GF(7).of(3), GF(7): GF(5).of(3)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_of_and_lift_refuse_non_members(field):
+    for bad in (0.5, "1", _FOREIGN[field]):
+        with pytest.raises(FieldMismatchError):
+            field.of(bad)
+        for xs, index in (([bad], 0), ([1, field.one, bad, 2.5], 2), ((field.of(4), bad), 1)):
+            message = rf"^entry {index} = {re.escape(repr(bad))} is not in {re.escape(repr(field))}$"
+            with pytest.raises(FieldMismatchError, match=message):
+                field.lift(xs)
+    # the members: ints and the field's own elements
+    assert field.lift([3, field.of(-2), field.one])[0] == (
+        [3, -2, 1] if field == QQ else [3, 5, 1]
+    )
+
+
+def test_gf_of_refuses_a_fraction():
+    for frac in (Fraction(1, 2), Fraction(3)):
+        with pytest.raises(FieldMismatchError, match=rf"^cannot mix the rational {frac} with GF\(7\)$"):
+            GF(7).of(frac)
+        with pytest.raises(FieldMismatchError, match=r"^entry 1 = Fraction\("):
+            GF(7).lift([1, frac])
+    assert GF(7).of(GF(7).of(3)) == GF(7).of(10) == GFElement(3, 7)

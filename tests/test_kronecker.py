@@ -546,3 +546,17 @@ def test_null_vector_passes_over_a_vanished_row(field):
 def test_empty_pencil_is_regular():
     res = analyze(BlockPencil(Mat(QQ, []), Mat(QQ, [])))
     assert (res.minimal_index_d, res.kernel_poly) == (None, None)
+
+
+def test_analyze_refuses_entries_outside_the_field():
+    # BlockPencil checks shapes and the two Mats' fields, not their entries:
+    # the lift of the 2n^2 entries (M0's rows, then M1's) names the first bad one
+    gf7 = GF(7)
+    cases = [
+        (QQ, [[1, Fraction(1, 2)], [gf7.of(3), 0]], [[0, 1], [0, 0]], r"^entry 2 = GF\(7\)\[3\] is not in QQ$"),
+        (gf7, [[gf7.one, 0], [0, gf7.one]], [[0, 0.5], [0, 0]], r"^entry 5 = 0\.5 is not in GF\(7\)$"),
+        (gf7, [[1.0, 0], [0, 2.0]], [[0, 1], [0, 0]], r"^entry 0 = 1\.0 is not in GF\(7\)$"),
+    ]
+    for fld, m0, m1, message in cases:
+        with pytest.raises(FieldMismatchError, match=message):
+            analyze(BlockPencil(Mat(fld, m0), Mat(fld, m1)))

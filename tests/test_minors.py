@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from toeppencil import minors
-from toeppencil.field import GF, QQ
+from toeppencil.field import GF, QQ, FieldMismatchError
 from toeppencil.hunt import HuntConfig, exhaustive_scan
 from toeppencil.linalg import Mat
 from toeppencil.minors import (
@@ -320,3 +320,22 @@ def test_gf_minor_map_runs_on_residues(monkeypatch):
     monkeypatch.setattr(minors, "_reciprocal", lambda a, count, p: moduli.append(p) or real(a, count, p))
     assert outputs() == want
     assert moduli == [p.field.characteristic for p, _ in cases for _ in range(2)]
+
+
+def test_minor_doors_refuse_entries_outside_the_field():
+    # the minors as the caller gave them: the index is the caller's, not that
+    # of (1, m_1, ..., m_n) or of the signed minors
+    with pytest.raises(FieldMismatchError, match=r"^entry 0 = 0\.5 is not in QQ$"):
+        recover_c_from_minors([0.5, 1], QQ)
+    with pytest.raises(FieldMismatchError, match=r"^entry 1 = '2' is not in GF\(7\)$"):
+        recover_c_from_minors([GF(7).one, "2"], GF(7))
+    one = Fraction(1)
+    cases = [
+        (QQ, (one, one, 0.5, one, 0), r"^entry 2 = 0\.5 is not in QQ$"),
+        (QQ, (one, GF(7).of(2), one, one, 0), r"^entry 1 = GF\(7\)\[2\] is not in QQ$"),
+        (GF(7), (1, 1, 2, "3", 0), r"^entry 3 = '3' is not in GF\(7\)$"),
+        (GF(7), (1, 1, 2, 3, GF(5).of(1)), r"^entry 4 = GF\(5\)\[1\] is not in GF\(7\)$"),
+    ]
+    for fld, m, message in cases:
+        with pytest.raises(FieldMismatchError, match=message):
+            det_X(MinorVector(fld, m))

@@ -1,6 +1,8 @@
-"""Smoke tests for the experiment scripts, each run as its own process."""
+"""Smoke tests for the experiment scripts, each run as its own process, except
+where a planted fault needs the script in this process."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,24 @@ def test_conjecture_sweep_exits_3_on_gf7_counterexamples():
     assert proc.returncode == 3, proc.stderr
     assert sweep_rows(proc.stdout)[("5", "7")][-1] == "18"
     assert proc.stdout.count("counterexample minors") == 18
+
+
+def test_conjecture_sweep_exits_4_on_a_violation(monkeypatch, capsys):
+    # a planted S-route fault, so in this process: every violation is printed
+    # and the exit code is 4
+    from toeppencil import criteria
+
+    def s_route_always_fails(c, p):
+        yield 1
+
+    monkeypatch.setattr(criteria, "_s_ints", s_route_always_fails)
+    sweep = runpy.run_path(str(ROOT / "scripts" / "conjecture_sweep.py"))
+    monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--n-max", "4", "--primes", "5", "--workers", "1"])
+    assert sweep["main"]() == 4
+    out = capsys.readouterr().out
+    assert set(sweep_rows(out)) == {("2", "5"), ("3", "5"), ("4", "5")}
+    assert out.count("violation minors") == 12
+    assert "      violation minors (1, 0, 0) (criterion-disagreement)\n" in out
 
 
 def test_equivalence_fuzz_finds_no_violation():
