@@ -124,6 +124,20 @@ MUTANTS = [
         [NULL_VECTOR, KRONECKER + "test_null_vector_passes_over_a_vanished_row"],
     ),
     (
+        "the null vector writes 1 instead of D at its free column",
+        PKG + "kronecker.py",
+        "return y + [D] + [0] * (cols - f - 1), D",
+        "return y + [1] + [0] * (cols - f - 1), D",
+        [NULL_VECTOR, STACKED],
+    ),
+    (
+        "the kernel's Polys drop the division by D",
+        PKG + "kronecker.py",
+        "vec = [fld.frac(v, D) for v in y]",
+        "vec = [fld.frac(v, 1) for v in y]",
+        [STACKED, KRONECKER + "test_analyze_lifts_once"],
+    ),
+    (
         "a row swap keeps the minor's sign",
         PKG + "pencil.py",
         "            sign = -sign\n",
@@ -439,6 +453,20 @@ MUTANTS = [
         "if isinstance(x, (int, Fraction)):",
         "if isinstance(x, (int, Fraction, float)):",
         [REFUSALS + "[QQ]"],
+    ),
+    (
+        "the random scan reads y from B[1:-1]",
+        PKG + "hunt.py",
+        "_first_violation(B[2:-1], fld.characteristic) is None",
+        "_first_violation(B[1:-1], fld.characteristic) is None",
+        [HUNT + "test_random_scan_lists_counterexamples", HUNT + "test_random_scan_lifts_each_distinct_list_once"],
+    ),
+    (
+        "the alarm writes c as reprs",
+        PKG + "criteria.py",
+        'shown = ",".join(str(fld.frac(ci, L)) for ci in c)',
+        "shown = tuple(fld.frac(ci, L) for ci in c)",
+        ["tests/test_cli.py::test_alarm_writes_c_as_the_reports_do"],
     ),
     (
         "the hunt's exit code ignores violations",

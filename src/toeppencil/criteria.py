@@ -192,7 +192,7 @@ def _verdicts(
     sm_witness = _sm_witness(B, p)
     s_holds, sm_holds = s_witness is None, sm_witness is None
     if not (singular == s_holds == sm_holds):
-        shown = tuple(fld.frac(ci, L) for ci in c)
+        shown = ",".join(str(fld.frac(ci, L)) for ci in c)  # as --c takes it
         raise ConsistencyAlarm(
             f"criteria disagree on c={shown}: det={singular} S={s_holds} SM={sm_holds}"
         )

@@ -44,10 +44,10 @@ from math import gcd
 from operator import add
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
-from .criteria import ConsistencyAlarm, _sm_values, _verdicts, evaluate_instance
+from .criteria import ConsistencyAlarm, _sm_values, _verdicts
 from .field import PrimeField, RationalField
 from .minors import _reciprocal
-from .pencil import PencilError, build_pencil
+from .pencil import PencilError, _first_violation
 
 # Deterministic subsampling of full criterion cross-checks during exhaustive
 # scans: a valid tuple (m_1, ..., m_{n-1}) is cross-checked when
@@ -60,14 +60,15 @@ _CROSSCHECK_STRIDE = 17
 # (medians of 6-60 runs; Python 3.11, one core of a 2-core host).
 MAX_EXHAUSTIVE_TUPLES = 10**8
 
-# Largest n the CLI takes: over QQ at n = 256 a geometric verify takes about
-# 1 s and `hunt --random --trials 1` about 5 s (Python 3.11, one core of a
-# 2-core host), and the cost grows as n^3. Over GF(p) with p >= n-2 every
-# route runs on residues: a geometric GF(257) verify at n = 256 takes under
-# 1 s, and `hunt --n 256 --prime 257 --random --trials 1` about 2.5 s. For
-# p < n-2 the det route keeps its ints: a geometric GF(7) verify at
-# n = 256 takes about 26 s, and `hunt --n 256 --prime 7 --random --trials 1`
-# about 72 s. Library calls take any n.
+# Largest n the CLI takes. CLI wall times at n = 256, `verify` on the
+# ratio-2 geometric list (Python 3.11, one core of a 2-core host; two runs
+# each, one of the GF(7) hunt): over QQ `verify` takes 0.9-1.0 s and
+# `hunt --random --trials 1` 3.9-5.0 s, and the cost grows about as n^3.
+# Over GF(p) with p >= n-2 every route runs on residues: over GF(257)
+# `verify` takes 1.0-1.2 s and `hunt --n 256 --prime 257 --random
+# --trials 1` 3.3 s. For p < n-2 the det route keeps its ints: over GF(7)
+# `verify` takes 19-32 s and `hunt --n 256 --prime 7 --random --trials 1`
+# 92 s. Library calls take any n.
 MAX_N = 256
 
 # Most worker processes an exhaustive scan forks (it forks min(workers, p)).
@@ -322,10 +323,11 @@ def _random_instances(cfg: HuntConfig) -> Iterator[list]:
 def random_scan(cfg: HuntConfig) -> HuntReport:
     """Seeded fuzz of the three-way criterion equivalence on random nonzero
     coefficient lists, plus geometric ones for each nonzero ratio 1, 2, -1, 1/2.
-    Each distinct list is evaluated once; the counts and lists are per trial."""
+    Each distinct list is lifted once and read by ``_verdicts``, the exhaustive
+    scan's entry to the three routes; the counts and lists are per trial."""
     if cfg.mode != "random":
         raise HuntConfigError("config is not in random mode")
-    report = HuntReport()
+    fld, report = cfg.field, HuntReport()
     outcomes = {}  # tuple(c) -> (sm_holds, y_is_zero), or None on an alarm
     for c in _random_instances(cfg):
         report.tuples_scanned += 1
@@ -333,8 +335,8 @@ def random_scan(cfg: HuntConfig) -> HuntReport:
         key = tuple(c)
         if key not in outcomes:
             try:
-                rep = evaluate_instance(build_pencil(c, cfg.field))
-                outcomes[key] = rep.sm_holds, rep.y_is_zero
+                _, _, sm_witness, B = _verdicts(*fld.lift(c), fld)
+                outcomes[key] = sm_witness is None, _first_violation(B[2:-1], fld.characteristic) is None
             except ConsistencyAlarm:
                 outcomes[key] = None
         outcome, shown = outcomes[key], tuple(str(ci) for ci in c)

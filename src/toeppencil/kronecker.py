@@ -15,9 +15,12 @@ lifts its 2n^2 matrix entries and reads the det route's point stream,
 ``pencil._point_certificate``, at its own n+1 points 0..n. A stacked
 matrix is reduced only up to its first dependent column by the library's
 one elimination, ``pencil._eliminate`` (on residues over GF(p)), and that
-column's null vector (a 1 there, 0 right of it) is back-substituted on
-the pivot rows and returned as the kernel. Inputs are general square pencils: the machinery does not need the
-nonzero-coefficient hypothesis of the Toeplitz construction.
+column's null vector (a 1 there, 0 right of it), times the last minor D
+so that every entry is an int, is back-substituted on the pivot rows. The
+identity and degree checks read those ints; field values are built once,
+v / D for each entry, as the ``Poly``s of the kernel. Inputs are general
+square pencils: the machinery does not need the nonzero-coefficient
+hypothesis of the Toeplitz construction.
 """
 
 from __future__ import annotations
@@ -82,21 +85,22 @@ def _stack(m0, m1, d: int) -> list:
     return rows
 
 
-def _null_vector(a: List[List[int]], fld) -> Optional[Tuple]:
-    """A null vector of the int rows ``a`` lifted from ``fld`` (over GF(p)
-    the residues in [0, p); the rows are overwritten): 1 at the first column
-    f without a pivot, 0 right of f, and at every column r < f the entry x_r
-    of the one solution with those entries; None at full column rank. Of the
+def _null_vector(a: List[List[int]], p: int) -> Optional[Tuple[List[int], int]]:
+    """(y, D) for the int rows ``a`` in characteristic p (over GF(p) the
+    residues in [0, p), and y reduced into [0, p); the rows are
+    overwritten), or None at full column rank. y is the int vector
+    (y_0, ..., y_{f-1}, D, 0, ..., 0), f the first column without a pivot:
+    D times the null vector with 1 at f, 0 right of f, and at every column
+    r < f the entry x_r of the one solution with those entries. Of the
     null-space basis with one vector per free column, 1 there and 0 at the
-    other free columns, it is the first vector.
+    other free columns, that vector, y / D, is the first.
 
     ``pencil._eliminate`` reduces the rows up to f; a row it leaves zero is
     passed over, as a tall C(d) has dependent rows. Its last minor D is the
     determinant of the pivot rows' f x f block, so y_r = D*x_r is an int by
     Cramer's rule, and back-substitution on the pivot rows U reads
     y_r = -(D*U[r][f] + sum_{r<j<f} U[r][j]*y_j) / U[r][r], exact over QQ
-    and by the inverse of U[r][r] over GF(p). The vector is x_r = y_r / D."""
-    p = fld.characteristic
+    and by the inverse of U[r][r] over GF(p)."""
     cols = len(a[0]) if a else 0
     f, D = 0, 1
     for k, D, _ in _eliminate(a, p):
@@ -108,7 +112,7 @@ def _null_vector(a: List[List[int]], fld) -> Optional[Tuple]:
         row = a[r]
         s = D * row[f] + sum(map(mul, row[r + 1 : f], y[r + 1 :]))
         y[r] = -s * pow(row[r], -1, p) % p if p else -s // row[r]
-    return tuple([fld.frac(v, D) for v in y] + [fld.one] + [fld.zero] * (cols - f - 1))
+    return y + [D] + [0] * (cols - f - 1), D
 
 
 def analyze(bp: BlockPencil) -> KroneckerResult:
@@ -150,32 +154,35 @@ def _analyze(A0: List[List[int]], A1: List[List[int]], fld, cert: Iterator[int])
     one int per d = 0..n, read as 0 once it ends; every step runs on them,
     and every zero test is ``pencil._first_violation`` in characteristic p.
     An entry nonzero in the field proves the pencil regular before C(d) is
-    built. Otherwise, for d < n, ``_null_vector`` reduces C(d) up to
-    its first column without a pivot and returns that column's null vector
-    (1 there, 0 right of it). The first d with a rank-deficient C(d) is
-    minimal, because the first n*d columns of C(d) are those of C(d-1)
-    padded with zero rows, so they stay independent; the free column thus
-    lies in block column d, and f has degree d. A zero det T without a null
-    vector below n raises ``ConsistencyAlarm``: a singular n x n pencil has
-    its minimal index below n. The identity and the degree (f_d, the top
-    block, nonzero) are re-verified on the ints before the ``Poly``s."""
+    built. Otherwise, for d < n, ``_null_vector`` reduces C(d) up to its
+    first column without a pivot and returns that column's null vector (1
+    there, 0 right of it) times the last minor D, in ints. The first d with
+    a rank-deficient C(d) is minimal, because the first n*d columns of C(d)
+    are those of C(d-1) padded with zero rows, so they stay independent;
+    the free column thus lies in block column d, and f has degree d. A zero
+    det T without a null vector below n raises ``ConsistencyAlarm``: a
+    singular n x n pencil has its minimal index below n. The identity and
+    the degree (f_d, the top block, nonzero) are re-verified on those ints;
+    ``fld`` then builds the ``Poly``s' coefficients, y_r / D, the only field
+    values of the call."""
     n, p = len(A0), fld.characteristic
     for d in range(n + 1):
         if _first_violation([next(cert, 0)], p):
             return KroneckerResult(minimal_index_d=None, kernel_poly=None)
         if d == n:
             raise ConsistencyAlarm("det T(x) is zero, yet no C(d) with d < n has a null vector")
-        vec = _null_vector(_stack(A0, A1, d), fld)
-        if vec is not None:
+        found = _null_vector(_stack(A0, A1, d), p)
+        if found is not None:
             break
     # the coefficient of x^k in (M0 + x*M1) f(x) is M0 f_k + M1 f_{k-1}
-    # (f_{-1} = f_{d+1} = 0); checked on the lifted rows, apart from C(d)
-    ints = fld.lift(vec)[0]
-    fk = [[0] * n, *(ints[k * n : (k + 1) * n] for k in range(d + 1)), [0] * n]
+    # (f_{-1} = f_{d+1} = 0); checked on D*f's ints, apart from C(d)
+    y, D = found
+    fk = [[0] * n, *(y[k * n : (k + 1) * n] for k in range(d + 1)), [0] * n]
     for lo, hi in zip(fk[1:], fk):
         coeff = (sum(map(mul, r0, lo)) + sum(map(mul, r1, hi)) for r0, r1 in zip(A0, A1))
         if _first_violation(coeff, p):
             raise ConsistencyAlarm("kernel vector fails the pencil identity")
     if _first_violation(fk[-2], p) is None:  # f_d = 0: deg f < d
         raise ConsistencyAlarm("kernel vector degree disagrees with minimal index")
+    vec = [fld.frac(v, D) for v in y]  # the one conversion to field values
     return KroneckerResult(minimal_index_d=d, kernel_poly=[Poly(fld, vec[i :: n]) for i in range(n)])

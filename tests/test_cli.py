@@ -366,3 +366,16 @@ def test_hunt_violation_exit_4(capsys, monkeypatch, argv, clean_code, violations
     assert len(doc["violations"]) == violations
     assert {reason for _, reason in doc["violations"]} == {"criterion-disagreement"}
     assert run(capsys, ["hunt", *argv])[0] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [(["--c", "1/2,1,2,4"], "1/2,1,2,4"), (["--c", "1,3,9,27", "--prime", "7"], "1,3,2,6")],
+    ids=["QQ", "GF7"],
+)
+def test_alarm_writes_c_as_the_reports_do(capsys, monkeypatch, argv, shown):
+    # the alarm names c by the report strings, joined as --c takes them
+    monkeypatch.setattr(criteria, "_s_ints", _s_route_always_fails)
+    code, out, err = run(capsys, ["verify", *argv, "--json"])
+    assert code == 4 and out == ""
+    assert err == f"internal consistency alarm: criteria disagree on c={shown}: det=True S=False SM=True\n"

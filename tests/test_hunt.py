@@ -271,16 +271,16 @@ def test_planted_s_fault_alarms_on_exactly_the_sm_orbits(monkeypatch):
 
 def test_planted_s_fault_alarms_on_exactly_the_singular_random_pencils(monkeypatch):
     cfg = HuntConfig(n=5, field=QQ, mode="random", trials=60, seed=1)
-    singular, real = [], hunt.evaluate_instance
+    singular, real = [], hunt._verdicts
 
-    def record(p):
-        rep = real(p)
-        if rep.singular_det:
-            singular.append(tuple(str(ci) for ci in p.c))
-        return rep
+    def record(c, L, fld):
+        verdicts = real(c, L, fld)
+        if verdicts[0]:
+            singular.append(tuple(str(fld.frac(ci, L)) for ci in c))
+        return verdicts
 
     with monkeypatch.context() as m:
-        m.setattr(hunt, "evaluate_instance", record)
+        m.setattr(hunt, "_verdicts", record)
         base = random_scan(cfg)
     assert base.equivalence_violations == [] and len(singular) == base.sm_solutions
     for lam in (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)):  # the injected ones
@@ -323,8 +323,9 @@ def test_random_scan_evaluates_each_distinct_list_once(monkeypatch, n, field, tr
     if field != QQ:
         assert len(distinct) < trials
     want = random_scan_reference(cfg)
-    calls, real = [], hunt.evaluate_instance
-    monkeypatch.setattr(hunt, "evaluate_instance", lambda p: calls.append(p.c) or real(p))
+    calls = _record_pencils(
+        monkeypatch, hunt, "_verdicts", lambda c, L, fld: tuple(fld.frac(ci, L) for ci in c)
+    )
     got = random_scan(cfg)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got.tuples_scanned == len(instances)
@@ -333,6 +334,20 @@ def test_random_scan_evaluates_each_distinct_list_once(monkeypatch, n, field, tr
     # a planted alarm is listed once per trial, not once per distinct list
     _plant_s_fault(monkeypatch)
     assert random_scan(cfg).to_dict() == random_scan_reference(cfg).to_dict()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_random_scan_lifts_each_distinct_list_once(monkeypatch, field):
+    # both scans reach the routes through _verdicts, on one lift per list;
+    # the public evaluate_instance is the random scan's reference only
+    assert not hasattr(hunt, "evaluate_instance") and not hasattr(hunt, "build_pencil")
+    cfg = HuntConfig(n=4, field=field, mode="random", trials=40, seed=5)
+    distinct = {tuple(c) for c in hunt._random_instances(cfg)}
+    want = random_scan_reference(cfg)
+    lifted = _record_pencils(monkeypatch, field, "lift", tuple)
+    monkeypatch.setattr(criteria, "evaluate_instance", None)
+    assert random_scan(cfg).to_dict() == want.to_dict()
+    assert len(lifted) == len(distinct) and set(lifted) == distinct
 
 
 def test_random_scan_deterministic():

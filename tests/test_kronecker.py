@@ -166,7 +166,7 @@ def test_toeplitz_singular_small_n_means_d0():
     ids=["fails-identity", "zero-vector", "fails-top-only", "fails-bottom-only"],
 )
 def test_kernel_poly_rejects_wrong_kernel_vector(monkeypatch, bp, entry):
-    monkeypatch.setattr(kronecker, "_null_vector", lambda a, fld: (QQ.of(entry),) * len(a[0]))
+    monkeypatch.setattr(kronecker, "_null_vector", lambda a, p: ([entry] * len(a[0]), 1))
     with pytest.raises(ConsistencyAlarm):
         analyze(bp)
 
@@ -176,9 +176,10 @@ def test_kernel_poly_rejects_degree_below_index(monkeypatch):
     # top block: it passes the identity, so only the degree check stops it
     bp = BlockPencil.from_pencil(qp(1, 2, 4, 8))
     (v,) = kernel_basis(build_C(bp, 0))
+    y, D = QQ.lift(v)  # the null vector's int form: D times v
 
-    def late_vector(a, fld):
-        return v + (fld.zero,) * 3 if len(a[0]) == 6 else None
+    def late_vector(a, p):
+        return (y + [0] * 3, D) if len(a[0]) == 6 else None
 
     monkeypatch.setattr(kronecker, "_null_vector", late_vector)
     with pytest.raises(ConsistencyAlarm, match="degree"):
@@ -527,7 +528,7 @@ def test_block_pencil_keeps_c_out_of_equality_and_the_constructor():
 def test_zero_det_without_a_null_vector_alarms(monkeypatch):
     # det T of the geometric pencil is zero, so a stacked search that finds no
     # null vector below n contradicts the minimal index bound
-    monkeypatch.setattr(kronecker, "_null_vector", lambda a, fld: None)
+    monkeypatch.setattr(kronecker, "_null_vector", lambda a, p: None)
     with pytest.raises(ConsistencyAlarm, match="no C\\(d\\) with d < n has a null vector"):
         analyze(BlockPencil.from_pencil(qp(1, 2, 4, 8)))
 
@@ -540,7 +541,31 @@ def test_null_vector_passes_over_a_vanished_row(field):
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 0, 1]]
     assert next(pencil._eliminate([row[:] for row in rows], field.characteristic)) == (0, 1, True)
     M = Mat(field, [[field.of(x) for x in row] for row in rows])
-    assert kronecker._null_vector([row[:] for row in rows], field) == kernel_basis(M)[0]
+    y, D = kronecker._null_vector([row[:] for row in rows], field.characteristic)
+    assert y == [D * e for e in kernel_basis(M)[0]]
+
+
+def _lift_once_cells():
+    gf7 = GF(7)
+    d1 = BlockPencil.from_pencil(build_pencil([gf7.of(k) for k in (1, 1, 5, 4, 1, 2)], gf7))
+    yield "QQ geometric", BlockPencil.from_pencil(geometric_pencil(Fraction(3, 2), 6, Fraction(1, 3))), 0
+    yield "QQ general d=1", BlockPencil(qmat([[1, 0], [0, 0]]), qmat([[0, 1], [0, 0]])), 1
+    yield "QQ general d=2", SHIFT_EXAMPLE, 2
+    yield "GF(7) geometric", BlockPencil.from_pencil(build_pencil([gf7.of(3) ** k for k in range(7)], gf7)), 0
+    yield "GF(7) d=1", d1, 1
+    yield "GF(7) general d=1", BlockPencil(d1.M0, d1.M1), 1
+
+
+def test_analyze_lifts_once(monkeypatch):
+    # the kernel vector stays in ints from the one lift of the input to its Polys
+    for label, bp, d in _lift_once_cells():
+        fld, calls = bp.M0.field, []
+        real = fld.lift
+        with monkeypatch.context() as m:
+            m.setattr(fld, "lift", lambda xs: calls.append(len(xs)) or real(xs))
+            res = analyze(bp)
+        assert res == analyze_reference(bp) and res.minimal_index_d == d, label
+        assert calls == [bp.n + 1 if bp.c is not None else 2 * bp.n**2], label
 
 
 def test_empty_pencil_is_regular():

@@ -216,10 +216,18 @@ def test_null_vector_is_the_first_kernel_basis_vector(field):
                 rows = _rows_free_at(rng, field, r, k, f)
                 M = Mat(field, [[field.of(x) for x in row] for row in rows])
                 basis = kernel_basis(M)
-                vec = _null_vector([list(row) for row in rows], field)
-                assert vec == (basis[0] if basis else None)
-                assert (vec is None) == (rank(M) == k)
-                seen.add(k if vec is None else max(j for j, e in enumerate(vec) if e != field.zero))
+                found = _null_vector([list(row) for row in rows], field.characteristic)
+                assert (found is None) == (not basis) == (rank(M) == k)
+                if found is None:
+                    seen.add(k)
+                    continue
+                # ints, D times the first basis vector: D at its free column f, 0 right of f
+                y, D = found
+                assert all(type(v) is int for v in (*y, D)) and field.of(D)
+                if field != QQ:
+                    assert all(0 <= v < field.characteristic for v in (*y, D))
+                assert y == [D * e for e in basis[0]]
+                seen.add(max(j for j, v in enumerate(y) if field.of(v)))
         assert seen == set(range(min(r, k) + 1)), (r, k)
 
 
