@@ -7,7 +7,8 @@ counterexample is finite-field evidence only; nothing here claims a
 statement about characteristic zero.
 
 Exit codes: 0 clean, 2 a bad prime or a refused scan, 3 a counterexample,
-4 a criterion disagreement (a consistency alarm, whatever else was found).
+4 a consistency alarm: a recorded criterion disagreement (whatever else was
+found), or a fault in a scan's walk, one stderr line before any row.
 
 Usage: python3 scripts/conjecture_sweep.py [--n-max 6] [--primes 5,7] [--workers 4]
 """
@@ -15,6 +16,7 @@ Usage: python3 scripts/conjecture_sweep.py [--n-max 6] [--primes 5,7] [--workers
 import argparse
 import sys
 
+from toeppencil.criteria import ConsistencyAlarm
 from toeppencil.field import NotPrimeError
 from toeppencil.hunt import HuntConfigError, verify_conjecture_smalln
 
@@ -38,6 +40,9 @@ def main() -> int:
     except (NotPrimeError, HuntConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except ConsistencyAlarm as e:
+        print(f"internal consistency alarm: {e}", file=sys.stderr)
+        return 4
     print(f"{'n':>3} {'p':>4} {'scanned':>9} {'valid':>7} {'solutions':>10} {'counterex':>10}")
     total_cex = total_violations = 0
     for n, p, rep in rows:

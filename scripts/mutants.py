@@ -168,8 +168,8 @@ MUTANTS = [
     (
         "the SM sign alternation is dropped",
         PKG + "minors.py",
-        "a = [ci if k % 2 == 0 else -ci for k, ci in enumerate(c)]",
-        "a = list(c)",
+        "_reciprocal([ci if k % 2 == 0 else -ci for k, ci in enumerate(c)], p)",
+        "_reciprocal(list(c), p)",
         [CRITERIA + "test_sm_examples", "tests/test_minors.py::test_minor_examples"],
     ),
     (
@@ -327,15 +327,15 @@ MUTANTS = [
     (
         "principal_minors runs the minor map over Z",
         PKG + "minors.py",
-        "_minor_ints(p.field.lift(p.c)[0], p.field.characteristic)",
-        "_minor_ints(p.field.lift(p.c)[0], 0)",
+        "_minor_ints(c, p.field.characteristic)",
+        "_minor_ints(c, 0)",
         [MINOR_SPY],
     ),
     (
         "recover_c_from_minors runs over Z",
         PKG + "minors.py",
-        "_reciprocal([D, *N], len(N) + 1, field.characteristic)",
-        "_reciprocal([D, *N], len(N) + 1, 0)",
+        "_reciprocal([D, *N], field.characteristic)",
+        "_reciprocal([D, *N], 0)",
         [MINOR_SPY],
     ),
     (
@@ -474,6 +474,28 @@ MUTANTS = [
         "return 4 if report.equivalence_violations else 3 if report.counterexamples else 0",
         "return 3 if report.counterexamples else 0",
         ["tests/test_cli.py::test_hunt_violation_exit_4"],
+    ),
+    (
+        "the walk's zero-coefficient guard is dropped",
+        PKG + "hunt.py",
+        "        if not all(c):  # the walk skips every tuple with a zero coefficient\n"
+        '            raise ConsistencyAlarm(f"the walk reached minors {mtuple(N, i)} with c{c.index(0) + 1} = 0")\n',
+        "",
+        ["tests/test_cli.py::test_walk_fault_exit_4"],
+    ),
+    (
+        "main drops PencilError from its exit-2 classes",
+        PKG + "cli.py",
+        "except (NotPrimeError, PencilError, HuntConfigError) as e:",
+        "except (NotPrimeError, HuntConfigError) as e:",
+        ["tests/test_cli.py::test_verify_zero_coefficient_exit_2"],
+    ),
+    (
+        "main maps ConsistencyAlarm to 2",
+        PKG + "cli.py",
+        "except (NotPrimeError, PencilError, HuntConfigError) as e:",
+        "except (NotPrimeError, PencilError, HuntConfigError, ConsistencyAlarm) as e:",
+        ["tests/test_cli.py::test_consistency_alarm_exit_4"],
     ),
 ]
 

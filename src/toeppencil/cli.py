@@ -6,7 +6,12 @@ and kernel vector polynomial), hunt (exhaustive or random conjecture scan),
 demo (worked examples as a smoke test).
 
 Exit codes: 0 clean, 2 usage or input error, 3 counterexample found,
-4 internal consistency alarm. Scalars serialize as exact strings ("p/q" or
+4 internal consistency alarm. ``main`` is the one place that maps an
+exception to an exit code: a refused input (``NotPrimeError``,
+``PencilError``, ``HuntConfigError``, which the subcommands raise for
+their own refusals too) exits 2 with one ``error:`` line, and a
+``ConsistencyAlarm`` exits 4; a subcommand returns 3 or 4 itself only
+for what its report lists. Scalars serialize as exact strings ("p/q" or
 a prime-field residue), never as decimals.
 """
 
@@ -26,37 +31,25 @@ from .minors import build_sm_objects, det_X, principal_minors
 from .pencil import PencilError, build_pencil
 
 
-class InputError(ValueError):
-    pass
-
-
 def _field_from_args(args):
-    if args.prime is not None:
-        try:
-            return PrimeField(args.prime)
-        except NotPrimeError as e:
-            raise InputError(str(e)) from e
-    return QQ
+    return QQ if args.prime is None else PrimeField(args.prime)
 
 
 def _parse_c(args, fld) -> List:
     raw = args.c.split(",")
     if len(raw) > MAX_N + 1:
-        raise InputError(f"{len(raw)} coefficients exceed the limit of {MAX_N + 1} (n <= {MAX_N})")
+        raise PencilError(f"{len(raw)} coefficients exceed the limit of {MAX_N + 1} (n <= {MAX_N})")
     if not all(s.strip() for s in raw):
-        raise InputError(f"empty entry in coefficient list {args.c!r}")
+        raise PencilError(f"empty entry in coefficient list {args.c!r}")
     try:
         return [fld.parse(s) for s in raw]
     except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"cannot parse coefficient list {args.c!r}: {e}") from e
+        raise PencilError(f"cannot parse coefficient list {args.c!r}: {e}") from e
 
 
 def _pencil_from_args(args):
     fld = _field_from_args(args)
-    try:
-        return build_pencil(_parse_c(args, fld), fld)
-    except PencilError as e:
-        raise InputError(str(e)) from e
+    return build_pencil(_parse_c(args, fld), fld)
 
 
 def _witness_json(w):
@@ -124,23 +117,18 @@ def cmd_kernel(args) -> int:
 
 def cmd_hunt(args) -> int:
     if args.exhaustive == args.random:
-        raise InputError("choose exactly one of --exhaustive / --random")
+        raise HuntConfigError("choose exactly one of --exhaustive / --random")
     if args.n > MAX_N:
-        raise InputError(f"n = {args.n} exceeds the limit {MAX_N}")
-    fld = _field_from_args(args)
-    mode = "exhaustive" if args.exhaustive else "random"
-    try:
-        cfg = HuntConfig(
-            n=args.n,
-            field=fld,
-            mode=mode,
-            trials=100 if args.random and args.trials is None else args.trials,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        report = exhaustive_scan(cfg) if args.exhaustive else random_scan(cfg)
-    except HuntConfigError as e:
-        raise InputError(str(e)) from e
+        raise HuntConfigError(f"n = {args.n} exceeds the limit {MAX_N}")
+    cfg = HuntConfig(
+        n=args.n,
+        field=_field_from_args(args),
+        mode="exhaustive" if args.exhaustive else "random",
+        trials=100 if args.random and args.trials is None else args.trials,
+        seed=args.seed,
+        workers=args.workers,
+    )
+    report = exhaustive_scan(cfg) if args.exhaustive else random_scan(cfg)
     doc = {"n": args.n, "hunt": report.to_dict()}
     _emit(doc, args.json)
     # a recorded criterion disagreement is a consistency alarm, before any counterexample
@@ -221,7 +209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(_join_negative_c(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except InputError as e:
+    except (NotPrimeError, PencilError, HuntConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ConsistencyAlarm as e:

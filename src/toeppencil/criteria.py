@@ -37,7 +37,9 @@ from .pencil import PencilInstance, _first_violation, _geometric, _singular
 
 
 class ConsistencyAlarm(RuntimeError):
-    """The determinant test and the two criteria disagreed: a bug, never math."""
+    """A broken internal contract, a bug and never math: the determinant test
+    and the two criteria disagreed, a kernel vector failed its checks, or
+    the hunt's walk reached a tuple it must skip."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def check_SM(p: PencilInstance) -> Tuple[bool, Optional[Tuple[int, object]], boo
     """Minor condition, truncated at k = n-3 (for n = 2 just m_2 = 0), and
     whether y = (m_2, ..., m_{n-1}) is zero."""
     c, _ = p.field.lift(p.c)
-    B, _ = _minor_ints(c, p.field.characteristic)
+    B = _minor_ints(c, p.field.characteristic)
     witness = _sm_witness(B, p.field.characteristic)
     w = witness and (witness[0], _sm_value(*witness, c, p.field))
     return witness is None, w, _first_violation(B[2:-1], p.field.characteristic) is None
@@ -188,7 +190,7 @@ def _verdicts(
     p = fld.characteristic
     singular = _singular(c, p)
     s_witness = _first_violation(_s_ints(c, p), p)
-    B, _ = _minor_ints(c, p)
+    B = _minor_ints(c, p)
     sm_witness = _sm_witness(B, p)
     s_holds, sm_holds = s_witness is None, sm_witness is None
     if not (singular == s_holds == sm_holds):

@@ -47,7 +47,7 @@ from typing import Callable, Iterator, List, Optional, Set, Tuple
 from .criteria import ConsistencyAlarm, _sm_values, _verdicts
 from .field import PrimeField, RationalField
 from .minors import _reciprocal
-from .pencil import PencilError, _first_violation
+from .pencil import _first_violation
 
 # Deterministic subsampling of full criterion cross-checks during exhaustive
 # scans: a valid tuple (m_1, ..., m_{n-1}) is cross-checked when
@@ -78,7 +78,8 @@ MAX_WORKERS = 64
 
 
 class HuntConfigError(ValueError):
-    pass
+    """A hunt that is refused before it starts: an invalid or oversized
+    config, or a CLI hunt with no single mode or an n above MAX_N."""
 
 
 @dataclass(frozen=True)
@@ -214,8 +215,8 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
         """The three-way check of the tuple beta*N, beta = i + 1, against the
         orbit's verdict sm_ok."""
         c = [s[i] * b % p for s, b in zip(scale_c, B)]  # c_{k+1} = (-beta)^k B_k
-        if not all(c):
-            raise PencilError(f"coefficient c{c.index(0) + 1} is zero")
+        if not all(c):  # the walk skips every tuple with a zero coefficient
+            raise ConsistencyAlarm(f"the walk reached minors {mtuple(N, i)} with c{c.index(0) + 1} = 0")
         try:
             _, _, sm_witness, _ = _verdicts(c, 1, gf)
             if (sm_witness is None) == sm_ok:
@@ -238,7 +239,7 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
         prefix = (1, 1, *head)[: n - 1]  # m_0..m_{n-2}
         report.tuples_scanned += p * len(leaves)  # with (0, ...), never valid as c_2 = m_1
         N0 = (*prefix, 0, 0)  # the representative at leaf 0
-        Z = _reciprocal(N0, n + 1, p=p)  # B_0..B_n at leaf 0
+        Z = _reciprocal(N0, p)  # B_0..B_n at leaf 0
         Bh = Z[: n - 1]
         if not all(Bh):
             continue

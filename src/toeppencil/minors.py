@@ -44,30 +44,30 @@ class SMObjects:
     P: Mat  # anti-diagonal exchange matrix, same size as X
 
 
-def _reciprocal(a: Sequence[int], count: int, p: int) -> List[int]:
-    """B_0..B_{count-1} on plain ints, with B_r / a_0^(r+1) = [t^r] 1/A(t) for
+def _reciprocal(a: Sequence[int], p: int) -> List[int]:
+    """B_0..B_{len(a)-1} on plain ints, with B_r / a_0^(r+1) = [t^r] 1/A(t) for
     A(t) = sum_k a_k t^k: B_0 = 1 and B_r = -sum_{k=1..r} a_k a_0^(k-1) B_{r-k}.
     B_r reads only a_0..a_r. p is the characteristic: 0 keeps the ints, and
     for a prime p > 0 each B_r is reduced into [0, p)."""
-    w = [a[k] * pow(a[0], k - 1, p or None) for k in range(1, count)]
+    w = [a[k] * pow(a[0], k - 1, p or None) for k in range(1, len(a))]
     B = [1]
-    for _ in range(1, count):
+    for _ in w:
         b = -sum(map(mul, w, reversed(B)))
         B.append(b % p if p else b)
     return B
 
 
-def _minor_ints(c: Sequence[int], p: int) -> Tuple[List[int], int]:
-    """(B, a_0) with m_r = B_r / a_0^r for the reciprocal B of the alternating c,
+def _minor_ints(c: Sequence[int], p: int) -> List[int]:
+    """B with m_r = B_r / c_1^r for the reciprocal B of the alternating c,
     lifted to plain ints, in characteristic p (mod p for a prime p > 0); B_r
     is homogeneous of degree r, so neither the lift nor c1 needs dividing out."""
-    a = [ci if k % 2 == 0 else -ci for k, ci in enumerate(c)]
-    return _reciprocal(a, len(c), p), a[0]
+    return _reciprocal([ci if k % 2 == 0 else -ci for k, ci in enumerate(c)], p)
 
 
 def principal_minors(p: PencilInstance) -> MinorVector:
-    B, a0 = _minor_ints(p.field.lift(p.c)[0], p.field.characteristic)
-    return MinorVector(field=p.field, m=tuple(p.field.frac(b, a0**r) for r, b in enumerate(B)))
+    c, _ = p.field.lift(p.c)
+    B = _minor_ints(c, p.field.characteristic)
+    return MinorVector(field=p.field, m=tuple(p.field.frac(b, c[0] ** r) for r, b in enumerate(B)))
 
 
 def _alternating_minors(mv: MinorVector) -> List:
@@ -123,5 +123,5 @@ def recover_c_from_minors(ms: Sequence, field) -> List:
     ms alone (so a refusal names the caller's index), the reciprocal of
     (D, *N) gives c_{k+1} = (-1)^k B_k / D^k."""
     N, D = field.lift(ms)
-    B = _reciprocal([D, *N], len(N) + 1, field.characteristic)
+    B = _reciprocal([D, *N], field.characteristic)
     return [field.frac(-B[k] if k % 2 else B[k], D**k) for k in range(1, len(B))]

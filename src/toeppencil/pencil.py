@@ -20,7 +20,8 @@ from .linalg import Mat
 
 
 class PencilError(ValueError):
-    """Invalid pencil coefficients (zero entry or too few)."""
+    """Invalid pencil coefficients: a zero entry or too few, or a CLI
+    coefficient list that is oversized, has an empty entry or does not parse."""
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
 import json
+import os
+import re
 import signal
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from toeppencil import cli, criteria, minors
+from toeppencil import cli, criteria, hunt, minors
 from toeppencil.cli import main
 from toeppencil.criteria import ConsistencyAlarm
-from toeppencil.field import PRIME_CHECK_BOUND
-from toeppencil.hunt import MAX_N
+from toeppencil.field import GF, PRIME_CHECK_BOUND
+from toeppencil.hunt import MAX_N, HuntConfig, exhaustive_scan
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 VERIFY_KEYS = {
     "n", "c", "singular", "geometric", "lambda",
@@ -121,6 +127,35 @@ def test_consistency_alarm_exit_4(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", "--c", "1,2,4,8"])
     assert code == 4 and out == ""
     assert err == "internal consistency alarm: planted disagreement\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_walk_fault_exit_4(capsys, monkeypatch, workers):
+    # a planted walk fault: _leaf_ends marks no leaf invalid, so the walk
+    # reaches tuples with a zero coefficient; the cross-check's guard alarms
+    # (re-raised from the fork pool at 2 workers) and no report is printed
+    real = hunt._leaf_ends
+    monkeypatch.setattr(hunt, "_leaf_ends", lambda Z, p: (real(Z, p)[0], set()))
+    argv = ["hunt", "--n", "5", "--prime", "7", "--exhaustive", "--json", "--workers", str(workers)]
+    code, out, err = run(capsys, argv)
+    assert code == 4 and out == ""
+    if workers == 1:
+        assert err == "internal consistency alarm: the walk reached minors (1, 0, 0, 4) with c6 = 0\n"
+    else:  # the pool re-raises the alarm of whichever shard failed first
+        assert re.fullmatch(r"internal consistency alarm: the walk reached minors \(\d(, \d){3}\) with c\d = 0\n", err)
+    cfg = HuntConfig(n=5, field=GF(7), mode="exhaustive", workers=workers)
+    with pytest.raises(ConsistencyAlarm, match="^the walk reached minors "):
+        exhaustive_scan(cfg)
+
+
+@pytest.mark.parametrize("argv", [["verify", "--c", "1,2,4,8", "--json"], ["verify", "--c", "1,0,2"]])
+def test_python_m_matches_main(capsys, argv):
+    # python -m toeppencil runs __main__.py: the bytes and exit code of main
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toeppencil", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, argv)
 
 
 def test_verify_zero_coefficient_exit_2(capsys):

@@ -301,12 +301,12 @@ def test_leaf_ends_match_the_reciprocal(n, p):
     # vanishes at every leaf
     for head in product(range(p), repeat=max(n - 3, 0)):
         prefix = (1, 1, *head)[: n - 1]
-        Bh = _reciprocal(prefix, n - 1, p)
+        Bh = _reciprocal(prefix, p)
         want = {
-            leaf: tuple(_reciprocal((*prefix, leaf, 0), n + 1, p)[n - 1 :])
+            leaf: tuple(_reciprocal((*prefix, leaf, 0), p)[n - 1 :])
             for leaf in range(p)
         }
-        Z = _reciprocal((*prefix, 0, 0), n + 1, p)
+        Z = _reciprocal((*prefix, 0, 0), p)
         assert Z[: n - 1] == Bh
         ends, bad = hunt._leaf_ends(Z, p)
         assert {leaf: ends(leaf) for leaf in range(p)} == want, head

@@ -58,6 +58,22 @@ def test_conjecture_sweep_exits_4_on_a_violation(monkeypatch, capsys):
     assert "      violation minors (1, 0, 0) (criterion-disagreement)\n" in out
 
 
+def test_conjecture_sweep_exits_4_on_a_walk_fault(monkeypatch, capsys):
+    # a planted walk fault (_leaf_ends marks no leaf invalid), so in this
+    # process: the scan's alarm is one stderr line, as the CLI writes it,
+    # before any table row, and the exit code is 4
+    from toeppencil import hunt
+
+    real = hunt._leaf_ends
+    monkeypatch.setattr(hunt, "_leaf_ends", lambda Z, p: (real(Z, p)[0], set()))
+    sweep = runpy.run_path(str(ROOT / "scripts" / "conjecture_sweep.py"))
+    monkeypatch.setattr(sys, "argv", ["conjecture_sweep.py", "--n-max", "5", "--primes", "7", "--workers", "1"])
+    assert sweep["main"]() == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal consistency alarm: the walk reached minors (5, 0, 4) with c5 = 0\n"  # at n = 4
+
+
 def test_equivalence_fuzz_finds_no_violation():
     proc = run_script("equivalence_fuzz.py", "--n", "2..4", "--trials", "10", "--prime", "11")
     assert proc.returncode == 0, proc.stderr
