@@ -40,6 +40,7 @@ MINOR_SPY = "tests/test_minors.py::test_gf_minor_map_runs_on_residues"
 CONTRACT = FIELD + "test_operator_contract_table"
 REFUSALS = FIELD + "test_of_and_lift_refuse_non_members"
 GENERAL_CERT = KRONECKER + "test_general_certificate_matches_the_newton_reference"
+LAZY_ROWS = PENCIL + "test_lazy_rows_match_the_eager_certificate"
 
 # (name, file, old text, new text, test node ids that must fail)
 MUTANTS = [
@@ -91,8 +92,8 @@ MUTANTS = [
     (
         "the general certificate reads n points",
         PKG + "kronecker.py",
-        "_point_certificate(rows, n + 1,",
-        "_point_certificate(rows, n,",
+        "_point_certificate(det, n + 1,",
+        "_point_certificate(det, n,",
         [KRONECKER + "test_regular_pencil_det_vanishing_at_probes", GENERAL_CERT],
     ),
     (
@@ -147,9 +148,28 @@ MUTANTS = [
     (
         "the vanished event is yielded after the tail is written",
         PKG + "pencil.py",
-        "                if not any(tail):\n                    yield k, minor, True\n                ri[k + 1 :] = tail\n",
-        "                ri[k + 1 :] = tail\n                if not any(tail):\n                    yield k, minor, True\n",
+        "                    if not any(tail):\n                        yield k, minor, True\n                    ri[k + 1 :] = tail\n",
+        "                    ri[k + 1 :] = tail\n                    if not any(tail):\n                        yield k, minor, True\n",
         [PENCIL + "test_eliminate_yields_a_vanished_row_before_writing_it"],
+    ),
+    (
+        "row k+2 built one column late",
+        PKG + "pencil.py",
+        "        if more is not None:\n",
+        "        if more is not None and k:\n",
+        [LAZY_ROWS, PENCIL + "test_geometric_pencil_builds_three_rows_per_point"],
+    ),
+    (
+        "the lazy swap search stops at row k+1",
+        PKG + "pencil.py",
+        "        if more is not None:\n            a += islice(more, 1)\n            m = len(a)\n"
+        "        if a[k][k] == 0:\n"
+        "            swap = next((i for i in range(k + 1, m) if a[i][k] != 0), None)\n",
+        "        if a[k][k] == 0:\n"
+        "            swap = next((i for i in range(k + 1, m) if a[i][k] != 0), None)\n"
+        "        if more is not None:\n            a += islice(more, 1)\n            m = len(a)\n"
+        "        if a[k][k] == 0:\n",
+        [LAZY_ROWS],
     ),
     (
         "S stops at k = n-3",
@@ -247,8 +267,8 @@ MUTANTS = [
     (
         "the det route reads n-3 points",
         PKG + "pencil.py",
-        "(rows, n - 2, p)",
-        "(rows, n - 3, p)",
+        "(det, n - 2, p)",
+        "(det, n - 3, p)",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p"],
     ),
     (
@@ -282,8 +302,8 @@ MUTANTS = [
     (
         "the residue det runs for p < n-2",
         PKG + "pencil.py",
-        "_det_int(rows(x0, q), q)",
-        "_det_int(rows(x0, q), p)",
+        "map(det, range(count), repeat(q))",
+        "map(det, range(count), repeat(p))",
         [PENCIL + "test_is_singular_when_the_top_coefficient_vanishes_mod_p", RESIDUE],
     ),
     (
@@ -296,15 +316,15 @@ MUTANTS = [
     (
         "n = 2 reads det T'(0)",
         PKG + "pencil.py",
-        "(rows, n - 2, p)",
-        "(rows, max(n - 2, 1), p)",
+        "(det, n - 2, p)",
+        "(det, max(n - 2, 1), p)",
         [KRONECKER + "test_n2_zero_top_coefficient_reads_no_determinant"],
     ),
     (
         "_first_violation drops its mod-p reduction",
         PKG + "pencil.py",
-        "if (v % p if p else v)), None)",
-        "if v), None)",
+        "        if v % p if p else v:\n",
+        "        if v:\n",
         [RESIDUE],
     ),
     (

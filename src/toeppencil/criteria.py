@@ -68,14 +68,15 @@ def _s_ints(c: Sequence[int], p: int) -> Iterator[int]:
     n = len(c) - 1
     size, c1 = n - 1, c[0]
     pw = [pow(c1, i, p or None) for i in range(size + 1)]
-    # Q's subdiagonals c_{k+1} times c1^(k-1), for k = size-1 down to 1
-    sub = [c[k] * pw[k - 1] for k in range(size - 1, 0, -1)]
+    # Q's subdiagonals c_{k+1} times c1^(k-1), for k = 1..size-1
+    sub = [c[k] * pw[k - 1] for k in range(1, size)]
 
     def solve(b):
-        """Numerators of Q^{-1} b: entry i over c1^(f+1+i) when b's is over c1^(f+i)."""
+        """Numerators of Q^{-1} b: entry i over c1^(f+1+i) when b's is over c1^(f+i).
+        Entry i takes subdiagonal k times entry i-k, so sub meets s reversed."""
         s = []
-        for i, bi in enumerate(b):
-            si = bi - sum(map(mul, sub[size - 1 - i :], s))
+        for bi in b:
+            si = bi - sum(map(mul, sub, reversed(s)))
             s.append(si % p if p else si)
         return s
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import gcd
 from operator import add
@@ -61,14 +62,14 @@ _CROSSCHECK_STRIDE = 17
 MAX_EXHAUSTIVE_TUPLES = 10**8
 
 # Largest n the CLI takes. CLI wall times at n = 256, `verify` on the
-# ratio-2 geometric list (Python 3.11, one core of a 2-core host; two runs
-# each, one of the GF(7) hunt): over QQ `verify` takes 0.9-1.0 s and
-# `hunt --random --trials 1` 3.9-5.0 s, and the cost grows about as n^3.
-# Over GF(p) with p >= n-2 every route runs on residues: over GF(257)
-# `verify` takes 1.0-1.2 s and `hunt --n 256 --prime 257 --random
-# --trials 1` 3.3 s. For p < n-2 the det route keeps its ints: over GF(7)
-# `verify` takes 19-32 s and `hunt --n 256 --prime 7 --random --trials 1`
-# 92 s. Library calls take any n.
+# ratio-2 geometric list (Python 3.11, one core of a 2-core host; three to
+# five runs each, one of the GF(7) hunt): over QQ `verify` takes 0.7-1.0 s
+# and `hunt --random --trials 1` 2.6-3.2 s, and the cost grows about as
+# n^3. Over GF(p) with p >= n-2 every route runs on residues: over GF(257)
+# `verify` takes 0.8-0.9 s and `hunt --n 256 --prime 257 --random
+# --trials 1` 2.2-3.2 s. For p < n-2 the det route keeps its ints: over
+# GF(7) `verify` takes 30-33 s and `hunt --n 256 --prime 7 --random
+# --trials 1` 85 s. Library calls take any n.
 MAX_N = 256
 
 # Most worker processes an exhaustive scan forks (it forks min(workers, p)).
@@ -292,8 +293,8 @@ def exhaustive_scan(cfg: HuntConfig) -> HuntReport:
         from multiprocessing import get_context  # only parallel scans pay for the import
 
         ctx = get_context("fork")
-        with ctx.Pool(w) as pool:
-            shards = pool.starmap(_scan_shard, [(n, p, ch) for ch in chunks])
+        with ctx.Pool(w) as pool:  # shards in order: a failure raises the lowest failing shard's alarm
+            shards = list(pool.imap(partial(_scan_shard, n, p), chunks))
     out = HuntReport()
     for s in shards:
         out.merge(s)

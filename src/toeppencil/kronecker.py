@@ -32,7 +32,7 @@ from typing import Iterator, List, Optional, Tuple
 from .criteria import ConsistencyAlarm
 from .field import FieldMismatchError
 from .linalg import Mat, Poly, ShapeError
-from .pencil import PencilInstance, _det_certificate, _eliminate, _first_violation, _point_certificate
+from .pencil import PencilInstance, _det_certificate, _det_int, _eliminate, _first_violation, _point_certificate
 from .pencil import _rows, build_M0, build_M1
 
 
@@ -142,10 +142,11 @@ def analyze(bp: BlockPencil) -> KroneckerResult:
     A0 = [flat[i * n : (i + 1) * n] for i in range(n)]
     A1 = [flat[(n + i) * n : (n + i + 1) * n] for i in range(n)]
 
-    def rows(d, q):  # T(d) transposed, reduced mod q > 0: row j is column j of A0 and of A1
-        return [[(x + d * y) % q if q else x + d * y for x, y in zip(*col)] for col in zip(zip(*A0), zip(*A1))]
+    def det(d, q):  # det T(d) transposed, reduced mod q > 0: row j is column j of A0 and of A1
+        cols = zip(zip(*A0), zip(*A1))
+        return _det_int([[(x + d * y) % q if q else x + d * y for x, y in zip(*col)] for col in cols], q)
 
-    return _analyze(A0, A1, fld, _point_certificate(rows, n + 1, fld.characteristic))
+    return _analyze(A0, A1, fld, _point_certificate(det, n + 1, fld.characteristic))
 
 
 def _analyze(A0: List[List[int]], A1: List[List[int]], fld, cert: Iterator[int]) -> KroneckerResult:

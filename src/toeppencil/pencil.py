@@ -12,6 +12,7 @@ reversed and B is the shift. No block is built: each route reads them off c.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
 from math import factorial
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -72,7 +73,9 @@ def build_M1(p: PencilInstance) -> Mat:
     return Mat(p.field, _rows((z,) * len(p.c), p.field.one, z))
 
 
-def _eliminate(a: List[List[int]], p: int) -> Iterator[Tuple[int, int, bool]]:
+def _eliminate(
+    a: List[List[int]], p: int, more: Optional[Iterator[List[int]]] = None
+) -> Iterator[Tuple[int, int, bool]]:
     """The one forward elimination of the int rows ``a`` (overwritten), column
     by column: fraction-free (Bareiss) for p = 0, every division exact; for a
     prime p > 0, on residues in [0, p), each row update reduced mod p with
@@ -85,19 +88,31 @@ def _eliminate(a: List[List[int]], p: int) -> Iterator[Tuple[int, int, bool]]:
     last one; each caller decides where to stop. Pivot row r then holds its
     pivot at column r, and its entries left of r are stale.
 
+    ``more`` builds the rows of a square matrix of lower bandwidth w only as
+    the elimination reaches them: ``a`` holds rows 0..w-1, ``more`` yields
+    rows w, w+1, ..., and row k+w is drawn into ``a`` when column k is
+    reached. Rows below k+w are zero at column k, so the swap search and the
+    updates at column k see every row that can be nonzero there, and an
+    elimination that stops at column k has built k+w+1 rows.
+
     Sylvester's identity: after the steps at the pivots 0..k-1, a Bareiss
     entry (i, j) is the minor of rows 0..k-1, i and columns 0..k-1, j, so
     (akk*x - aik*y) is divisible by the previous pivot. A row with a zero
     in the pivot column is not touched: it keeps the pivot it was last
     updated with, level[i], and is its Bareiss row times level[i]/prev.
     Its next update, (akk*x - aik*y) // level[i], is therefore exact, and
-    a pivot row whose level is behind is first brought up to date. A matrix
-    with lower bandwidth w, such as T(x0) transposed (w = 2), thus costs
-    O(w n^2). Mod p the minor is the product of the pivots."""
-    m = len(a)
-    level = [1] * m
+    a pivot row whose level is behind is first brought up to date. A row
+    drawn from ``more`` is zero left of its column and untouched, level 1.
+    A matrix with lower bandwidth w, such as T(x0) transposed (w = 2), thus
+    costs O(w n^2). Mod p the minor is the product of the pivots."""
+    m, cols = len(a), len(a[0]) if a else 0
+    rows = m if more is None else cols  # a matrix with lazy rows is square
+    level = [1] * rows
     sign, prev = 1, 1
-    for k in range(min(m, len(a[0]) if a else 0)):
+    for k in range(min(rows, cols)):
+        if more is not None:
+            a += islice(more, 1)
+            m = len(a)
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
             if swap is None:
@@ -107,37 +122,40 @@ def _eliminate(a: List[List[int]], p: int) -> Iterator[Tuple[int, int, bool]]:
         rk = a[k]
         if not p and level[k] != prev:
             rk[k:] = [x * prev // level[k] for x in rk[k:]]
-        akk, rt = rk[k], rk[k + 1 :]
+        akk = rk[k]
         if p:
-            inv, prev = pow(akk, -1, p), akk * prev % p
+            prev = akk * prev % p
             minor = sign * prev % p
         else:
             minor, prev = sign * akk, akk
-        for i in range(k + 1, m):
-            ri = a[i]
-            aik = ri[k]
-            if aik:
-                if p:
-                    f = aik * inv % p
-                    tail = [(x - f * y) % p for x, y in zip(ri[k + 1 :], rt)]
-                else:
-                    lv = level[i]
-                    tail = [(akk * x - aik * y) // lv for x, y in zip(ri[k + 1 :], rt)]
-                    level[i] = akk
-                if not any(tail):
-                    yield k, minor, True
-                ri[k + 1 :] = tail
+        if k + 1 < m:  # the last column has no row below to update
+            rt, inv = rk[k + 1 :], p and pow(akk, -1, p)
+            for i in range(k + 1, m):
+                ri = a[i]
+                aik = ri[k]
+                if aik:
+                    if p:
+                        f = aik * inv % p
+                        tail = [(x - f * y) % p for x, y in zip(ri[k + 1 :], rt)]
+                    else:
+                        lv = level[i]
+                        tail = [(akk * x - aik * y) // lv for x, y in zip(ri[k + 1 :], rt)]
+                        level[i] = akk
+                    if not any(tail):
+                        yield k, minor, True
+                    ri[k + 1 :] = tail
         yield k, minor, False
 
 
-def _det_int(a: List[List[int]], p: int) -> int:
+def _det_int(a: List[List[int]], p: int, more: Optional[Iterator[List[int]]] = None) -> int:
     """Determinant of a square plain-int matrix (rows are overwritten), or for
     a prime p > 0 the determinant mod p in [0, p) of rows of residues in
-    [0, p): the last minor of ``_eliminate``. The first row that an update
-    leaves zero proves det = 0, and so does a column without a pivot. The
-    empty matrix has det 1."""
+    [0, p): the last minor of ``_eliminate``, whose ``more`` builds a banded
+    matrix's rows as the elimination reaches them. The first row that an
+    update leaves zero proves det = 0, and so does a column without a pivot.
+    The empty matrix has det 1."""
     det, k = 1, -1
-    for k, det, vanished in _eliminate(a, p):
+    for k, det, vanished in _eliminate(a, p, more):
         if vanished:
             return 0
     return det if k == len(a) - 1 else 0
@@ -167,18 +185,18 @@ def _top_coefficient(c: Sequence[int]) -> int:
     return c[-2] ** 2 - c[-3] * c[-1]
 
 
-def _point_certificate(rows: Callable[[int, int], List[List[int]]], count: int, p: int) -> Iterator[int]:
-    """For an int polynomial P(x) = det rows(x, 0) of degree < count: a lazy
+def _point_certificate(det: Callable[[int, int], int], count: int, p: int) -> Iterator[int]:
+    """For an int polynomial P(x) = det(x, 0) of degree < count: a lazy
     stream of ints, reduced into [0, p) for p > 0, that are all zero iff P is
-    zero in characteristic p. ``rows(x0, q)`` gives the int rows of the
-    matrix at x0, as residues in [0, q) for q > 0. Where the points
-    0..count-1 are distinct mod p (p = 0 or p >= count) the stream is P(x0)
-    for x0 = 0..count-1, by ``_det_int`` in characteristic p; for
+    zero in characteristic p. ``det(x0, q)`` is ``_det_int`` of the int
+    matrix at x0 in characteristic q, on residues in [0, q) for q > 0. Where
+    the points 0..count-1 are distinct mod p (p = 0 or p >= count) the
+    stream is P(x0) for x0 = 0..count-1 in characteristic p; for
     0 < p < count they repeat mod p, and it is the Newton coefficients
     a_0..a_{count-1} of the values over Z, reduced mod p. The one place
     that decides between the two."""
     q = p if p >= count else 0  # the points 0..count-1 are distinct mod q
-    values = (_det_int(rows(x0, q), q) for x0 in range(count))
+    values = map(det, range(count), repeat(q))
     for v in values if q == p else _newton_coefficients(values):
         yield v % p if p else v
 
@@ -195,11 +213,14 @@ def _det_certificate(c: Sequence[int], p: int) -> Iterator[int]:
     n, top = len(c) - 1, _top_coefficient(c)
     yield top % p if p else top
 
-    # T'(x0) transposed: row i is column i of T'(x0), x0 at i-2 and then c_1..c_{n+1-i}
-    def rows(x0, q):
-        return [[*[0] * (i - 2), x0, *c[: n + 1 - i]][-n:] for i in range(n)]
+    # T'(x0) transposed, lower bandwidth 2: row i is column i of T'(x0), so
+    # rows 0 and 1 are c_2..c_{n+1} and c_1..c_n, and row i >= 2 is x0 at
+    # i-2, then c_1..c_{n+1-i}; ``_eliminate`` draws row i at column i-2
+    def det(x0, q):
+        more = ([*[0] * (i - 2), x0, *c[: n + 1 - i]] for i in range(2, n))
+        return _det_int([[*c[1:]], [*c[:n]]], q, more)
 
-    yield from _point_certificate(rows, n - 2, p)
+    yield from _point_certificate(det, n - 2, p)
 
 
 def _singular(c: Sequence[int], p: int) -> bool:
@@ -234,9 +255,11 @@ def is_singular(p: PencilInstance) -> bool:
     only the values at 0..k, and the falling factorials stay a basis mod p.
     That choice is ``_point_certificate``'s alone. Each value is
     ``_det_int`` of T'(x0) transposed, which has lower bandwidth 2: O(n^2)
-    per point, its rows built directly from c. ``kronecker.analyze`` reads
-    the same certificate for a pencil from c, and the same point stream at
-    its n+1 points d = 0..n for a general pencil.
+    per point, its rows built directly from c, each when the elimination
+    reaches it (row k+2 at column k), so a point whose elimination stops at
+    column 0, as on a geometric pencil, builds 3 rows. ``kronecker.analyze``
+    reads the same certificate for a pencil from c, and the same point
+    stream at its n+1 points d = 0..n for a general pencil.
     """
     return _singular(p.field.lift(p.c)[0], p.field.characteristic)
 
@@ -245,7 +268,10 @@ def _first_violation(values: Iterable[int], p: int) -> Optional[Tuple[int, int]]
     """(k, v) of the first int v of values, counting from 0, that is nonzero in
     characteristic p (mod p for p > 0), or None; reads no further. The one zero
     test of the int cores, which builds no field element."""
-    return next(((k, v) for k, v in enumerate(values) if (v % p if p else v)), None)
+    for k, v in enumerate(values):
+        if v % p if p else v:
+            return k, v
+    return None
 
 
 def _geometric(c: Sequence[int], fld) -> Optional[object]:

@@ -20,8 +20,10 @@ it replaced: ``kernel_basis`` of every ``build_C`` and ``Fraction``/GF(p)
 matrix-vector products for the identity. The int geometric test is checked
 against the field-division loop it replaced, the lazy Newton stream against
 the list version it replaced, the general kernel's point stream against the
-Newton certificate over Z it replaced, and the hunt's cross-check
-subsampling rule is defined here, apart from the scan that applies it.
+Newton certificate over Z it replaced, the det route's lazily built rows
+against the eager certificate that built all n rows at every point, and the
+hunt's cross-check subsampling rule is defined here, apart from the scan
+that applies it.
 
 ``det``, ``rank``, ``kernel_basis`` and ``inv`` share one fraction-free
 Gauss-Jordan reduction, ``_eliminate``, on the entries lifted to ints: the
@@ -41,7 +43,8 @@ from toeppencil.hunt import _CROSSCHECK_STRIDE, HuntReport, _random_instances
 from toeppencil.kronecker import BlockPencil, KroneckerResult, _stack
 from toeppencil.linalg import Mat, Poly, ShapeError
 from toeppencil.minors import MinorVector, build_sm_objects, recover_c_from_minors
-from toeppencil.pencil import PencilInstance, build_M0, build_M1, build_pencil
+from toeppencil.pencil import PencilInstance, _det_int, _point_certificate, _top_coefficient, build_M0, build_M1
+from toeppencil.pencil import build_pencil
 
 
 class SingularMatrixError(ValueError):
@@ -383,6 +386,20 @@ def general_certificate(bp: BlockPencil) -> List[int]:
         values.append(int(det(Mat(QQ, T))))
     p = fld.characteristic
     return [a % p if p else a for a in newton_coefficients(values)]
+
+
+def det_certificate_eager(c: Sequence[int], p: int) -> Iterator[int]:
+    """The det route's certificate as it read before its rows were built
+    lazily: the top coefficient, then ``_point_certificate`` of T'(x0)
+    transposed with all n rows built at every point and eliminated as one
+    list by ``_det_int``."""
+    n, top = len(c) - 1, _top_coefficient(c)
+    yield top % p if p else top
+
+    def det(x0, q):  # row i is column i of T'(x0): x0 at i-2, then c_1..c_{n+1-i}
+        return _det_int([[*[0] * (i - 2), x0, *c[: n + 1 - i]][-n:] for i in range(n)], q)
+
+    yield from _point_certificate(det, n - 2, p)
 
 
 def pencil_residual(M0: Mat, M1: Mat, f):

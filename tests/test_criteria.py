@@ -341,7 +341,7 @@ def _int_routes(monkeypatch):
         (criteria, "_sm_values"),
     ):
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda first, p=0, real=real: real(first, 0))
+        monkeypatch.setattr(module, name, lambda first, p=0, *rest, real=real: real(first, 0, *rest))
 
 
 def _verdict_outputs(p):

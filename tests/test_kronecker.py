@@ -373,9 +373,10 @@ def test_zero_top_coefficient_reaches_the_newton_stream(monkeypatch, c):
     read = []
     det_int = pencil._det_int
 
-    def counting_det_int(a, *p):
+    def counting_det_int(a, *p):  # the rows held once it returns, as the elimination builds them
+        det = det_int(a, *p)
         read.append(len(a))
-        return det_int(a, *p)
+        return det
 
     monkeypatch.setattr(pencil, "_det_int", counting_det_int)
     res = analyze(BlockPencil.from_pencil(p))
@@ -461,7 +462,8 @@ def test_newton_stream_runs_only_where_the_points_repeat(monkeypatch):
     calls, moduli = [], []
     newton, det_int = pencil._newton_coefficients, pencil._det_int
     monkeypatch.setattr(pencil, "_newton_coefficients", lambda values: calls.append(1) or newton(values))
-    monkeypatch.setattr(pencil, "_det_int", lambda a, p: moduli.append(p) or det_int(a, p))
+    for module in (pencil, kronecker):  # the det route's points, and a general pencil's
+        monkeypatch.setattr(module, "_det_int", lambda a, p, *more: moduli.append(p) or det_int(a, p, *more))
 
     def newton_calls(p):
         assert not p.field.of(_top_coefficient(p.field.lift(p.c)[0]))

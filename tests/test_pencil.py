@@ -13,6 +13,7 @@ from toeppencil.linalg import Mat
 from toeppencil.minors import recover_c_from_minors
 from toeppencil.pencil import (
     PencilError,
+    _det_certificate,
     _det_int,
     _eliminate,
     _newton_coefficients,
@@ -28,6 +29,7 @@ from toeppencil.pencil import (
 from conftest import geometric_pencil, random_gf_pencil, random_rational_pencil
 import oracles
 from oracles import (
+    det_certificate_eager,
     det_laplace,
     geometric_ratio,
     jacobi_det,
@@ -293,13 +295,15 @@ def test_is_singular_when_the_top_coefficient_vanishes_mod_p():
 
 
 def _counting_det_int(monkeypatch):
-    """Patch the det route's determinant to record the size of each call."""
+    """Patch the det route's determinant to record the size of each call:
+    the rows it holds once it returns, as the elimination builds them."""
     read = []
     det_int = pencil._det_int
 
     def counting(a, *p):
+        det = det_int(a, *p)
         read.append(len(a))
-        return det_int(a, *p)
+        return det
 
     monkeypatch.setattr(pencil, "_det_int", counting)
     return read
@@ -332,6 +336,66 @@ def test_zero_top_coefficient_reads_det_t_at_0(monkeypatch, c):
     assert read == [p.n]
     assert not evaluate_instance(p).singular_det
     assert read == [p.n] * 2
+
+
+def _lazy_row_lists(rng):
+    """(c, p) lifted lists for the lazy rows: over QQ and GF(2), GF(3), GF(5),
+    GF(7), GF(11), GF(257) at n = 2..15, a quarter geometric, a quarter with
+    c_{n+1} = c_n^2 / c_{n-1} (top coefficient 0), the rest at random."""
+    cases = []
+    for q in (0, 2, 3, 5, 7, 11, 257):
+        pick = (lambda: rng.choice([-3, -2, -1, 1, 2, 3])) if q == 0 else (lambda: rng.randrange(1, q))
+        for n in range(2, 16):
+            for t in range(44):
+                c = [pick() for _ in range(n + 1)]
+                if t % 4 == 0:  # geometric: c1 * r^k
+                    r = pick()
+                    c = [c[0] * r**k % q if q else c[0] * r**k for k in range(n + 1)]
+                elif t % 4 == 1 and q:
+                    c[n] = c[n - 1] ** 2 * pow(c[n - 2], -1, q) % q
+                elif t % 4 == 1:  # c_{n-1}, c_n, c_{n+1} = a, a*b, a*b^2
+                    c[n - 1], c[n] = c[n - 2] * c[n], c[n - 2] * c[n] ** 2
+                cases.append((c, q))
+    return cases
+
+
+def test_lazy_rows_match_the_eager_certificate():
+    # the det route builds row k+2 of T'(x0) transposed when its elimination
+    # reaches column k; its whole stream, every point read, is the eager one's
+    rng = random.Random(173)
+    cases = _lazy_row_lists(rng)
+    gf7 = GF(7)
+    for n in (5, 6):  # the 30 GF(7) counterexamples: singular over GF(7)
+        for t in exhaustive_scan(HuntConfig(n=n, field=gf7, mode="exhaustive")).counterexamples:
+            tail = recover_c_from_minors([gf7.of(m) for m in t] + [gf7.zero], gf7)
+            cases.append((gf7.lift([gf7.one] + tail)[0], 7))
+    # CI's two GF(3) lists at n = 32: top coefficients 2 and 0 mod 3
+    for ci in (
+        "1,1,1,1,2,1,1,2,2,2,1,2,2,2,1,2,2,1,2,1,1,2,2,1,1,1,2,1,1,1,1,1,2",
+        "1,2,1,1,2,1,1,2,2,1,2,2,2,1,2,2,2,1,1,1,2,2,2,2,1,1,1,2,2,1,2,1,2",
+    ):
+        cases.append(([int(x) for x in ci.split(",")], 3))
+    assert len(cases) >= 4000 + 30 + 2
+    singular = 0
+    for c, q in cases:
+        got = list(_det_certificate(c, q))
+        assert got == list(det_certificate_eager(c, q)), (c, q)
+        singular += not any(got)
+    assert 1000 < singular < len(cases) - 1000
+
+
+@pytest.mark.parametrize("fld", [QQ, GF(257)], ids=["QQ", "GF257"])
+def test_geometric_pencil_builds_three_rows_per_point(monkeypatch, fld):
+    # a geometric pencil's elimination stops at column 0 at every point: row 1
+    # is row 0 over the ratio, so it builds rows 0..2 of T'(x0) transposed, not n
+    n = 64
+    if fld == QQ:
+        p = geometric_pencil(Fraction(3, 2), n)
+    else:
+        p = build_pencil([fld.of(3) ** k for k in range(n + 1)], fld)
+    read = _counting_det_int(monkeypatch)
+    assert is_singular(p)
+    assert read == [3] * (n - 2)
 
 
 def test_newton_stream_matches_the_list_version():
