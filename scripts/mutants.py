@@ -426,11 +426,18 @@ MUTANTS = [
         [HUNT + "test_leaf_ends_match_the_reciprocal[5-2]"],
     ),
     (
-        "the stride listing ignores gcd(n-1, stride)",
+        "the stride listing reads the class of -h, not h",
         PKG + "hunt.py",
-        "g = gcd(n - 1, _CROSSCHECK_STRIDE)",
-        "g = 1",
+        "((n - 1) * u + r) % k == 0",
+        "((n - 1) * u - r) % k == 0",
         [HUNT + "test_stride_listing_matches_the_reference_at_every_stride"],
+    ),
+    (
+        "every shard scans every head",
+        PKG + "hunt.py",
+        "shard, None, w)",
+        "shard, None, 1)",
+        [HUNT + "test_sharded_scans_identical"],
     ),
     (
         "the hunt scales c by the m scale",
@@ -494,6 +501,14 @@ MUTANTS = [
         "return 4 if report.equivalence_violations else 3 if report.counterexamples else 0",
         "return 3 if report.counterexamples else 0",
         ["tests/test_cli.py::test_hunt_violation_exit_4"],
+    ),
+    (
+        "demo's exit code ignores violations",
+        PKG + "cli.py",
+        '    print(json.dumps({"hunt": report.to_dict()}, sort_keys=True))\n    return _status(report)\n',
+        '    print(json.dumps({"hunt": report.to_dict()}, sort_keys=True))\n'
+        "    return 3 if report.counterexamples else 0\n",
+        ["tests/test_cli.py::test_demo_exit_4_on_a_violation"],
     ),
     (
         "the walk's zero-coefficient guard is dropped",

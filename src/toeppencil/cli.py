@@ -10,9 +10,10 @@ Exit codes: 0 clean, 2 usage or input error, 3 counterexample found,
 exception to an exit code: a refused input (``NotPrimeError``,
 ``PencilError``, ``HuntConfigError``, which the subcommands raise for
 their own refusals too) exits 2 with one ``error:`` line, and a
-``ConsistencyAlarm`` exits 4; a subcommand returns 3 or 4 itself only
-for what its report lists. Scalars serialize as exact strings ("p/q" or
-a prime-field residue), never as decimals.
+``ConsistencyAlarm`` exits 4; ``hunt`` and ``demo`` return 3 or 4
+themselves only for what their hunt report lists (``_status``). Scalars
+serialize as exact strings ("p/q" or a prime-field residue), never as
+decimals.
 """
 
 from __future__ import annotations
@@ -115,6 +116,12 @@ def cmd_kernel(args) -> int:
     return 0
 
 
+def _status(report) -> int:
+    """A hunt report's exit code: 4 for a recorded criterion disagreement,
+    before 3 for a counterexample, else 0."""
+    return 4 if report.equivalence_violations else 3 if report.counterexamples else 0
+
+
 def cmd_hunt(args) -> int:
     if args.exhaustive == args.random:
         raise HuntConfigError("choose exactly one of --exhaustive / --random")
@@ -131,8 +138,7 @@ def cmd_hunt(args) -> int:
     report = exhaustive_scan(cfg) if args.exhaustive else random_scan(cfg)
     doc = {"n": args.n, "hunt": report.to_dict()}
     _emit(doc, args.json)
-    # a recorded criterion disagreement is a consistency alarm, before any counterexample
-    return 4 if report.equivalence_violations else 3 if report.counterexamples else 0
+    return _status(report)
 
 
 def cmd_demo(args) -> int:
@@ -148,7 +154,7 @@ def cmd_demo(args) -> int:
     print("# exhaustive n=4 scan over GF(5): solutions are the geometric family")
     report = exhaustive_scan(HuntConfig(n=4, field=PrimeField(5), mode="exhaustive"))
     print(json.dumps({"hunt": report.to_dict()}, sort_keys=True))
-    return 3 if report.counterexamples else 0
+    return _status(report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,13 +21,15 @@ The representatives are walked by head (m_2..m_{n-2}), and for n >= 4 a
 head costs O(1) in its leaf m_{n-1}: validity excludes the roots of two
 affine forms, V_0 is affine in the leaf, so at most one leaf (or, where
 its slope 2*m_2 vanishes mod p, every leaf or none) can solve SM, and the
-subsampled tuples are listed per beta rather than found by testing every
-leaf. The cross-checks run the three verdict routes on residues mod p.
+subsampled tuples are listed per beta, from one table of u =
+beta^(n-1)*leaf by residue class mod the stride, rather than found by
+testing every leaf. The cross-checks run the three verdict routes on
+residues mod p.
 
-Scans are deterministic regardless of worker count: the representatives
-are partitioned by interleaved heads (m_2, or (m_2, m_3) for n >= 5),
-per-shard reports merge by summation and list concatenation, and merged
-lists are sorted canonically.
+Scans are deterministic regardless of worker count: shard i of w takes
+every w-th head from the i-th on (every w-th leaf m_2 for n = 3, which
+has no head), per-shard reports merge by summation and list
+concatenation, and merged lists are sorted canonically.
 Finite-field validity of the criteria is not assumed: every condition
 solution, plus a deterministic subsample of scanned instances, is
 re-verified through the full three-way criterion comparison, and any
@@ -40,8 +42,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
-from itertools import product
-from math import gcd
+from itertools import islice, product
 from operator import add
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
@@ -174,36 +175,33 @@ def _leaf_ends(Z: List[int], p: int) -> Tuple[Callable, Set[int]]:
     return lambda v: ((z1 - v) % p, (z0 + 2 * v) % p), bad
 
 
-def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
-    """Scan the representatives m_1 = 1 whose leading coordinates lie in leads
-    (m_2 for n = 3 and 4, the pair (m_2, m_3) as m_2*p + m_3 for n >= 5; for
-    n = 2 the one representative (1,)) and count each verdict for the p-1
-    tuples of its orbit.
+def _scan_shard(n: int, p: int, w: int, shard: int) -> HuntReport:
+    """Scan shard `shard` of w of the representatives m_1 = 1: every w-th
+    head (m_2, ..., m_{n-2}) from the shard's index on, for n = 3 (no head)
+    every w-th leaf m_2, and for n = 2 the one representative (1,); count
+    each verdict for the p-1 tuples of its orbit.
 
-    The walk takes each head (m_2, ..., m_{n-2}) once: its reciprocal
-    B_0..B_n at leaf 0, mod p, and its terms of the stride sums. B_{n-1}
-    and B_n are affine in the leaf m_{n-1} (``_leaf_ends``), so the valid
-    leaves are counted, not visited. For n >= 4, V_0 = ±(2*m_2*leaf + terms of the
-    head): one evaluation at leaf 0 and the slope give the one leaf that can
-    solve SM, and only that leaf, when valid, reads V_1..V_{n-3}; a slope of
-    0 mod p leaves no candidate or all of them. For n < 4 every leaf is a
-    candidate. The stride sum of the tuple beta*N is the head's sum plus
-    (n-1)*u with u = beta^(n-1)*leaf mod p, so for each beta the selected u,
-    and from them the leaves, are listed directly; where the stride divides
-    n-1, a beta whose head sum is 0 mod the stride selects every leaf. N, B
-    and the tuple are built only for the leaves and betas that are checked
-    or recorded."""
+    The walk takes each head once: its reciprocal B_0..B_n at leaf 0, mod
+    p, and its terms of the stride sums. B_{n-1} and B_n are affine in the
+    leaf m_{n-1} (``_leaf_ends``), so the valid leaves are counted, not
+    visited. For n >= 4, V_0 = ±(2*m_2*leaf + terms of the head): one
+    evaluation at leaf 0 and the slope give the one leaf that can solve SM,
+    and only that leaf, when valid, reads V_1..V_{n-3}; a slope of 0 mod p
+    leaves no candidate or all of them. For n < 4 every leaf is a
+    candidate. The stride sum of the tuple beta*N is the head's sum h plus
+    (n-1)*u with u = beta^(n-1)*leaf mod p, so the selected u are the class
+    of h mod the stride in one table built per scan, and the leaves are
+    read from them per beta. N, B and the tuple are built only for the
+    leaves and betas that are checked or recorded."""
     gf = PrimeField(p)
     report = HuntReport()
     # beta^r and (-beta)^r mod p for beta = 1..p-1: m_r -> beta^r m_r, c_{r+1} -> beta^r c_{r+1}
     scale_m = [[pow(b, r, p) for b in range(1, p)] for r in range(n + 1)]
     scale_c = [[pow(-b, r, p) for b in range(1, p)] for r in range(n + 1)]
     unscale = [pow(s, -1, p) for s in scale_m[n - 1]]  # the leaf of u, per beta
-    # (n-1)*u = -h mod the stride, for the head sum h: with g = gcd(n-1, stride)
-    # it needs g | h, and then fixes u mod stride/g (every u where g = stride)
-    g = gcd(n - 1, _CROSSCHECK_STRIDE)
-    step = _CROSSCHECK_STRIDE // g
-    inv = pow((n - 1) // g, -1, step)
+    # u_class[r]: the u in [0, p), ascending, with (n-1)*u + r = 0 mod the stride
+    k = _CROSSCHECK_STRIDE
+    u_class = [[u for u in range(p) if ((n - 1) * u + r) % k == 0] for r in range(k)]
 
     def stride_row(r: int, v: int) -> List[int]:
         """m_r = v's term r*(beta^r v mod p) of the cross-check sum, per beta."""
@@ -231,11 +229,9 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
     rows = {(r, v): stride_row(r, v) for r in range(2, n - 1) for v in range(p)}
     rows[1, 1] = stride_row(1, 1)
     if n < 4:  # no head; the leaf is m_2 for n = 3 and m_1 = 1 for n = 2
-        heads, leaves = [()], set(leads if n == 3 else (1,))
+        heads, leaves = [()], set(range(shard, p, w) if n == 3 else (1,))
     else:
-        firsts = [divmod(j, p) if n > 4 else (j,) for j in leads]
-        heads = (f + t for f in firsts for t in product(range(p), repeat=n - 3 - len(f)))
-        leaves = set(range(p))
+        heads, leaves = islice(product(range(p), repeat=n - 3), shard, None, w), set(range(p))
     for head in heads:
         prefix = (1, 1, *head)[: n - 1]  # m_0..m_{n-2}
         report.tuples_scanned += p * len(leaves)  # with (0, ...), never valid as c_2 = m_1
@@ -271,9 +267,7 @@ def _scan_shard(n: int, p: int, leads: Tuple[int, ...]) -> HuntReport:
         for r, v in enumerate(prefix[1:], 1):
             head_sums = list(map(add, head_sums, rows[r, v]))
         for i, h in enumerate(head_sums):  # beta = i + 1
-            if h % g:
-                continue
-            for u in range(-(h // g) * inv % step, p, step):
+            for u in u_class[h % k]:
                 leaf = u * unscale[i] % p
                 if leaf in leaves and leaf not in bad and leaf not in solutions:
                     check((*prefix, leaf, 0), (*Bh, *ends(leaf)), i, False)
@@ -284,17 +278,15 @@ def exhaustive_scan(cfg: HuntConfig) -> HuntReport:
     if cfg.mode != "exhaustive":
         raise HuntConfigError("config is not in exhaustive mode")
     n, p = cfg.n, cfg.field.p
-    w = min(cfg.workers, p) if n > 2 else 1
-    # interleaved leads: m_2, or the pairs (m_2, m_3) once a head has two coordinates
-    chunks = [tuple(range(i, p * p if n > 4 else p, w)) for i in range(w)]
+    w = min(cfg.workers, p) if n > 2 else 1  # at least p heads (n >= 4) or leaves (n = 3)
     if w == 1:
-        shards = [_scan_shard(n, p, chunks[0])]
+        shards = [_scan_shard(n, p, 1, 0)]
     else:
         from multiprocessing import get_context  # only parallel scans pay for the import
 
-        ctx = get_context("fork")
-        with ctx.Pool(w) as pool:  # shards in order: a failure raises the lowest failing shard's alarm
-            shards = list(pool.imap(partial(_scan_shard, n, p), chunks))
+        # shards in order: a failure raises the lowest failing shard's alarm
+        with get_context("fork").Pool(w) as pool:
+            shards = list(pool.imap(partial(_scan_shard, n, p, w), range(w)))
     out = HuntReport()
     for s in shards:
         out.merge(s)

@@ -128,7 +128,7 @@ def test_consistency_alarm_exit_4(capsys, monkeypatch):
     assert err == "internal consistency alarm: planted disagreement\n"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_walk_fault_exit_4(capsys, monkeypatch, workers):
     # a planted walk fault: _leaf_ends marks no leaf invalid, so the walk
     # reaches tuples with a zero coefficient; the cross-check's guard alarms
@@ -138,7 +138,8 @@ def test_walk_fault_exit_4(capsys, monkeypatch, workers):
     argv = ["hunt", "--n", "5", "--prime", "7", "--exhaustive", "--json", "--workers", str(workers)]
     code, out, err = run(capsys, argv)
     assert code == 4 and out == ""
-    # the pool reads its shards in order, so 2 workers raise the 1-worker alarm
+    # the pool reads its shards in order and shard 0 holds the first head, so
+    # 2 and 3 workers raise the 1-worker alarm
     assert err == "internal consistency alarm: the walk reached minors (1, 0, 0, 4) with c6 = 0\n"
     cfg = HuntConfig(n=5, field=GF(7), mode="exhaustive", workers=workers)
     with pytest.raises(ConsistencyAlarm, match="^the walk reached minors "):
@@ -371,6 +372,19 @@ def test_demo_smoke(capsys):
     code, out, _ = run(capsys, ["demo"])
     assert code == 0
     assert "singular=True" in out and "singular=False" in out
+
+
+def test_demo_exit_4_on_a_violation(capsys, monkeypatch):
+    # a criterion disagreement in the demo's hunt is an alarm, as in `hunt`:
+    # every cross-check of the GF(5) scan disagrees, and the report is printed
+    def planted(c, L, fld):
+        raise ConsistencyAlarm("planted disagreement")
+
+    monkeypatch.setattr(hunt, "_verdicts", planted)
+    code, out, err = run(capsys, ["demo"])
+    assert code == 4 and err == ""
+    doc = json.loads(out.splitlines()[-1])["hunt"]
+    assert len(doc["violations"]) == 7 and doc["counterexamples"] == []
 
 
 def _s_route_always_fails(c, p):

@@ -120,6 +120,8 @@ def test_sharded_scans_identical(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context", CountingContext)
     cells = [((4, 5), (2, 4))] + [((n, p), (2, p, p + 3)) for n in (2, 3) for p in (3, 5)]
+    # heads of 2 and 3 coordinates, split evenly or not
+    cells += [((5, 7), (2, 3)), ((6, 5), (2, 3))]
     for (n, p), worker_counts in cells:
         base = exhaustive_scan(HuntConfig(n=n, field=GF(p), mode="exhaustive", workers=1))
         for w in worker_counts:
@@ -128,7 +130,7 @@ def test_sharded_scans_identical(monkeypatch):
             assert json.dumps(r.to_dict(), sort_keys=True) == json.dumps(
                 base.to_dict(), sort_keys=True
             )
-            # n = 2 has one representative; otherwise one process per m_2 chunk, at most p
+            # n = 2 has one representative; otherwise one process per shard, at most p
             assert pools == ([] if n == 2 else [min(w, p)])
 
 
@@ -204,11 +206,11 @@ def test_stride_listing_matches_the_reference_at_every_stride(monkeypatch, strid
 
 
 def test_stride_rows_stay_bounded():
-    # one representative at n = 3 over GF(1009): a row per value of the last
-    # coordinate would hold p(p-1) stride terms, tens of MB
+    # one representative at n = 3 over GF(1009), shard 5 of 1009: a row per
+    # value of the last coordinate would hold p(p-1) stride terms, tens of MB
     tracemalloc.start()
     try:
-        r = hunt._scan_shard(3, 1009, (5,))
+        r = hunt._scan_shard(3, 1009, 1009, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
